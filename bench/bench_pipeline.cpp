@@ -274,11 +274,10 @@ int main(int argc, char** argv) {
   w.endArray();
 
   // ------------------------------------------------ batch throughput (v5)
-  // Mixed-order batch through the two-level scheduler: level 2 shards the
-  // batch across work-stealing workers with per-shard gemm budgets, and
-  // level 1 runs each analysis's stages as a dependency-ordered graph.
-  // The baseline is the same batch through runBatch with one worker and
-  // the sequential stage pipeline. Both runs are best-of-reps; the
+  // Mixed-order batch through runBatch on every hardware thread: items
+  // start largest order first and each worker runs its gemms inline.
+  // The baseline is the same batch through runBatch with one worker. Both
+  // runs are best-of-reps; the
   // scheduled results must decisionEquals the sequential ones item by
   // item (decisionMismatches is committed and must be 0 — the
   // determinism contract measured, not assumed). validate_bench_json.py
@@ -311,7 +310,6 @@ int main(int argc, char** argv) {
 
     api::AnalyzerOptions schedOpts;
     schedOpts.threads = 0;  // hardware concurrency
-    schedOpts.stageGraph = true;
     const api::PassivityAnalyzer schedAnalyzer(schedOpts);
     std::vector<api::Result<api::AnalysisReport>> schedResults;
     double schedBest = 1e300;
@@ -321,29 +319,23 @@ int main(int argc, char** argv) {
                            }));
 
     std::size_t mismatches = 0;
-    std::size_t batchSteals = 0, batchShards = 0, batchWorkers = 1;
     for (std::size_t i = 0; i < requests.size(); ++i) {
       if (!seqResults[i].ok() || !schedResults[i].ok() ||
           !seqResults[i]->decisionEquals(*schedResults[i]))
         ++mismatches;
-      if (schedResults[i].ok()) {
-        batchSteals = schedResults[i]->scheduler.batchSteals;
-        batchShards = schedResults[i]->scheduler.batchShards;
-        batchWorkers = schedResults[i]->scheduler.batchWorkers;
-      }
     }
     const std::size_t items = requests.size();
     const double seqRate = static_cast<double>(items) / seqBest;
     const double schedRate = static_cast<double>(items) / schedBest;
     const std::size_t hw =
         std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    const std::size_t batchWorkers = std::min(hw, items);
 
     std::printf(
         "\nbatch-throughput: %zu analyses, %zu workers (hw=%zu): "
-        "%.2f/s sequential -> %.2f/s scheduled (%.2fx), "
-        "%zu shards, %zu steals, %zu mismatches\n",
+        "%.2f/s sequential -> %.2f/s scheduled (%.2fx), %zu mismatches\n",
         items, batchWorkers, hw, seqRate, schedRate, seqBest / schedBest,
-        batchShards, batchSteals, mismatches);
+        mismatches);
 
     w.key("batchThroughput").beginObject();
     w.key("items").value(items);
@@ -358,9 +350,6 @@ int main(int argc, char** argv) {
     w.endObject();
     w.key("scheduled").beginObject();
     w.key("workers").value(batchWorkers);
-    w.key("stageGraph").value(true);
-    w.key("batchShards").value(batchShards);
-    w.key("batchSteals").value(batchSteals);
     w.key("seconds").value(schedBest);
     w.key("analysesPerSecond").value(schedRate);
     w.endObject();
@@ -372,10 +361,9 @@ int main(int argc, char** argv) {
   // ------------------------------------------------ sweep throughput (v6)
   // Parametric-sweep workload (circuits/sweep.hpp): one RLC ladder
   // netlist, its first R/L/C varied a decade in each direction, MNA
-  // stamped once with only the perturbed values re-stamped per point, and
-  // the whole point batch fanned through the work-stealing shard
-  // scheduler. The baseline is the identical sweep on a one-worker
-  // analyzer with the sequential stage pipeline. decisionMismatches
+  // re-stamped per point, and the whole point batch run through runBatch
+  // on every hardware thread. The baseline is the identical sweep on a
+  // one-worker analyzer. decisionMismatches
   // compares the two runs slot by slot and is committed (must be 0).
   {
     circuits::LadderOptions ladder;
@@ -407,7 +395,6 @@ int main(int argc, char** argv) {
 
     api::AnalyzerOptions schedOpts;
     schedOpts.threads = 0;  // hardware concurrency
-    schedOpts.stageGraph = true;
     const api::PassivityAnalyzer schedAnalyzer(schedOpts);
     circuits::SweepResult schedSweep;
     double schedBest = 1e300;
@@ -452,7 +439,6 @@ int main(int argc, char** argv) {
     w.key("pointsPerSecond").value(seqRate);
     w.endObject();
     w.key("scheduled").beginObject();
-    w.key("stageGraph").value(true);
     w.key("seconds").value(schedBest);
     w.key("pointsPerSecond").value(schedRate);
     w.endObject();

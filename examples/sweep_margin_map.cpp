@@ -1,14 +1,13 @@
 // Parametric sweep workload: parse a SPICE-subset netlist, sweep its
-// first R, L, and C across decades (circuits::runSweep — MNA stamped
-// once, only perturbed values re-stamped per point), fan the batch
-// through the work-stealing shard scheduler, verify every point against
-// the sequential oracle slot by slot, and write the passivity-margin map
-// JSON artifact.
+// first R, L, and C across decades (circuits::runSweep — MNA re-stamped
+// per point), run the batch through PassivityAnalyzer::runBatch, verify
+// every point against the sequential oracle slot by slot, and write the
+// passivity-margin map JSON artifact.
 //
 //   $ ./sweep_margin_map [netlist.cir] [pointsPerAxis] [out.json]
 //
 // With no netlist argument a built-in RLC one-port (the README
-// quickstart circuit) is swept. Exits nonzero when any scheduled point
+// quickstart circuit) is swept. Exits nonzero when any batch point
 // fails decisionEquals against the sequential oracle — CI's bench-smoke
 // job runs this on the golden cap-at-port ladder with >= 64 points and
 // relies on that exit code.
@@ -72,9 +71,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  api::AnalyzerOptions options;
-  options.stageGraph = true;  // two-level: stage graph x shard stealing
-  api::PassivityAnalyzer analyzer(options);
+  const api::PassivityAnalyzer analyzer;
 
   circuits::SweepResult result = circuits::runSweep(net, spec, analyzer);
   const std::size_t mismatches =

@@ -1,34 +1,18 @@
 #include "api/analyzer.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
+#include <numeric>
 #include <thread>
 #include <utility>
 
 #include "api/json.hpp"
-#include "api/thread_pool.hpp"
 #include "linalg/blas.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace shhpass::api {
-namespace {
-
-/// Canonical (non-discarded) stage subsequence — the decision path.
-/// Speculative runGraph stages appended as discarded are execution
-/// records, not decisions, so decisionEquals compares through this view.
-std::vector<const StageTrace*> canonicalStages(
-    const std::vector<StageTrace>& stages) {
-  std::vector<const StageTrace*> out;
-  out.reserve(stages.size());
-  for (const StageTrace& t : stages)
-    if (!t.discarded) out.push_back(&t);
-  return out;
-}
-
-}  // namespace
 
 bool AnalysisReport::decisionEquals(const AnalysisReport& other) const {
   if (id != other.id || passive != other.passive ||
@@ -78,14 +62,11 @@ bool AnalysisReport::decisionEquals(const AnalysisReport& other) const {
                  margin->margin != other.margin->margin ||
                  margin->structuralDefect != other.margin->structuralDefect))
     return false;
-  const std::vector<const StageTrace*> mine = canonicalStages(stages);
-  const std::vector<const StageTrace*> theirs =
-      canonicalStages(other.stages);
-  if (mine.size() != theirs.size()) return false;
-  for (std::size_t k = 0; k < mine.size(); ++k) {
-    if (mine[k]->name != theirs[k]->name ||
-        mine[k]->status.code() != theirs[k]->status.code() ||
-        mine[k]->status.message() != theirs[k]->status.message())
+  if (stages.size() != other.stages.size()) return false;
+  for (std::size_t k = 0; k < stages.size(); ++k) {
+    if (stages[k].name != other.stages[k].name ||
+        stages[k].status.code() != other.stages[k].status.code() ||
+        stages[k].status.message() != other.stages[k].status.message())
       return false;
   }
   return true;
@@ -155,22 +136,6 @@ std::string AnalysisReport::toJson() const {
               errorCodeFromFailureStage(margin->structuralDefect)));
     w.endObject();
   }
-  w.key("scheduler").beginObject();
-  w.key("scheduled").value(scheduler.scheduled);
-  w.key("shard").value(scheduler.shard);
-  w.key("shardItems").value(scheduler.shardItems);
-  w.key("large").value(scheduler.large);
-  w.key("gemmThreadsGranted").value(scheduler.gemmThreadsGranted);
-  w.key("stolen").value(scheduler.stolen);
-  w.key("batchShards").value(scheduler.batchShards);
-  w.key("batchWorkers").value(scheduler.batchWorkers);
-  w.key("batchSteals").value(scheduler.batchSteals);
-  w.key("stageGraph").value(scheduler.stageGraph);
-  w.key("stageGraphExecuted").value(scheduler.stageGraphExecuted);
-  w.key("stageGraphSkipped").value(scheduler.stageGraphSkipped);
-  w.key("stageGraphCriticalPathSeconds")
-      .value(scheduler.stageGraphCriticalPathSeconds);
-  w.endObject();
   w.endObject();
   w.key("warnings").beginArray();
   for (Warning warn : warnings) w.value(warningName(warn));
@@ -183,7 +148,6 @@ std::string AnalysisReport::toJson() const {
     if (!t.status.ok()) w.key("message").value(t.status.message());
     w.key("seconds").value(t.seconds);
     if (t.peakBytes > 0) w.key("peakBytes").value(t.peakBytes);
-    if (t.discarded) w.key("discarded").value(true);
     w.endObject();
   }
   w.endArray();
@@ -194,13 +158,6 @@ std::string AnalysisReport::toJson() const {
 
 PassivityAnalyzer::PassivityAnalyzer(AnalyzerOptions options)
     : options_(std::move(options)) {
-  // Process-wide override so CI (and users) can drive every analysis
-  // through the level-1 stage graph without touching call sites; by the
-  // runGraph contract the setting can never change decisions, only
-  // scheduling — exactly like SHHPASS_GEMM_THREADS one layer down.
-  const char* env = std::getenv("SHHPASS_STAGE_GRAPH");
-  if (env != nullptr && std::strcmp(env, "0") != 0)
-    options_.stageGraph = true;
   // Telemetry: environment forces first (SHHPASS_TRACE / SHHPASS_METRICS,
   // read once process-wide), then this analyzer's own switches on top.
   // Both only ever turn telemetry ON — pure observation either way.
@@ -216,16 +173,14 @@ void PassivityAnalyzer::setStageObserver(Pipeline::Observer observer) {
 Result<AnalysisReport> PassivityAnalyzer::analyze(
     const ds::DescriptorSystem& system) const {
   return analyzeImpl(system, options_.passivity, std::string(),
-                     /*marginTol=*/std::nullopt, /*notifyObserver=*/true,
-                     /*gemmBudget=*/0);
+                     /*marginTol=*/std::nullopt, /*notifyObserver=*/true);
 }
 
 Result<AnalysisReport> PassivityAnalyzer::analyze(
     const AnalysisRequest& request) const {
   return analyzeImpl(request.system,
                      request.options ? *request.options : options_.passivity,
-                     request.id, request.marginTol, /*notifyObserver=*/true,
-                     /*gemmBudget=*/0);
+                     request.id, request.marginTol, /*notifyObserver=*/true);
 }
 
 std::vector<Result<AnalysisReport>> PassivityAnalyzer::runBatch(
@@ -240,68 +195,41 @@ std::vector<Result<AnalysisReport>> PassivityAnalyzer::runBatch(
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   const std::size_t workers = std::min(threads, requests.size());
 
-  // Level 2: deterministic shard plan over the item orders (pure
-  // function of orders + options, never of `workers` — the plan fields
-  // in every report are identical for every worker count).
-  std::vector<std::size_t> orders(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i)
-    orders[i] = requests[i].system.order();
-  SchedulerOptions sopts = options_.scheduler;
-  sopts.workers = workers;
-  const std::vector<Shard> plan = planShards(orders, sopts);
+  // Largest order first (LPT); the stable sort keeps request order among
+  // equal orders.
+  std::vector<std::size_t> byOrder(requests.size());
+  std::iota(byOrder.begin(), byOrder.end(), std::size_t{0});
+  std::stable_sort(byOrder.begin(), byOrder.end(),
+                   [&requests](std::size_t a, std::size_t b) {
+                     return requests[a].system.order() >
+                            requests[b].system.order();
+                   });
 
-  // Per-item plan records, filled before execution so they are shared
-  // read-only with the workers; `stolen` is the one field a worker
-  // writes, and only for items of shards it runs (disjoint ownership).
-  const std::size_t kernelWidth = std::max<std::size_t>(
-      1, linalg::gemmThreads());
-  std::vector<SchedulerReport> sched(requests.size());
-  for (std::size_t s = 0; s < plan.size(); ++s) {
-    for (std::size_t item : plan[s].items) {
-      sched[item].scheduled = true;
-      sched[item].shard = s;
-      sched[item].shardItems = plan[s].items.size();
-      sched[item].large = plan[s].large;
-      sched[item].gemmThreadsGranted =
-          plan[s].gemmBudget == 0 ? kernelWidth
-                                  : std::min(plan[s].gemmBudget, kernelWidth);
-      sched[item].batchShards = plan.size();
-      sched[item].batchWorkers = workers;
+  // analyzeImpl is exception-free (Status-based), so a worker cannot
+  // throw. The observer is skipped: per-stage traces land in the report
+  // instead. Each item writes only its own results[item] slot.
+  std::atomic<std::size_t> next{0};
+  auto worker = [&] {
+    // Concurrent analyses already fill the cores; gemm runs inline.
+    linalg::GemmThreadBudgetScope inlineGemm(workers > 1 ? 1 : 0);
+    for (std::size_t k = next.fetch_add(1); k < byOrder.size();
+         k = next.fetch_add(1)) {
+      const std::size_t item = byOrder[k];
+      const AnalysisRequest& request = requests[item];
+      obs::counterAdd(obs::Counter::BatchItems);
+      results[item] = analyzeImpl(
+          request.system,
+          request.options ? *request.options : options_.passivity,
+          request.id, request.marginTol, /*notifyObserver=*/false);
     }
-  }
-
-  // analyzeImpl is exception-free (Status-based) by construction, so the
-  // body cannot throw across the scheduler boundary. The observer is
-  // skipped: per-stage traces land in the report instead. Each item
-  // writes only results[item] / sched[item] — item-indexed slots are what
-  // keep report and trace ordering deterministic under stealing.
-  const std::size_t steals = runSharded(
-      plan, workers,
-      [this, &requests, &results, &sched, &plan](
-          std::size_t item, std::size_t shardIndex, bool stolen) {
-        sched[item].stolen = stolen;
-        results[item] = analyzeImpl(
-            requests[item].system,
-            requests[item].options ? *requests[item].options
-                                   : options_.passivity,
-            requests[item].id, requests[item].marginTol,
-            /*notifyObserver=*/false,
-            plan[shardIndex].gemmBudget);
-      },
-      sopts.packFirstWorker);
-
-  // Stamp the scheduling record into each successful report, preserving
-  // the level-1 stage-graph fields analyzeImpl already recorded.
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (!results[i].ok()) continue;
-    AnalysisReport& report = results[i].value();
-    sched[i].batchSteals = steals;
-    sched[i].stageGraph = report.scheduler.stageGraph;
-    sched[i].stageGraphExecuted = report.scheduler.stageGraphExecuted;
-    sched[i].stageGraphSkipped = report.scheduler.stageGraphSkipped;
-    sched[i].stageGraphCriticalPathSeconds =
-        report.scheduler.stageGraphCriticalPathSeconds;
-    report.scheduler = sched[i];
+  };
+  if (workers == 1) {
+    worker();
+  } else {
+    // std::jthread joins on destruction, on every exit path.
+    std::vector<std::jthread> crew;
+    crew.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) crew.emplace_back(worker);
   }
   return results;
 }
@@ -309,7 +237,7 @@ std::vector<Result<AnalysisReport>> PassivityAnalyzer::runBatch(
 Result<AnalysisReport> PassivityAnalyzer::analyzeImpl(
     const ds::DescriptorSystem& system, const core::PassivityOptions& opts,
     const std::string& id, std::optional<double> marginTol,
-    bool notifyObserver, std::size_t gemmBudget) const {
+    bool notifyObserver) const {
   if (marginTol && !(std::isfinite(*marginTol) && *marginTol > 0.0))
     return Result<AnalysisReport>(
         Status::error(ErrorCode::InvalidArgument,
@@ -334,30 +262,15 @@ Result<AnalysisReport> PassivityAnalyzer::analyzeImpl(
     std::lock_guard<std::mutex> lock(observerMu_);
     observer = observer_;
   }
-  Status status;
-  if (options_.stageGraph) {
-    // Level 1: dependency-ordered stage execution. Bit-identical
-    // decisions to the sequential path by the runGraph contract.
-    ThreadPool graphPool(std::max<std::size_t>(1, options_.stageGraphThreads));
-    StageGraphReport graph;
-    status = pipeline.runGraph(state, &report.stages, graphPool, &graph,
-                               observer, gemmBudget);
-    report.scheduler.stageGraph = graph.used;
-    report.scheduler.stageGraphExecuted = graph.executedStages;
-    report.scheduler.stageGraphSkipped = graph.skippedStages;
-    report.scheduler.stageGraphCriticalPathSeconds =
-        graph.criticalPathSeconds;
-  } else {
-    status = pipeline.run(state, &report.stages, observer);
-  }
+  Status status = pipeline.run(state, &report.stages, observer);
   if (marginTol && (status.ok() || isVerdictCode(status.code()))) {
     // On this thread, from the proper part the pipeline just extracted.
-    obs::ObsSpan marginSpan("margin", "stage");
-    try {
+    StageTrace margin = runTimedStage("margin", [&] {
       report.margin = core::marginOfRun(state.result, *marginTol);
-    } catch (...) {
-      status = statusFromCurrentException();
-    }
+      return Status::okStatus();
+    });
+    if (!margin.status.ok()) status = margin.status;
+    report.stages.push_back(std::move(margin));
   }
   if (!status.ok() && !isVerdictCode(status.code())) {
     obs::counterAdd(obs::Counter::AnalysesFailed);
@@ -384,10 +297,7 @@ Result<AnalysisReport> PassivityAnalyzer::analyzeImpl(
   report.staircase = state.result.staircase;
   if (report.reorder.rejectedSwaps > 0)
     report.warnings.push_back(Warning::ReorderSwapRejected);
-  // Discarded speculative stages are execution records, not part of the
-  // canonical decision path's cost; keep totalSeconds mode-comparable.
-  for (const StageTrace& t : report.stages)
-    if (!t.discarded) report.totalSeconds += t.seconds;
+  for (const StageTrace& t : report.stages) report.totalSeconds += t.seconds;
   obs::counterAdd(obs::Counter::AnalysesCompleted);
   if (!report.passive) obs::counterAdd(obs::Counter::AnalysesNotPassive);
   obs::gaugeAdd(obs::Gauge::AnalysesInFlight, -1);

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "api/pipeline.hpp"
-#include "api/scheduler.hpp"
 #include "api/status.hpp"
 #include "core/margin.hpp"
 #include "ds/descriptor.hpp"
@@ -86,26 +85,17 @@ struct AnalysisReport {
   std::optional<core::PassivityMargin> margin;
 
   // Execution record.
-  /// One trace per executed stage, in canonical order. Stage-graph runs
-  /// that stopped early additionally append the speculative stages that
-  /// executed past the cutoff, marked StageTrace::discarded (excluded
-  /// from decisionEquals and totalSeconds).
+  /// One trace per executed stage, in Fig.-1 order, followed by a
+  /// "margin" trace when the request set marginTol and the margin was
+  /// computed.
   std::vector<StageTrace> stages;
-  double totalSeconds = 0.0;
-  /// How the two-level scheduler ran this analysis (shard plan slot,
-  /// kernel budget, steal/stage-graph records — api/scheduler.hpp).
-  /// Default-initialized for plain sequential analyze() calls. Like
-  /// totalSeconds this is an EXECUTION record: decisionEquals ignores it
-  /// entirely (steal counts and critical paths are timing-dependent; the
-  /// plan fields are deterministic but describe scheduling, not the
-  /// Fig.-1 decision path).
-  SchedulerReport scheduler;
+  double totalSeconds = 0.0;  ///< Sum of the stage seconds.
 
   /// Decision-path equality: every field that reflects WHAT was decided
-  /// (verdict, diagnostics, M1, per-stage statuses) — everything except
-  /// wall-clock timings and the scheduler execution record. Batch
-  /// results must decisionEquals their sequential single-shot
-  /// counterparts, for every worker count and steal schedule.
+  /// (verdict, diagnostics, M1, margin, per-stage statuses) — everything
+  /// except wall-clock timings and memory peaks. Batch results must
+  /// decisionEquals their sequential single-shot counterparts, for every
+  /// worker count.
   bool decisionEquals(const AnalysisReport& other) const;
 
   /// Compact JSON serialization of the full decision path (service wire
@@ -118,19 +108,6 @@ struct AnalyzerOptions {
   core::PassivityOptions passivity;  ///< Default per-analysis options.
   std::size_t threads = 0;  ///< Worker threads for runBatch; 0 = hardware
                             ///< concurrency.
-  /// Level-2 shard scheduling knobs for runBatch (the `workers` field is
-  /// overridden per batch from `threads` and the batch size).
-  SchedulerOptions scheduler;
-  /// Level-1: run each analysis's Fig.-1 stages as a dependency-ordered
-  /// task graph (Pipeline::runGraph) instead of sequentially. Decisions
-  /// are bit-identical either way (the runGraph contract); this trades
-  /// stageGraphThreads extra threads per in-flight analysis for stage
-  /// overlap. Also forced on process-wide by the environment variable
-  /// SHHPASS_STAGE_GRAPH (any value but "0"), read once at analyzer
-  /// construction — the tsan CI job drives the whole suite through the
-  /// graph path this way.
-  bool stageGraph = false;
-  std::size_t stageGraphThreads = 2;  ///< Pool width per stage graph.
   /// Telemetry switches (span tracing, metrics registry, memory
   /// accounting — src/obs/). Applied process-wide at analyzer
   /// construction; the environment forces SHHPASS_TRACE=path and
@@ -167,15 +144,15 @@ class PassivityAnalyzer {
   /// Analyze one request (honoring its option overrides and id).
   Result<AnalysisReport> analyze(const AnalysisRequest& request) const;
 
-  /// Analyze many systems on the work-stealing shard scheduler
-  /// (api/scheduler.hpp): the batch is planned into shards (large-order
-  /// items get kernel-thread budgets, small items share batch slots),
-  /// workers steal across shards, and results land in request order —
-  /// element i decisionEquals what analyze(requests[i]) returns, for
-  /// every worker count and steal schedule. Per-item StageTraces are
-  /// owned by item-indexed report slots (never shared across items), so
-  /// trace ordering inside each report is the canonical stage order
-  /// regardless of concurrency.
+  /// Analyze many systems on min(threads, requests.size()) workers.
+  /// Items start largest order first (Graham's LPT list scheduling, so
+  /// the longest analyses do not form the tail), each worker pulling the
+  /// next item off one shared index. With more than one worker every
+  /// worker runs gemm inline (linalg::GemmThreadBudgetScope(1)); a single
+  /// worker runs on the calling thread with the configured gemm width.
+  /// Results land in request order: element i decisionEquals what
+  /// analyze(requests[i]) returns, for every worker count, and each
+  /// report owns its StageTraces.
   std::vector<Result<AnalysisReport>> runBatch(
       std::span<const AnalysisRequest> requests) const;
 
@@ -184,8 +161,7 @@ class PassivityAnalyzer {
                                      const core::PassivityOptions& opts,
                                      const std::string& id,
                                      std::optional<double> marginTol,
-                                     bool notifyObserver,
-                                     std::size_t gemmBudget) const;
+                                     bool notifyObserver) const;
 
   AnalyzerOptions options_;
   mutable std::mutex observerMu_;  ///< Guards observer_ (set vs snapshot).

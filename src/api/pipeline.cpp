@@ -2,10 +2,8 @@
 
 #include <utility>
 
-#include "api/thread_pool.hpp"
 #include "control/pr_test.hpp"
 #include "core/phi_builder.hpp"
-#include "linalg/blas.hpp"
 #include "obs/clock.hpp"
 #include "obs/memory.hpp"
 #include "obs/metrics.hpp"
@@ -19,12 +17,6 @@ Status verdict(core::FailureStage stage) {
   return Status::error(errorCodeFromFailureStage(stage),
                        core::failureStageName(stage));
 }
-
-/// Internal sentinel a stage node raises (via std::rethrow_exception; the
-/// api layer is throw-keyword-free) when its stage returned a non-ok
-/// Status, so the TaskGraph skip cascade stops dependents from running on
-/// unset state. Never escapes runGraph.
-struct StageNotOk {};
 
 // Stage 0 of Fig. 1: shape validation, squareness, pencil balancing, and
 // (unless skipped) the regularity and finite-stability screens.
@@ -65,12 +57,14 @@ class ImpulseDeflationStage final : public Stage {
   const char* name() const override { return "impulse-deflation"; }
   Status run(PipelineState& s) override {
     s.deflation = core::deflateImpulseModes(s.phi, s.options.rankTol);
-    return Status::okStatus();
-  }
-  void commit(PipelineState& s) override {
+    // Last reader of Phi; no stage reads the deflation's bases.
+    s.phi = shh::ShhRealization{};
+    s.deflation.vKeep = linalg::Matrix();
+    s.deflation.impulseUnobservable = linalg::Matrix();
     s.result.removedImpulsive = s.deflation.removed;
     s.result.rankPolicy.merge(s.deflation.rankReport);
     s.result.staircase.merge(s.deflation.staircase);
+    return Status::okStatus();
   }
 };
 
@@ -81,22 +75,19 @@ class NondynamicRemovalStage final : public Stage {
   Status run(PipelineState& s) override {
     s.nondynamic =
         core::removeNondynamicModes(s.deflation.reduced, s.options.rankTol);
-    if (!s.nondynamic.impulseFree)
-      return verdict(core::FailureStage::ResidualImpulses);
-    return Status::okStatus();
-  }
-  void commit(PipelineState& s) override {
+    s.deflation.reduced = shh::SkewSymRealization{};  // last reader
     s.result.removedNondynamic = s.nondynamic.removed;
     s.result.rankPolicy.merge(s.nondynamic.rankReport);
     s.result.staircase.merge(s.nondynamic.staircase);
+    if (!s.nondynamic.impulseFree)
+      return verdict(core::FailureStage::ResidualImpulses);
+    return Status::okStatus();
   }
 };
 
 // Stage 4: impulsive-part admissibility of G itself — grade >= 3 screen
 // plus M1 extraction and the M1 >= 0 check (Eqs. 24-25). Reads only the
-// prerequisites' balanced system and the impulse-deflation outputs, so in
-// the graph it is a branch independent of nondynamic removal and the
-// proper-part chain.
+// prerequisites' balanced system and the impulse-deflation outputs.
 class M1ExtractionStage final : public Stage {
  public:
   const char* name() const override { return "m1-extraction"; }
@@ -107,30 +98,27 @@ class M1ExtractionStage final : public Stage {
         s.deflation.hasHalfECompression ? &s.deflation.halfECompression
                                         : nullptr;
     // Skew-symmetric Mk cancel inside Phi, so the grade >= 3 screen only
-    // needs to run when the stage-2 deflation was non-trivial.
+    // needs to run when the stage-2 deflation was non-trivial. Rank and
+    // staircase records only accumulate (sums, min/max), so they can go
+    // straight into the result.
     if (s.deflation.removed > 0 &&
         core::hasHigherOrderImpulses(s.balanced.sys, s.options.rankTol,
-                                     &s.m1Rank, &s.m1Staircase, eComp))
+                                     &s.result.rankPolicy,
+                                     &s.result.staircase, eComp))
       return verdict(core::FailureStage::HigherOrderImpulse);
-    s.m1 = core::extractM1(s.balanced.sys, s.options.rankTol,
-                           core::DeflationPath::Auto, eComp);
-    s.m1Rank.merge(s.m1.rankReport);
-    s.m1Staircase.merge(s.m1.staircase);
+    const core::M1Extraction m1 = core::extractM1(
+        s.balanced.sys, s.options.rankTol, core::DeflationPath::Auto, eComp);
+    s.deflation.halfECompression = linalg::Compression{};  // last reader
+    s.deflation.hasHalfECompression = false;
+    s.result.rankPolicy.merge(m1.rankReport);
+    s.result.staircase.merge(m1.staircase);
     // The balanced system is G_b(s) = G(tau * s) with residue tau * M1 at
     // infinity; undo the frequency scaling for reporting.
-    s.m1Scaled = (1.0 / s.balanced.freqScale) * s.m1.m1;
-    if (!s.m1.symmetric || !s.m1.psd)
+    s.result.m1 = (1.0 / s.balanced.freqScale) * m1.m1;
+    s.result.impulsiveChains = m1.chainCount;
+    if (!m1.symmetric || !m1.psd)
       return verdict(core::FailureStage::M1NotPsd);
     return Status::okStatus();
-  }
-  void commit(PipelineState& s) override {
-    // RankReport/StaircaseReport merges are sums + min/max, so folding
-    // the privately accumulated per-stage report in one merge is
-    // bit-identical to the historical in-place merges.
-    s.result.rankPolicy.merge(s.m1Rank);
-    s.result.staircase.merge(s.m1Staircase);
-    s.result.m1 = s.m1Scaled;
-    s.result.impulsiveChains = s.m1.chainCount;
   }
 };
 
@@ -139,17 +127,15 @@ class ProperPartStage final : public Stage {
  public:
   const char* name() const override { return "proper-part"; }
   Status run(PipelineState& s) override {
-    s.properPart = core::extractProperPart(s.nondynamic.shh, s.options.imagTol,
-                                           s.options.rankTol, s.stagePool);
-    if (!s.properPart.ok)
-      return verdict(core::FailureStage::LosslessAxisModes);
+    core::ProperPartResult& pp = s.result.properPart;
+    pp = core::extractProperPart(s.nondynamic.shh, s.options.imagTol,
+                                 s.options.rankTol);
+    s.nondynamic.shh = shh::ShhRealization{};  // last reader
+    s.result.reorder = pp.reorder;
+    s.result.schur = pp.schur;
+    s.result.rankPolicy.merge(pp.rankReport);
+    if (!pp.ok) return verdict(core::FailureStage::LosslessAxisModes);
     return Status::okStatus();
-  }
-  void commit(PipelineState& s) override {
-    s.result.properPart = s.properPart;
-    s.result.reorder = s.properPart.reorder;
-    s.result.schur = s.properPart.schur;
-    s.result.rankPolicy.merge(s.properPart.rankReport);
   }
 };
 
@@ -158,7 +144,7 @@ class PositiveRealnessStage final : public Stage {
  public:
   const char* name() const override { return "pr-test"; }
   Status run(PipelineState& s) override {
-    const core::ProperPartResult& pp = s.properPart;
+    const core::ProperPartResult& pp = s.result.properPart;
     control::PrTestResult pr = control::testPositiveRealProper(
         pp.lambda, pp.b1, pp.c1, pp.dHalf, s.options.imagTol);
     if (!pr.positiveReal)
@@ -170,27 +156,40 @@ class PositiveRealnessStage final : public Stage {
 }  // namespace
 
 Pipeline Pipeline::standard() {
-  // The Fig.-1 data-dependency DAG. After impulse deflation (2), the
-  // nondynamic-removal chain (3 -> 5 -> 6) and the m1-extraction branch
-  // (4) are independent: 4 reads only the balanced system (0) and the
-  // deflation outputs (2).
   Pipeline p;
-  p.addStage(std::make_unique<PrerequisitesStage>());            // 0
-  p.addStage(std::make_unique<BuildPhiStage>(), {0});            // 1
-  p.addStage(std::make_unique<ImpulseDeflationStage>(), {1});    // 2
-  p.addStage(std::make_unique<NondynamicRemovalStage>(), {2});   // 3
-  p.addStage(std::make_unique<M1ExtractionStage>(), {2});        // 4
-  p.addStage(std::make_unique<ProperPartStage>(), {3});          // 5
-  p.addStage(std::make_unique<PositiveRealnessStage>(), {5});    // 6
+  p.addStage(std::make_unique<PrerequisitesStage>());
+  p.addStage(std::make_unique<BuildPhiStage>());
+  p.addStage(std::make_unique<ImpulseDeflationStage>());
+  p.addStage(std::make_unique<NondynamicRemovalStage>());
+  p.addStage(std::make_unique<M1ExtractionStage>());
+  p.addStage(std::make_unique<ProperPartStage>());
+  p.addStage(std::make_unique<PositiveRealnessStage>());
   return p;
 }
 
-Pipeline& Pipeline::addStage(std::unique_ptr<Stage> stage,
-                             std::vector<std::size_t> deps) {
-  if (deps.empty() && !stages_.empty()) deps.push_back(stages_.size() - 1);
+Pipeline& Pipeline::addStage(std::unique_ptr<Stage> stage) {
   stages_.push_back(std::move(stage));
-  deps_.push_back(std::move(deps));
   return *this;
+}
+
+StageTrace runTimedStage(const char* name,
+                         const std::function<Status()>& body) {
+  StageTrace trace;
+  trace.name = name;
+  obs::MemScope mem;
+  const std::uint64_t t0 = obs::monotonicNowNs();
+  try {
+    trace.status = body();
+  } catch (...) {
+    trace.status = statusFromCurrentException();
+  }
+  const std::uint64_t t1 = obs::monotonicNowNs();
+  trace.seconds = obs::nsToSeconds(t0, t1);
+  trace.peakBytes = mem.peakBytes();
+  obs::emitSpan(trace.name, "stage", t0, t1, obs::currentThreadTid());
+  obs::observeStageSeconds(trace.name, trace.seconds);
+  obs::counterAdd(obs::Counter::StagesExecuted);
+  return trace;
 }
 
 const Pipeline& standardPipeline() {
@@ -205,27 +204,8 @@ Status Pipeline::run(PipelineState& state, std::vector<StageTrace>* traces,
     return Status::error(ErrorCode::InvalidArgument,
                          "PipelineState::input is null");
   for (const std::unique_ptr<Stage>& stage : stages_) {
-    StageTrace trace;
-    trace.name = stage->name();
-    bool threw = false;
-    obs::MemScope mem;
-    const std::uint64_t t0 = obs::monotonicNowNs();
-    try {
-      trace.status = stage->run(state);
-    } catch (...) {
-      trace.status = statusFromCurrentException();
-      threw = true;
-    }
-    // Commit inside the timed region (the historical code merged
-    // diagnostics inline in run, so per-stage seconds keep covering the
-    // same work). A throwing stage never commits: its slots may be torn.
-    if (!threw) stage->commit(state);
-    const std::uint64_t t1 = obs::monotonicNowNs();
-    trace.seconds = obs::nsToSeconds(t0, t1);
-    trace.peakBytes = mem.peakBytes();
-    obs::emitSpan(trace.name, "stage", t0, t1, obs::currentThreadTid());
-    obs::observeStageSeconds(trace.name, trace.seconds);
-    obs::counterAdd(obs::Counter::StagesExecuted);
+    const StageTrace trace =
+        runTimedStage(stage->name(), [&] { return stage->run(state); });
     if (traces) traces->push_back(trace);
     if (observer) {
       try {
@@ -247,139 +227,6 @@ Status Pipeline::run(PipelineState& state, std::vector<StageTrace>* traces,
   state.result.passive = true;
   state.result.failure = core::FailureStage::None;
   return Status::okStatus();
-}
-
-Status Pipeline::runGraph(PipelineState& state,
-                          std::vector<StageTrace>* traces, ThreadPool& pool,
-                          StageGraphReport* graph, const Observer& observer,
-                          std::size_t gemmBudget) const {
-  state.result = core::PassivityResult{};
-  if (state.input == nullptr)
-    return Status::error(ErrorCode::InvalidArgument,
-                         "PipelineState::input is null");
-  obs::counterAdd(obs::Counter::StageGraphRuns);
-  // Intra-stage fork/join needs a second worker to guarantee progress
-  // (the forking stage blocks on its subtask's future).
-  state.stagePool = pool.size() >= 2 ? &pool : nullptr;
-
-  const std::size_t n = stages_.size();
-  // Per-stage result slots, index-addressed so no ordering between
-  // concurrently finishing stages matters. Declared before the graph so
-  // they outlive any in-flight node on early exit paths. startNs/tid
-  // capture where/when each node ran: stage spans cannot be emitted from
-  // the node itself (whether a stage is speculative-discarded is only
-  // known at canonical assembly), so emission is deferred to the
-  // assembly loop below with these recorded stamps. An executed node is
-  // recognizable by a non-empty slot name (skipped nodes never run).
-  std::vector<StageTrace> slot(n);
-  std::vector<char> threw(n, 0);
-  std::vector<std::uint64_t> startNs(n, 0);
-  std::vector<std::uint64_t> endNs(n, 0);
-  std::vector<std::uint32_t> tid(n, 0);
-  {
-    TaskGraph g(&pool);
-    for (std::size_t i = 0; i < n; ++i) {
-      g.add(stages_[i]->name(),
-            [this, i, &state, &slot, &threw, &startNs, &endNs, &tid,
-             gemmBudget] {
-              // The kernel budget is thread-local; re-establish it on
-              // this pool worker for the stage's gemm calls.
-              linalg::GemmThreadBudgetScope budget(gemmBudget);
-              StageTrace t;
-              t.name = stages_[i]->name();
-              obs::MemScope mem;
-              const std::uint64_t t0 = obs::monotonicNowNs();
-              try {
-                t.status = stages_[i]->run(state);
-              } catch (...) {
-                t.status = statusFromCurrentException();
-                threw[i] = 1;
-              }
-              const std::uint64_t t1 = obs::monotonicNowNs();
-              t.seconds = obs::nsToSeconds(t0, t1);
-              t.peakBytes = mem.peakBytes();
-              startNs[i] = t0;
-              endNs[i] = t1;
-              tid[i] = obs::currentThreadTid();
-              obs::observeStageSeconds(t.name, t.seconds);
-              obs::counterAdd(obs::Counter::StagesExecuted);
-              slot[i] = std::move(t);
-              // Fail the node on any non-ok status so the TaskGraph skip
-              // cascade keeps dependents off unset state.
-              if (!slot[i].status.ok())
-                std::rethrow_exception(std::make_exception_ptr(StageNotOk{}));
-            },
-            deps_[i]);
-    }
-    g.run();
-    try {
-      g.wait();
-    } catch (...) {
-      // StageNotOk (or the stage's own exception, already translated
-      // into slot[i].status): handled below in canonical order.
-    }
-    if (graph) {
-      graph->used = true;
-      graph->executedStages = g.executedCount();
-      graph->skippedStages = g.skippedCount();
-      graph->criticalPathSeconds = g.criticalPathSeconds();
-    }
-  }
-  state.stagePool = nullptr;
-
-  // Canonical assembly: walk insertion order and stop at the first non-ok
-  // stage — exactly the stage list sequential run() produces. Every stage
-  // visited before the cutoff has executed: its dependencies are a subset
-  // of earlier stages, all of which were ok. Commits are applied here, on
-  // the calling thread, in canonical order, so result diagnostics merge
-  // in the sequential order; speculative stages past the cutoff ran but
-  // are never committed — they are accounted for afterwards as
-  // explicitly-marked discarded traces and spans.
-  Status final = Status::okStatus();
-  std::size_t cutoff = n;
-  for (std::size_t i = 0; i < n; ++i) {
-    obs::emitSpan(slot[i].name, "stage", startNs[i], endNs[i], tid[i]);
-    if (traces) traces->push_back(slot[i]);
-    if (observer) {
-      try {
-        observer(slot[i]);
-      } catch (...) {
-        // Same contract as run(): a throwing observer loses its own
-        // notification only.
-      }
-    }
-    if (!threw[i]) stages_[i]->commit(state);
-    if (!slot[i].status.ok()) {
-      final = slot[i].status;
-      cutoff = i + 1;
-      break;
-    }
-  }
-  // Account for speculative work past the cutoff: nodes that executed
-  // (non-empty slot name; skipped nodes never ran their callable) but
-  // were never committed. They are appended to `traces` marked
-  // discarded, emitted as discarded spans, and counted — so a failing
-  // mid-graph run still explains every node the graph executed. The
-  // observer is NOT notified for them (its canonical notification order
-  // is part of the run()-parity contract).
-  for (std::size_t i = cutoff; i < n; ++i) {
-    if (slot[i].name.empty()) continue;
-    obs::emitSpan(slot[i].name, "stage", startNs[i], endNs[i], tid[i],
-                  /*discarded=*/true);
-    obs::counterAdd(obs::Counter::StagesDiscarded);
-    if (traces) {
-      slot[i].discarded = true;
-      traces->push_back(slot[i]);
-    }
-  }
-  if (final.ok()) {
-    state.result.passive = true;
-    state.result.failure = core::FailureStage::None;
-  } else if (isVerdictCode(final.code())) {
-    state.result.passive = false;
-    state.result.failure = *failureStageFromErrorCode(final.code());
-  }
-  return final;
 }
 
 }  // namespace shhpass::api

@@ -11,82 +11,6 @@
 
 namespace shhpass::circuits {
 
-// ------------------------------------------------------------ MnaWorkspace
-
-MnaWorkspace::MnaWorkspace(const Netlist& net)
-    : net_(net),
-      // Seed from the reference stamper so the starting bits (including
-      // the -0.0s that -1.0 * gmat leaves on untouched G entries) are
-      // identical to a full stamp by construction.
-      sys_(stampMna(net)),
-      nv_(static_cast<std::size_t>(net.numNodes())) {
-  const auto& comps = net_.components();
-  inductorSlot_.assign(comps.size(), 0);
-  touched_.assign(comps.size(), {});
-  contributors_.assign(2 * nv_ * nv_, {});
-  std::size_t lIdx = 0;
-  for (std::size_t k = 0; k < comps.size(); ++k) {
-    const Component& comp = comps[k];
-    if (comp.kind == Component::Kind::Inductor) {
-      inductorSlot_[k] = lIdx++;
-      continue;
-    }
-    const bool cond = comp.kind == Component::Kind::Resistor;
-    const int i = comp.n1 - 1;
-    const int j = comp.n2 - 1;
-    auto touch = [&](int r, int c, bool subtract) {
-      const EntryRef ref{cond, static_cast<std::size_t>(r),
-                         static_cast<std::size_t>(c)};
-      touched_[k].push_back(ref);
-      const std::size_t flat =
-          (cond ? nv_ * nv_ : 0) + ref.row * nv_ + ref.col;
-      contributors_[flat].push_back({k, subtract});
-    };
-    // Same entry set and order as stampMna's accumulation.
-    if (i >= 0) touch(i, i, false);
-    if (j >= 0) touch(j, j, false);
-    if (i >= 0 && j >= 0) {
-      touch(i, j, true);
-      touch(j, i, true);
-    }
-  }
-}
-
-void MnaWorkspace::recomputeEntry(const EntryRef& ref) {
-  const std::size_t flat =
-      (ref.conductance ? nv_ * nv_ : 0) + ref.row * nv_ + ref.col;
-  const auto& comps = net_.components();
-  // Replay stampMna's accumulation for this entry: contributors in
-  // component order, += / -= exactly as stamped.
-  double acc = 0.0;
-  for (const Contribution& c : contributors_[flat]) {
-    const Component& comp = comps[c.component];
-    const double g = comp.kind == Component::Kind::Resistor
-                         ? 1.0 / comp.value
-                         : comp.value;
-    if (c.subtract)
-      acc -= g;
-    else
-      acc += g;
-  }
-  if (ref.conductance)
-    sys_.a(ref.row, ref.col) = acc * -1.0;  // matches -1.0 * gmat
-  else
-    sys_.e(ref.row, ref.col) = acc;
-}
-
-void MnaWorkspace::setComponentValue(std::size_t componentIndex,
-                                     double value) {
-  net_.setComponentValue(componentIndex, value);  // validates
-  const Component& comp = net_.components()[componentIndex];
-  if (comp.kind == Component::Kind::Inductor) {
-    const std::size_t slot = nv_ + inductorSlot_[componentIndex];
-    sys_.e(slot, slot) = value;  // direct overwrite, as stampMna
-    return;
-  }
-  for (const EntryRef& ref : touched_[componentIndex]) recomputeEntry(ref);
-}
-
 // ------------------------------------------------------------ expansion
 
 namespace {
@@ -166,15 +90,15 @@ namespace {
 std::vector<api::AnalysisRequest> buildRequests(
     const Netlist& net, const SweepSpec& spec,
     const std::vector<std::vector<double>>& points) {
-  MnaWorkspace ws(net);
+  Netlist point = net;
   std::vector<api::AnalysisRequest> requests;
   requests.reserve(points.size());
   for (std::size_t p = 0; p < points.size(); ++p) {
     for (std::size_t k = 0; k < spec.parameters.size(); ++k)
-      ws.setComponentValue(spec.parameters[k].component, points[p][k]);
+      point.setComponentValue(spec.parameters[k].component, points[p][k]);
     api::AnalysisRequest req;
     req.id = pointId(p);
-    req.system = ws.system();
+    req.system = stampMna(point);
     if (spec.computeMargin) req.marginTol = spec.marginTol;
     requests.push_back(std::move(req));
   }

@@ -1,30 +1,16 @@
 // Parametric sweep workloads: vary selected R/L/C element values across
-// decades, stamp the MNA descriptor ONCE, re-stamp only the perturbed
-// entries per point (MnaWorkspace — bit-identical to a full stampMna of
-// the modified netlist), and fan the resulting AnalysisRequest batch
-// through PassivityAnalyzer::runBatch's work-stealing shard scheduler to
-// produce a passivity-margin map. Margins are part of each analysis
-// (AnalysisRequest::marginTol): every batch worker bisects on the proper
-// part its own analysis extracted, so there is no pass after the batch.
-//
-// ## Re-stamp bit-identity contract
-//
-// stampMna accumulates each G/C matrix entry with += / -= contributions
-// in component order. MnaWorkspace records, per stamped entry, the
-// ordered contributor list; setComponentValue replays exactly that
-// accumulation sequence for the affected entries (and only those), so
-// workspace.system() after any sequence of value changes is bit-for-bit
-// equal to stampMna(netlist-with-those-values). IEEE arithmetic makes
-// the replay exact: the same ordered operations on the same operands
-// produce the same bits. tests/test_sweep_random.cpp pins this.
-//
-// ## Scheduler hand-off
+// decades, re-stamp the MNA descriptor of each point from a copy of the
+// netlist with that point's values (stampMna costs microseconds against
+// milliseconds per analysis), and run the resulting AnalysisRequest batch
+// through PassivityAnalyzer::runBatch to produce a passivity-margin map.
+// Margins are part of each analysis (AnalysisRequest::marginTol): every
+// batch worker bisects on the proper part its own analysis extracted, so
+// there is no pass after the batch.
 //
 // runSweep builds one AnalysisRequest per sweep point (ids
-// "sweep-000001", ... in point order) and submits the whole batch to
-// runBatch; results land in request order and must decisionEquals a
-// sequential per-point analyze() loop for every worker count (the
-// scheduler determinism contract; decisionEquals covers the margin too).
+// "sweep-000001", ... in point order); results land in request order and
+// must decisionEquals a sequential per-point analyze() loop for every
+// worker count (decisionEquals covers the margin too).
 // verifySweepSequential runs that oracle loop and counts mismatches —
 // examples/sweep_margin_map.cpp and the bench pin the count at zero.
 #pragma once
@@ -35,54 +21,8 @@
 
 #include "api/analyzer.hpp"
 #include "circuits/netlist.hpp"
-#include "ds/descriptor.hpp"
 
 namespace shhpass::circuits {
-
-/// Incremental MNA re-stamping: stamp once, then update element values
-/// with per-entry replay of the original accumulation order so the
-/// descriptor stays bit-identical to a full re-stamp.
-class MnaWorkspace {
- public:
-  /// Stamps `net` (throws std::invalid_argument like stampMna when the
-  /// netlist has no ports).
-  explicit MnaWorkspace(const Netlist& net);
-
-  /// The descriptor for the current element values.
-  const ds::DescriptorSystem& system() const { return sys_; }
-  /// The netlist with the current element values.
-  const Netlist& netlist() const { return net_; }
-
-  /// Change the value of components()[componentIndex] and re-stamp only
-  /// the E/A entries that component touches. Throws
-  /// std::invalid_argument for an out-of-range index or a zero (degenerate
-  /// in MNA), NaN or infinite value (Netlist::setComponentValue; negative
-  /// values are allowed, as in the builder, for non-passive mutants).
-  void setComponentValue(std::size_t componentIndex, double value);
-
- private:
-  struct EntryRef {
-    bool conductance = false;  ///< G block (A) vs capacitance block (E).
-    std::size_t row = 0, col = 0;  ///< Dense indices inside the block.
-  };
-  struct Contribution {
-    std::size_t component = 0;  ///< Contributor index, ascending.
-    bool subtract = false;      ///< -= (off-diagonal) vs += (diagonal).
-  };
-
-  void recomputeEntry(const EntryRef& ref);
-
-  Netlist net_;
-  ds::DescriptorSystem sys_;
-  std::size_t nv_ = 0;  ///< Non-ground node count (G/C block size).
-  /// Inductor slot of component k (only meaningful for inductors).
-  std::vector<std::size_t> inductorSlot_;
-  /// Entries component k touches (empty for inductors: diagonal direct).
-  std::vector<std::vector<EntryRef>> touched_;
-  /// Ordered contributor list per stamped entry, keyed by
-  /// (conductance, row, col) flattened to conductance*nv*nv + row*nv+col.
-  std::vector<std::vector<Contribution>> contributors_;
-};
 
 /// One swept element: log-spaced multipliers around the netlist's
 /// nominal value, from nominal*10^-decadesDown to nominal*10^+decadesUp.
@@ -126,7 +66,7 @@ struct SweepResult {
   std::vector<std::size_t> components;  ///< Swept component indices.
   std::vector<SweepPointResult> points;  ///< Row-major over the axes.
   std::size_t passiveCount = 0;
-  /// Points whose scheduled report fails decisionEquals against the
+  /// Points whose batch report fails decisionEquals against the
   /// sequential oracle. Filled by verifySweepSequential (runSweep leaves
   /// it 0 without running the oracle — the library does not silently
   /// double the work).
@@ -134,25 +74,24 @@ struct SweepResult {
 };
 
 /// Build the batch: one AnalysisRequest per sweep point (id
-/// "sweep-NNNNNN", 1-based, point order), each carrying the MnaWorkspace
-/// re-stamped descriptor for that point's values and, when
+/// "sweep-NNNNNN", 1-based, point order), each carrying stampMna of the
+/// netlist with that point's values and, when
 /// spec.computeMargin, marginTol = spec.marginTol. Request options are
 /// left unset so the analyzer defaults apply to both the batch and the
 /// sequential oracle identically.
 std::vector<api::AnalysisRequest> buildSweepRequests(const Netlist& net,
                                                      const SweepSpec& spec);
 
-/// Run the sweep: expand, re-stamp, and runBatch through the shard
-/// scheduler; each point's margin (when spec.computeMargin) comes out of
-/// its own analysis. Throws only for malformed specs (expandSweep) or
-/// portless netlists (MnaWorkspace); per-point analysis failures land in
-/// SweepPointResult::error.
+/// Run the sweep: expand, re-stamp, and runBatch; each point's margin
+/// (when spec.computeMargin) comes out of its own analysis. Throws only
+/// for malformed specs (expandSweep) or portless netlists (stampMna);
+/// per-point analysis failures land in SweepPointResult::error.
 SweepResult runSweep(const Netlist& net, const SweepSpec& spec,
                      const api::PassivityAnalyzer& analyzer);
 
 /// Sequential oracle: analyze every point one at a time on the same
-/// analyzer (no batch scheduler) and count points whose scheduled report
-/// (margin included) fails decisionEquals. Stores the count into result.decisionMismatches
+/// analyzer (no runBatch) and count points whose batch report (margin
+/// included) fails decisionEquals. Stores the count into result.decisionMismatches
 /// and returns it (0 is the contract).
 std::size_t verifySweepSequential(const Netlist& net, const SweepSpec& spec,
                                   const api::PassivityAnalyzer& analyzer,

@@ -196,7 +196,7 @@ ImpulseDeflationResult deflateImpulseModes(const shh::ShhRealization& phi,
   // alone would leave a coupling through the rows J V_o. Because
   // A v in Im E for v in V_o and E^T J = J E, the cross block
   // (J V_o)^T A V_o vanishes, which makes the truncation *exactly*
-  // transfer-preserving (the discarded states satisfy x = 0 identically
+  // transfer-preserving (the dropped states satisfy x = 0 identically
   // or are unobservable). The dual left subspace is J * (right subspace),
   // so the left keep-basis can again be taken as -J V.
   Matrix rBad = out.impulseUnobservable;

@@ -1,11 +1,9 @@
 #include "core/proper_part.hpp"
 
-#include <future>
 #include <limits>
 #include <stdexcept>
 #include <vector>
 
-#include "api/thread_pool.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/svd.hpp"
@@ -17,24 +15,18 @@ namespace shhpass::core {
 
 using linalg::Matrix;
 
-ProperPartResult extractProperPart(const shh::ShhRealization& s3,
-                                   double imagTol, double rankTol,
-                                   api::ThreadPool* pool) {
-  ProperPartResult out;
+namespace {
+
+/// (Eq. 21) Normalize E3 to the identity: sets out.a4 = Z_L A3 Z_R (the
+/// Hamiltonian A4) and the normalizer certificate (condNormalizer,
+/// rankReport), and returns C4 = C3 Z_R. The factors and transforms are
+/// locals, so they are freed before the decoupling allocates its own.
+Matrix normalizeE3(const shh::ShhRealization& s3, double rankTol,
+                   ProperPartResult& out) {
   const std::size_t n2 = s3.order();
-  const std::size_t m = s3.ports();
-  if (n2 == 0) {
-    // Purely static Phi: proper part is just the feedthrough.
-    out.ok = true;
-    out.lambda = Matrix();
-    out.b1 = Matrix(0, m);
-    out.c1 = Matrix(m, 0);
-    out.dHalf = 0.5 * s3.d;
-    return out;
-  }
   const std::size_t np = n2 / 2;
 
-  // (Eq. 21) Block-triangularize E3 by the isotropic Arnoldi process and
+  // Block-triangularize E3 by the isotropic Arnoldi process and
   // normalize to the identity with the structured K_L K_R factorization.
   shh::SkewHamiltonianTriangularization tri =
       shh::skewHamiltonianBlockTriangularize(s3.e);
@@ -69,45 +61,10 @@ ProperPartResult extractProperPart(const shh::ShhRealization& s3,
   // LU(Ebar), so sigma(Ebar) is the spectrum that bounds the error of
   // Z_L and Z_R (the historical check ran a full SVD of the whole
   // 2np x 2np block-triangular K for the same certificate, at 4x the
-  // cost and with the bases discarded). singularValues() skips the
+  // cost and with the bases thrown away). singularValues() skips the
   // U/V accumulation entirely.
-  //
-  // The certificate reads only `ebar`, which is final here, so with a
-  // pool it overlaps the A4 assembly and the decoupling below; the join
-  // before the rank merge keeps the merge point (and so the rankReport
-  // contents) identical to the inline path.
-  const bool overlap = pool != nullptr && pool->size() >= 2;
-  std::future<std::vector<double>> esvFuture;
-  std::vector<double> esv;
-  if (overlap) {
-    std::shared_ptr<std::promise<std::vector<double>>> esvDone =
-        std::make_shared<std::promise<std::vector<double>>>();
-    esvFuture = esvDone->get_future();
-    // Capture ebar BY VALUE: if the decoupling below throws, this frame
-    // unwinds while the task may still be queued — it must not reference
-    // stack locals (the np x np copy is noise next to the SVD).
-    pool->submit([ebarCopy = ebar, esvDone] {
-      try {
-        esvDone->set_value(linalg::singularValues(ebarCopy));
-      } catch (...) {
-        esvDone->set_exception(std::current_exception());
-      }
-    });
-  } else {
-    esv = linalg::singularValues(ebar);
-  }
+  const std::vector<double> esv = linalg::singularValues(ebar);
 
-  // A4 = Z_L A3 Z_R is Hamiltonian; C4 = C3 Z_R; B4 = J C4^T automatically.
-  out.a4 = zl * s3.a * zr;
-  Matrix c4 = s3.c * zr;
-
-  // (Eqs. 22-23) Split the Hamiltonian spectrum and decouple.
-  shh::HamiltonianDecoupling dec =
-      shh::decoupleHamiltonian(out.a4, imagTol, pool);
-  out.reorder = dec.reorder;
-  out.schur = dec.schur;
-
-  if (overlap) esv = esvFuture.get();
   const double esmin = esv.empty() ? 0.0 : esv.back();
   out.condNormalizer =
       esv.empty() ? 1.0
@@ -115,6 +72,36 @@ ProperPartResult extractProperPart(const shh::ShhRealization& s3,
                                   : esv.front() / esmin);
   linalg::rankFromSingularValues(esv, ebar.rows(), ebar.cols(), rankTol,
                                  &out.rankReport);
+
+  // A4 = Z_L A3 Z_R is Hamiltonian; C4 = C3 Z_R; B4 = J C4^T automatically.
+  out.a4 = zl * s3.a * zr;
+  return s3.c * zr;
+}
+
+}  // namespace
+
+ProperPartResult extractProperPart(const shh::ShhRealization& s3,
+                                   double imagTol, double rankTol) {
+  ProperPartResult out;
+  const std::size_t n2 = s3.order();
+  const std::size_t m = s3.ports();
+  if (n2 == 0) {
+    // Purely static Phi: proper part is just the feedthrough.
+    out.ok = true;
+    out.lambda = Matrix();
+    out.b1 = Matrix(0, m);
+    out.c1 = Matrix(m, 0);
+    out.dHalf = 0.5 * s3.d;
+    return out;
+  }
+  const std::size_t np = n2 / 2;
+
+  const Matrix c4 = normalizeE3(s3, rankTol, out);
+
+  // (Eqs. 22-23) Split the Hamiltonian spectrum and decouple.
+  shh::HamiltonianDecoupling dec = shh::decoupleHamiltonian(out.a4, imagTol);
+  out.reorder = dec.reorder;
+  out.schur = dec.schur;
 
   if (!dec.ok) return out;  // imaginary-axis eigenvalues: cannot split
 

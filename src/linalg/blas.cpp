@@ -49,7 +49,7 @@ std::once_flag gEnvInitFlag;
 // Per-call budget installed by GemmThreadBudgetScope (blas.hpp): caps the
 // fan-out of gemms issued from this thread without touching the
 // process-wide pool configuration. Thread-local by design — concurrent
-// batch shards each carry their own budget with no shared state.
+// batch workers each carry their own budget with no shared state.
 thread_local std::size_t tGemmBudget = 0;
 
 // Pre: gPoolMutex held. Installs a pool of t workers (t > 1) or removes
@@ -454,8 +454,8 @@ void gemmBlocked(double alpha, const Matrix& a, bool transA, const Matrix& b,
   std::size_t threads = 1;
   std::shared_ptr<api::ThreadPool> pool;
   // A per-call budget of 1 is a structural bypass: the call never touches
-  // the shared pool (not even its mutex), so budget-1 shards contend with
-  // nothing. Budgets b > 1 cap the fan-out at min(b, configured width).
+  // the shared pool (not even its mutex), so budget-1 batch workers
+  // contend with nothing. Budgets b > 1 cap the fan-out at min(b, configured width).
   const std::size_t budget = tGemmBudget;
   if (budget != 1 && m * n * k >= kGemmThreadedFlopFloor) {
     ensureEnvThreadInit();

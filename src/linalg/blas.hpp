@@ -42,8 +42,7 @@
 //
 // setGemmThreads(t) with t > 1 parallelizes the blocked kernel over
 // disjoint column panels of C on a lazily created, process-wide
-// api::ThreadPool (the same pool type the batch analyzer uses). The
-// contract is:
+// api::ThreadPool. The contract is:
 //
 //   * determinism — each C element is accumulated in the same order
 //     regardless of the thread count (threads partition columns; the
@@ -141,20 +140,19 @@ void setGemmThreads(std::size_t t);
 /// setting applies unchanged).
 std::size_t gemmThreadBudget();
 
-/// RAII per-call kernel-thread budget — the level-2 scheduler's plumbing
-/// for per-shard thread budgeting (api/scheduler.hpp). While a scope with
-/// budget b > 0 is active on a thread, every gemm() issued FROM THAT
-/// THREAD fans out to at most min(b, setGemmThreads width) workers;
-/// b == 1 bypasses the kernel pool entirely for those calls (the shard
-/// keeps its batch slot and leaves the kernel threads to large-order
-/// shards). b == 0 means "no override". Scopes nest; the previous budget
-/// is restored on destruction.
+/// RAII per-thread kernel-thread budget. While a scope with budget b > 0
+/// is active on a thread, every gemm() issued FROM THAT THREAD fans out
+/// to at most min(b, setGemmThreads width) workers; b == 1 bypasses the
+/// kernel pool entirely for those calls. b == 0 means "no override".
+/// Scopes nest; the previous budget is restored on destruction.
 ///
-/// The budget is thread-local, so it does NOT propagate into tasks the
-/// scoped thread submits to a ThreadPool — consumers that fan work out
-/// (the stage-graph runner) re-establish the budget inside each task.
-/// By the gemm determinism contract the budget can never change results,
-/// only scheduling; tests/test_scheduler_random.cpp pins this bitwise.
+/// PassivityAnalyzer::runBatch holds a budget-1 scope on each of its
+/// workers when it runs more than one: concurrent analyses already
+/// occupy the cores, so their gemms run inline instead of contending for
+/// the shared kernel pool. The budget is thread-local and does not
+/// propagate into tasks a thread submits to a ThreadPool. By the gemm
+/// determinism contract the budget can never change results, only
+/// scheduling; tests/test_scheduler_random.cpp pins this bitwise.
 class GemmThreadBudgetScope {
  public:
   explicit GemmThreadBudgetScope(std::size_t budget);

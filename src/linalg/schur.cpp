@@ -304,7 +304,7 @@ std::vector<std::complex<double>> eigenvalues(const Matrix& a) {
   // the same H factor, but never accumulate the orthogonal factor (a 0x0
   // q skips every accumulation loop and flush gemm). The T iterates are
   // bit-identical to realSchur's, so the eigenvalues agree exactly; only
-  // the discarded Q work is saved.
+  // the unused Q work is saved.
   RealSchurResult res;
   HessenbergResult hes = hessenberg(a, /*wantQ=*/false);
   res.t = std::move(hes.h);

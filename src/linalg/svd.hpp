@@ -63,7 +63,7 @@ enum class SvdKernel { Auto, Unblocked, Blocked };
 /// Margins are relative to the resolved cutoff: a kept margin near 1
 /// means the smallest retained singular value barely cleared the
 /// tolerance (the decision is numerically sharp); a dropped margin near
-/// 1 means a discarded one barely missed it. Mirrors ReorderReport.
+/// 1 means a dropped one barely missed it. Mirrors ReorderReport.
 struct RankReport {
   std::size_t decisions = 0;     ///< Rank decisions recorded.
   /// min over decisions of sigma_r / tol (smallest kept vs cutoff);
@@ -161,7 +161,7 @@ inline SVD svdBlocked(const Matrix& a) { return SVD(a, SvdKernel::Blocked); }
 /// runs the rotation sweep without factor updates — roughly 4-5x cheaper
 /// than a full SVD() — while producing BIT-IDENTICAL values (the shifts
 /// and Givens coefficients never read the factors); below it the full
-/// kernel runs and the factors are discarded. Use for condition-number /
+/// kernel runs and the factors are thrown away. Use for condition-number /
 /// rank queries on large matrices (e.g. the proper-part normalizer
 /// check), where the bases are never consumed.
 std::vector<double> singularValues(const Matrix& a);

@@ -1,7 +1,7 @@
 // The ONE sanctioned monotonic-clock call site of the library.
 //
-// Every wall-clock measurement in src/ — StageTrace seconds, TaskGraph
-// node timing, span begin/end stamps — flows through monotonicNowNs()
+// Every wall-clock measurement in src/ — StageTrace seconds, span
+// begin/end stamps — flows through monotonicNowNs()
 // so all timelines share one epoch and one clock (std::chrono::
 // steady_clock). Direct *_clock::now() calls anywhere else in src/ are
 // banned by tools/lint_invariants.py rule `no-raw-clock`; bench/ and

@@ -15,10 +15,10 @@
 //     counter. Scope windows are a mutex-guarded list walked per
 //     allocation — Matrix allocations are thousands per analysis, not
 //     millions, and the lock is uncontended in the common case.
-//   * Under Pipeline::runGraph, stages overlap in time, so concurrent
-//     stage windows see each other's allocations; peakBytes is "peak
-//     live bytes while the stage ran", which is the capacity-planning
-//     number a service wants (never compared by decisionEquals).
+//   * Under concurrent runBatch workers, stage windows on different
+//     threads see each other's allocations; peakBytes is "peak live
+//     bytes while the stage ran", which is the capacity-planning number
+//     a service wants (never compared by decisionEquals).
 #pragma once
 
 #include <cstddef>

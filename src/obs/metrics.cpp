@@ -20,9 +20,7 @@ std::array<std::atomic<std::int64_t>, static_cast<std::size_t>(Gauge::kCount)>
 constexpr const char* kCounterNames[] = {
     "analyses_started",        "analyses_completed",
     "analyses_failed",         "analyses_not_passive",
-    "stages_executed",         "stages_discarded",
-    "stage_graph_runs",        "batch_items",
-    "shards_run",              "shard_steals",
+    "stages_executed",         "batch_items",
     "gemm_calls",              "gemm_flops",
     "svd_calls",               "schur_calls",
     "staircase_compressions",  "rank_decisions",

@@ -2,8 +2,8 @@
 // histograms behind relaxed atomics, with JSON and Prometheus-text
 // exposition. This is the scrape surface the future `shhpass-serve`
 // daemon mounts; today the bench and the trace_analysis example print
-// it, and tests/test_obs.cpp pins counter exactness under the
-// work-stealing scheduler.
+// it, and tests/test_obs.cpp pins counter exactness under concurrent
+// runBatch workers.
 //
 // ## Contract
 //
@@ -37,12 +37,8 @@ enum class Counter : std::size_t {
   AnalysesCompleted,        ///< Report produced (passive or verdict).
   AnalysesFailed,           ///< Operational error (no report).
   AnalysesNotPassive,       ///< Completed with a NOT-PASSIVE verdict.
-  StagesExecuted,           ///< Pipeline stage runs (incl. speculative).
-  StagesDiscarded,          ///< Speculative runGraph stages never committed.
-  StageGraphRuns,           ///< Analyses through Pipeline::runGraph.
-  BatchItems,               ///< Items executed by the shard scheduler.
-  ShardsRun,                ///< Shards executed by the shard scheduler.
-  ShardSteals,              ///< Shards run by a non-home worker.
+  StagesExecuted,           ///< Stage traces recorded (incl. margin).
+  BatchItems,               ///< Items executed by runBatch.
   GemmCalls,                ///< linalg::gemm entries.
   GemmFlops,                ///< 2*m*n*k summed over gemm calls.
   SvdCalls,                 ///< linalg::SVD factorizations.

@@ -28,7 +28,7 @@
 // The tracer only observes: no span, flag, or export call may change a
 // decision anywhere in the library. tests/test_obs.cpp pins
 // decisionEquals parity between tracing-on and tracing-off runs across
-// scheduler worker counts; the tsan CI job runs the whole suite with
+// batch worker counts; the tsan CI job runs the whole suite with
 // tracing forced on.
 #pragma once
 
@@ -51,7 +51,6 @@ struct TraceEvent {
   std::uint32_t tid = 0;           ///< Dense per-thread id (obs-assigned).
   const char* argName = nullptr;   ///< Optional static arg key.
   std::int64_t argValue = 0;
-  bool discarded = false;  ///< Speculative work never committed (runGraph).
 };
 
 /// Tracing master switch (process-wide, relaxed; observation only).
@@ -63,11 +62,10 @@ void setTraceEnabled(bool enabled);
 std::uint32_t currentThreadTid();
 
 /// Append a completed span with explicit stamps/thread attribution (used
-/// by Pipeline::runGraph, which defers stage-span emission to canonical
-/// assembly so speculative spans can be marked `discarded`). No-op when
-/// tracing is off.
+/// for stage spans, whose stamps the stage timer already took). No-op
+/// when tracing is off.
 void emitSpan(std::string_view name, const char* cat, std::uint64_t startNs,
-              std::uint64_t endNs, std::uint32_t tid, bool discarded = false,
+              std::uint64_t endNs, std::uint32_t tid,
               const char* argName = nullptr, std::int64_t argValue = 0);
 
 /// RAII span scope: stamps the start on construction, emits on

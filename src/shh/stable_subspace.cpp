@@ -1,8 +1,5 @@
 #include "shh/stable_subspace.hpp"
 
-#include <future>
-
-#include "api/thread_pool.hpp"
 #include "control/hamiltonian.hpp"
 #include "control/lyapunov.hpp"
 #include "linalg/blas.hpp"
@@ -12,8 +9,7 @@ namespace shhpass::shh {
 
 using linalg::Matrix;
 
-HamiltonianDecoupling decoupleHamiltonian(const Matrix& h, double imagTol,
-                                          api::ThreadPool* pool) {
+HamiltonianDecoupling decoupleHamiltonian(const Matrix& h, double imagTol) {
   HamiltonianDecoupling out;
   control::StableSubspace ss = control::stableInvariantSubspace(h, imagTol);
   out.reorder = ss.reorder;
@@ -33,52 +29,34 @@ HamiltonianDecoupling decoupleHamiltonian(const Matrix& h, double imagTol,
   // does the Z2 assembly below — this congruence is the dominant dense
   // cost of the decoupling.
   Matrix z1 = lagrangianCompletion(ss.x1, ss.x2);
-  Matrix t1 = linalg::multiply(linalg::atb(z1, h), false, z1, false);
-  out.lambda = t1.block(0, 0, np, np);
-  // In exact arithmetic this block IS the reordered Schur factor
-  // ss.lambda; the congruence product only adds roundoff below its
-  // quasi-diagonal (the same roundoff the block extraction already
-  // discards in the lower-left quarter of t1). Inherit the exact
-  // sparsity pattern so downstream block logic — the Lyapunov solver's
-  // quasi-triangular fast path, the PR test's block scans — sees a true
-  // quasi-triangular matrix.
-  for (std::size_t i = 0; i < np; ++i)
-    for (std::size_t jj = 0; jj + 1 < i; ++jj) out.lambda(i, jj) = 0.0;
-  for (std::size_t i = 0; i + 1 < np; ++i)
-    if (ss.lambda(i + 1, i) == 0.0) out.lambda(i + 1, i) = 0.0;
-  Matrix ahat = t1.block(0, np, np, np);
+  Matrix ahat;
+  {
+    // Scoped so the (2np)^2 congruence is freed before the Lyapunov solve.
+    Matrix t1 = linalg::multiply(linalg::atb(z1, h), false, z1, false);
+    out.lambda = t1.block(0, 0, np, np);
+    // In exact arithmetic this block IS the reordered Schur factor
+    // ss.lambda; the congruence product only adds roundoff below its
+    // quasi-diagonal (the same roundoff the block extraction already
+    // discards in the lower-left quarter of t1). Inherit the exact
+    // sparsity pattern so downstream block logic — the Lyapunov solver's
+    // quasi-triangular fast path, the PR test's block scans — sees a true
+    // quasi-triangular matrix.
+    for (std::size_t i = 0; i < np; ++i)
+      for (std::size_t jj = 0; jj + 1 < i; ++jj) out.lambda(i, jj) = 0.0;
+    for (std::size_t i = 0; i + 1 < np; ++i)
+      if (ss.lambda(i + 1, i) == 0.0) out.lambda(i + 1, i) = 0.0;
+    ahat = t1.block(0, np, np, np);
+  }
   // Decouple: Lambda Y + Y Lambda^T + Ahat = 0; Z2 = Z1 [I Y; 0 I].
   out.y = control::solveLyapunov(out.lambda, ahat);
-  Matrix s = Matrix::identity(2 * np);
-  s.setBlock(0, np, out.y);
+  {
+    Matrix s = Matrix::identity(2 * np);
+    s.setBlock(0, np, out.y);
+    out.z2 = z1 * s;
+  }
   Matrix sInv = Matrix::identity(2 * np);
   sInv.setBlock(0, np, -1.0 * out.y);
-  if (pool != nullptr && pool->size() >= 2) {
-    // The two transform products are independent; overlap one on a
-    // borrowed worker. Each gemm is bit-deterministic for every thread
-    // count, so the overlap cannot change the result. The future join
-    // makes every write to z2inv happen-before the read below.
-    std::promise<Matrix> z2invDone;
-    std::future<Matrix> z2invFuture = z2invDone.get_future();
-    pool->submit([&sInv, &z1, &z2invDone] {
-      try {
-        z2invDone.set_value(linalg::multiply(sInv, false, z1, true));
-      } catch (...) {
-        z2invDone.set_exception(std::current_exception());
-      }
-    });
-    try {
-      out.z2 = z1 * s;
-    } catch (...) {
-      // The task references stack locals; never unwind past it.
-      z2invFuture.wait();
-      throw;
-    }
-    out.z2inv = z2invFuture.get();
-  } else {
-    out.z2 = z1 * s;
-    out.z2inv = linalg::multiply(sInv, false, z1, true);
-  }
+  out.z2inv = linalg::multiply(sInv, false, z1, true);
   out.ok = true;
   return out;
 }

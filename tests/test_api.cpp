@@ -318,6 +318,47 @@ TEST(ApiJson, MarginIsSerializedOnlyWhenRequested) {
       << withMargin->toJson();
 }
 
+TEST(ApiAnalyzer, MarginIsTimedAsTheLastStage) {
+  circuits::LadderOptions opt;
+  opt.sections = 3;
+  opt.capAtPort = true;
+  AnalysisRequest req;
+  req.system = circuits::makeRlcLadder(opt);
+  PassivityAnalyzer analyzer;
+
+  // Without marginTol the stage list is the seven Fig.-1 stages.
+  Result<AnalysisReport> plain = analyzer.analyze(req);
+  ASSERT_TRUE(plain.ok()) << plain.status().toString();
+  ASSERT_EQ(plain->stages.size(), 7u);
+  EXPECT_EQ(plain->stages.back().name, "pr-test");
+  EXPECT_EQ(plain->toJson().find("\"name\":\"margin\""), std::string::npos);
+
+  // With it, a timed "margin" stage ends the list, totalSeconds counts
+  // it, and the JSON stages array ends with it too.
+  req.marginTol = 1e-6;
+  for (const ds::DescriptorSystem& sys :
+       {req.system, circuits::makeNonPassiveIndefiniteM1()}) {
+    req.system = sys;
+    Result<AnalysisReport> r = analyzer.analyze(req);
+    ASSERT_TRUE(r.ok()) << r.status().toString();
+    ASSERT_GE(r->stages.size(), 2u);
+    const api::StageTrace& last = r->stages.back();
+    EXPECT_EQ(last.name, "margin");
+    EXPECT_TRUE(last.status.ok());
+    EXPECT_GE(last.seconds, 0.0);
+    EXPECT_NE(r->stages[r->stages.size() - 2].name, "margin");
+    double sum = 0.0;
+    for (const api::StageTrace& t : r->stages) sum += t.seconds;
+    EXPECT_EQ(r->totalSeconds, sum);
+
+    const std::string json = r->toJson();
+    const std::size_t at = json.find("\"name\":\"margin\",\"status\":\"OK\"");
+    ASSERT_NE(at, std::string::npos) << json;
+    EXPECT_GT(at, json.find("\"stages\":["));
+    EXPECT_EQ(json.find("\"name\":", at + 1), std::string::npos) << json;
+  }
+}
+
 // ------------------------------------------------- verdict codes end-to-end
 
 TEST(ApiAnalyzer, NonPassiveMutantsGetTheExpectedVerdicts) {

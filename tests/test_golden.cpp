@@ -149,52 +149,6 @@ TEST(Golden, RankPolicyParityOnGoldenModelSet) {
   }
 }
 
-TEST(Golden, StageGraphParityOnGoldenModelSet) {
-  // Level-1 parity pin: every golden model (plus the non-passive exits)
-  // analyzed through the dependency-ordered stage graph
-  // (Pipeline::runGraph, AnalyzerOptions::stageGraph) must produce a
-  // report bit-identical to the sequential pipeline — verdicts,
-  // diagnostics, m1, rankPolicy/schur/staircase blocks, warnings, and
-  // per-stage names/statuses, per decisionEquals. Graph threads vary to
-  // cover the serial-pool, two-worker, and oversubscribed layouts.
-  const api::PassivityAnalyzer sequential;
-  std::vector<ds::DescriptorSystem> models;
-  for (std::size_t order : {25u, 30u, 35u, 64u, 100u}) {
-    models.push_back(circuits::makeBenchmarkModel(order, true));
-    models.push_back(circuits::makeBenchmarkModel(order, false));
-  }
-  models.push_back(circuits::makeNonPassiveNegativeResistor(6));
-  models.push_back(circuits::makeNonPassiveNegativeFeedthrough(5));
-  models.push_back(circuits::makeNonPassiveIndefiniteM1());
-  models.push_back(circuits::makeNonPassiveHigherOrderImpulse());
-  models.push_back(goldenCircuit());
-
-  for (std::size_t graphThreads : {1u, 2u, 4u}) {
-    api::AnalyzerOptions opts;
-    opts.stageGraph = true;
-    opts.stageGraphThreads = graphThreads;
-    const api::PassivityAnalyzer graph(opts);
-    for (std::size_t k = 0; k < models.size(); ++k) {
-      api::Result<api::AnalysisReport> a = sequential.analyze(models[k]);
-      api::Result<api::AnalysisReport> b = graph.analyze(models[k]);
-      ASSERT_EQ(a.ok(), b.ok()) << "model " << k;
-      if (!a.ok()) {
-        EXPECT_EQ(a.status().code(), b.status().code()) << "model " << k;
-        continue;
-      }
-      EXPECT_TRUE(a->decisionEquals(*b))
-          << "model " << k << " graphThreads " << graphThreads;
-      // The graph run records its execution. (The baseline analyzer may
-      // itself be running the graph when SHHPASS_STAGE_GRAPH forces it —
-      // the tsan CI job does — which is exactly the parity the
-      // decisionEquals above already covers.)
-      EXPECT_TRUE(b->scheduler.stageGraph) << "model " << k;
-      EXPECT_GE(b->scheduler.stageGraphExecuted, b->stages.size())
-          << "model " << k;
-    }
-  }
-}
-
 TEST(Golden, ReductionReproducesExactly) {
   // The proper part is order 1, so "reduction" to order >= 1 must be exact
   // including M0, M1 and the pole location.

@@ -1,21 +1,19 @@
 // Property tests for the parametric sweep driver (circuits/sweep.hpp),
 // seeded and bit-reproducible:
 //
-//  * MnaWorkspace re-stamp bit-identity — after ANY sequence of
-//    setComponentValue calls the workspace descriptor is bit-for-bit
-//    equal to a full stampMna of the netlist with those values (the
-//    per-entry ordered-contributor replay contract);
-//  * slot-exact scheduler parity — runSweep through the work-stealing
-//    batch scheduler decisionEquals a sequential per-point analyze()
-//    loop for worker counts {1, 2, 7}, and the three scheduled runs
-//    agree with each other slot by slot, margins bitwise included and
-//    equal to a standalone core::passivityMargin per point;
+//  * re-stamped requests — every point's descriptor is bit-for-bit
+//    stampMna of the netlist with that point's values, and
+//    Netlist::setComponentValue rejects values MNA cannot stamp;
+//  * slot-exact batch parity — runSweep through runBatch decisionEquals
+//    a sequential per-point analyze() loop for worker counts {1, 2, 7},
+//    and the three batch runs agree with each other slot by slot,
+//    margins bitwise included and equal to a standalone
+//    core::passivityMargin per point;
 //  * sweep expansion structure — row-major cross product, log-spaced
 //    decades, typed rejections of malformed specs.
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -31,7 +29,6 @@
 namespace shhpass {
 namespace {
 
-using circuits::MnaWorkspace;
 using circuits::Netlist;
 using circuits::SweepSpec;
 using testing::Xorshift;
@@ -50,53 +47,29 @@ void expectBitIdenticalSystems(const ds::DescriptorSystem& a,
   EXPECT_TRUE(testing::bitIdentical(a.d, b.d)) << what << ": D";
 }
 
-TEST(SweepRandom, WorkspaceRestampBitIdenticalToFullStamp) {
-  for (unsigned seed = 1; seed <= 30; ++seed) {
-    Xorshift gen(seed * 0x2545f4914f6cdd1dull);
-    Netlist net = testing::randomConnectedNetlist(gen);
-    MnaWorkspace ws(net);
-    // Fresh workspace == full stamp (same bits by construction).
-    expectBitIdenticalSystems(ws.system(), circuits::stampMna(net),
-                              "seed " + std::to_string(seed) + " initial");
-    // Random value-change sequences, including repeated hits on the same
-    // component and sign flips (non-passive mutants).
-    Netlist shadow = net;
-    const std::size_t steps = 3 + gen.pick(8);
-    for (std::size_t s = 0; s < steps; ++s) {
-      const std::size_t comp = gen.pick(net.components().size());
-      double value = std::pow(10.0, gen.uniform(-3.0, 3.0));
-      if (gen.pick(5) == 0) value = -value;
-      ws.setComponentValue(comp, value);
-      shadow.setComponentValue(comp, value);
-      expectBitIdenticalSystems(
-          ws.system(), circuits::stampMna(shadow),
-          "seed " + std::to_string(seed) + " step " + std::to_string(s));
-      EXPECT_EQ(ws.netlist().components()[comp].value, value);
-    }
-  }
-}
-
-TEST(SweepRandom, WorkspaceRejectsBadUpdates) {
+TEST(SweepRandom, SetComponentValueRejectsBadUpdates) {
   Xorshift gen(7);
   Netlist net = testing::randomConnectedNetlist(gen);
-  MnaWorkspace ws(net);
-  EXPECT_THROW(ws.setComponentValue(net.components().size(), 1.0),
+  const ds::DescriptorSystem stamped = circuits::stampMna(net);
+  EXPECT_THROW(net.setComponentValue(net.components().size(), 1.0),
                std::invalid_argument);
-  EXPECT_THROW(ws.setComponentValue(0, 0.0), std::invalid_argument);
-  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+  for (double bad : {0.0, std::numeric_limits<double>::quiet_NaN(),
                      std::numeric_limits<double>::infinity(),
                      -std::numeric_limits<double>::infinity()}) {
-    const double before = ws.netlist().components()[0].value;
-    EXPECT_THROW(ws.setComponentValue(0, bad), std::invalid_argument) << bad;
-    // A rejected update leaves the workspace untouched.
-    EXPECT_EQ(ws.netlist().components()[0].value, before);
-    expectBitIdenticalSystems(ws.system(), circuits::stampMna(ws.netlist()),
-                              "after rejected update");
+    const double before = net.components()[0].value;
+    EXPECT_THROW(net.setComponentValue(0, bad), std::invalid_argument) << bad;
+    // A rejected update leaves the netlist untouched.
+    EXPECT_EQ(net.components()[0].value, before);
   }
-  // A portless netlist cannot be stamped at all.
+  expectBitIdenticalSystems(circuits::stampMna(net), stamped,
+                            "after rejected updates");
+  // A portless netlist cannot be stamped, so it cannot be swept either.
   Netlist portless(2);
   portless.addResistor(1, 2, 1.0).addResistor(2, 0, 1.0);
-  EXPECT_THROW(MnaWorkspace{portless}, std::invalid_argument);
+  SweepSpec spec;
+  spec.parameters.push_back({0, 1.0, 1.0, 2});
+  EXPECT_THROW(circuits::buildSweepRequests(portless, spec),
+               std::invalid_argument);
 }
 
 TEST(SweepRandom, ExpandSweepIsRowMajorLogSpaced) {
@@ -146,7 +119,7 @@ TEST(SweepRandom, RequestsCarryRestampedSystemsAndStableIds) {
   EXPECT_EQ(requests.back().id, "sweep-000009");
   for (std::size_t p = 0; p < points.size(); ++p) {
     // Oracle: rebuild the netlist with this point's values and stamp it
-    // from scratch; the workspace-re-stamped request must match bitwise.
+    // from scratch; the request must match bitwise.
     Netlist modified = net;
     for (std::size_t k = 0; k < spec.parameters.size(); ++k)
       modified.setComponentValue(spec.parameters[k].component,
@@ -157,7 +130,7 @@ TEST(SweepRandom, RequestsCarryRestampedSystemsAndStableIds) {
   }
 }
 
-TEST(SweepRandom, ScheduledSweepDecisionEqualsSequentialOracle) {
+TEST(SweepRandom, BatchSweepDecisionEqualsSequentialOracle) {
   for (unsigned seed = 1; seed <= 4; ++seed) {
     Xorshift gen(0xdecade0000ull + seed);
     const Netlist net = testing::randomConnectedNetlist(gen, 10);
@@ -178,7 +151,6 @@ TEST(SweepRandom, ScheduledSweepDecisionEqualsSequentialOracle) {
     for (std::size_t workers : {1u, 2u, 7u}) {
       api::AnalyzerOptions options;
       options.threads = workers;
-      options.stageGraph = workers == 7;  // one leg through level 1 too
       const api::PassivityAnalyzer analyzer(options);
       circuits::SweepResult result =
           circuits::runSweep(net, spec, analyzer);
@@ -189,7 +161,7 @@ TEST(SweepRandom, ScheduledSweepDecisionEqualsSequentialOracle) {
       EXPECT_EQ(result.decisionMismatches, 0u);
       results.push_back(std::move(result));
     }
-    // And the scheduled runs agree with each other, slot by slot.
+    // And the batch runs agree with each other, slot by slot.
     for (std::size_t r = 1; r < results.size(); ++r) {
       ASSERT_EQ(results[r].points.size(), results[0].points.size());
       for (std::size_t p = 0; p < results[0].points.size(); ++p) {

@@ -4,7 +4,7 @@
 Schema: docs/BENCHMARKS.md (shhpass-bench-pipeline, version 7: version 6
 — the staircase deflation-chain health/kernel rows with the >= 1.5x
 SVD-chain speedup floor at order 256, the batchThroughput object from
-the two-level scheduler (decisionMismatches exactly 0; speedup floor
+runBatch (decisionMismatches exactly 0; speedup floor
 2.0x when the recording machine had >= 8 hardware threads), and the
 sweepThroughput object from the parametric-sweep workload
 (decisionMismatches again exactly 0) — plus the telemetry surface: every
@@ -201,12 +201,6 @@ def main():
                      minimum=0.0)
     require(bt["sequential"]["workers"] == 1,
             "batchThroughput.sequential must record exactly 1 worker")
-    require(isinstance(bt["scheduled"].get("stageGraph"), bool),
-            "batchThroughput.scheduled: 'stageGraph' must be a bool")
-    check_number(bt["scheduled"], "batchShards", "batchThroughput.scheduled",
-                 minimum=1)
-    check_number(bt["scheduled"], "batchSteals", "batchThroughput.scheduled",
-                 minimum=0)
     speedup = check_number(bt, "speedup", "batchThroughput", minimum=0.0)
     mismatches = check_number(bt, "decisionMismatches", "batchThroughput",
                               minimum=0)
@@ -214,7 +208,7 @@ def main():
     # the sequential baseline on every machine, every worker count.
     require(mismatches == 0,
             f"batchThroughput.decisionMismatches = {mismatches} != 0 — "
-            f"the two-level scheduler changed a decision")
+            f"the batch changed a decision")
     # The throughput floor is conditional on the recording machine: >= 2x
     # with >= 8 hardware threads (the acceptance gate), else only a
     # sanity floor that catches a pathological scheduler (overhead must
@@ -250,17 +244,15 @@ def main():
                      minimum=0.0)
     require(st["sequential"].get("workers") == 1,
             "sweepThroughput.sequential must record exactly 1 worker")
-    require(isinstance(st["scheduled"].get("stageGraph"), bool),
-            "sweepThroughput.scheduled: 'stageGraph' must be a bool")
     sweep_speedup = check_number(st, "speedup", "sweepThroughput",
                                  minimum=0.0)
     sweep_mismatches = check_number(st, "decisionMismatches",
                                     "sweepThroughput", minimum=0)
     # Determinism is unconditional here too: every sweep point's verdict
-    # through the shard scheduler must match the sequential baseline.
+    # through runBatch must match the sequential baseline.
     require(sweep_mismatches == 0,
             f"sweepThroughput.decisionMismatches = {sweep_mismatches} != 0 "
-            f"— the sweep changed a decision under the scheduler")
+            f"— the sweep changed a decision under runBatch")
     # Same conditional throughput floor shape as batchThroughput: 1.5x
     # with >= 8 hardware threads (sweep points are smaller than the batch
     # mix, so scheduling overhead weighs more), else a sanity floor only.

@@ -4,8 +4,7 @@
 Checks the wire shape (traceEvents array of complete "X" duration
 events; displayTimeUnit), the field invariants the tracer guarantees
 (nonnegative microsecond timestamps and durations, pid pinned to 1,
-small dense thread ids, short names, args.discarded only ever boolean
-true), and the structural property that makes the file loadable in a
+small dense thread ids, short names), and the structural property that makes the file loadable in a
 flame viewer: within each thread id, spans form a proper nesting — a
 span either contains a later span entirely or ends before it starts,
 never a partial overlap. CI runs this on the trace the bench-smoke
@@ -99,7 +98,6 @@ def main():
     stage_names = set()
     margin_spans = 0
     cats = set()
-    discarded = 0
     for i, e in enumerate(events):
         ctx = f"traceEvents[{i}]"
         require(isinstance(e, dict), f"{ctx}: must be an object")
@@ -119,10 +117,6 @@ def main():
                 f"got {e.get('tid')!r}")
         argsv = e.get("args", {})
         require(isinstance(argsv, dict), f"{ctx}: 'args' must be an object")
-        if "discarded" in argsv:
-            require(argsv["discarded"] is True,
-                    f"{ctx}: args.discarded may only be boolean true")
-            discarded += 1
         cats.add(e["cat"])
         if e["cat"] == "stage":
             stage_names.add(e["name"])
@@ -146,7 +140,7 @@ def main():
     print(f"validate_trace_json: OK: {args.path} ({len(events)} events, "
           f"{len(by_tid)} threads, cats {sorted(cats)}, "
           f"{len(stage_names & set(PIPELINE_STAGES))}/{len(PIPELINE_STAGES)} "
-          f"stages, {margin_spans} margin spans, {discarded} discarded)")
+          f"stages, {margin_spans} margin spans)")
 
 
 if __name__ == "__main__":
