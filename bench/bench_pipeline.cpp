@@ -275,7 +275,7 @@ int main(int argc, char** argv) {
 
   // ------------------------------------------------ batch throughput (v5)
   // Mixed-order batch through runBatch on every hardware thread: items
-  // start largest order first and each worker runs its gemms inline.
+  // start largest order first, at the --threads gemm width.
   // The baseline is the same batch through runBatch with one worker. Both
   // runs are best-of-reps; the
   // scheduled results must decisionEquals the sequential ones item by

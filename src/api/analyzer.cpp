@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "api/json.hpp"
-#include "linalg/blas.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -210,8 +209,6 @@ std::vector<Result<AnalysisReport>> PassivityAnalyzer::runBatch(
   // instead. Each item writes only its own results[item] slot.
   std::atomic<std::size_t> next{0};
   auto worker = [&] {
-    // Concurrent analyses already fill the cores; gemm runs inline.
-    linalg::GemmThreadBudgetScope inlineGemm(workers > 1 ? 1 : 0);
     for (std::size_t k = next.fetch_add(1); k < byOrder.size();
          k = next.fetch_add(1)) {
       const std::size_t item = byOrder[k];
@@ -223,13 +220,13 @@ std::vector<Result<AnalysisReport>> PassivityAnalyzer::runBatch(
           request.id, request.marginTol, /*notifyObserver=*/false);
     }
   };
-  if (workers == 1) {
-    worker();
-  } else {
-    // std::jthread joins on destruction, on every exit path.
+  {
+    // The calling thread is one of the workers; std::jthread joins the
+    // others on destruction, on every exit path.
     std::vector<std::jthread> crew;
-    crew.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) crew.emplace_back(worker);
+    crew.reserve(workers - 1);
+    for (std::size_t w = 1; w < workers; ++w) crew.emplace_back(worker);
+    worker();
   }
   return results;
 }

@@ -147,9 +147,9 @@ class PassivityAnalyzer {
   /// Analyze many systems on min(threads, requests.size()) workers.
   /// Items start largest order first (Graham's LPT list scheduling, so
   /// the longest analyses do not form the tail), each worker pulling the
-  /// next item off one shared index. With more than one worker every
-  /// worker runs gemm inline (linalg::GemmThreadBudgetScope(1)); a single
-  /// worker runs on the calling thread with the configured gemm width.
+  /// next item off one shared index; one worker is the calling thread.
+  /// Every worker's gemms use the configured kernel width
+  /// (linalg::setGemmThreads) on the one shared kernel pool.
   /// Results land in request order: element i decisionEquals what
   /// analyze(requests[i]) returns, for every worker count, and each
   /// report owns its StageTraces.

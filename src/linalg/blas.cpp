@@ -46,12 +46,6 @@ std::size_t gThreads = 1;
 bool gThreadsConfigured = false;  // setGemmThreads() ran (beats the env)
 std::once_flag gEnvInitFlag;
 
-// Per-call budget installed by GemmThreadBudgetScope (blas.hpp): caps the
-// fan-out of gemms issued from this thread without touching the
-// process-wide pool configuration. Thread-local by design — concurrent
-// batch workers each carry their own budget with no shared state.
-thread_local std::size_t tGemmBudget = 0;
-
 // Pre: gPoolMutex held. Installs a pool of t workers (t > 1) or removes
 // the pool (t <= 1). Never joins under the mutex: an in-use old pool is
 // kept alive by the shared_ptr copies the in-flight gemms hold.
@@ -453,15 +447,11 @@ void gemmBlocked(double alpha, const Matrix& a, bool transA, const Matrix& b,
 
   std::size_t threads = 1;
   std::shared_ptr<api::ThreadPool> pool;
-  // A per-call budget of 1 is a structural bypass: the call never touches
-  // the shared pool (not even its mutex), so budget-1 batch workers
-  // contend with nothing. Budgets b > 1 cap the fan-out at min(b, configured width).
-  const std::size_t budget = tGemmBudget;
-  if (budget != 1 && m * n * k >= kGemmThreadedFlopFloor) {
+  if (m * n * k >= kGemmThreadedFlopFloor) {
     ensureEnvThreadInit();
     std::lock_guard<std::mutex> lock(gPoolMutex);
     if (gThreads > 1 && gPool) {
-      threads = budget > 0 ? std::min(gThreads, budget) : gThreads;
+      threads = gThreads;
       pool = gPool;  // keeps the pool alive across a concurrent reconfigure
     }
   }
@@ -519,15 +509,6 @@ void setGemmThreads(std::size_t t) {
   gThreadsConfigured = true;
   setGemmThreadsLocked(t);
 }
-
-std::size_t gemmThreadBudget() { return tGemmBudget; }
-
-GemmThreadBudgetScope::GemmThreadBudgetScope(std::size_t budget)
-    : previous_(tGemmBudget) {
-  tGemmBudget = budget;
-}
-
-GemmThreadBudgetScope::~GemmThreadBudgetScope() { tGemmBudget = previous_; }
 
 Matrix multiply(const Matrix& a, bool transA, const Matrix& b, bool transB) {
   const std::size_t m = transA ? a.cols() : a.rows();

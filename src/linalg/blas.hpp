@@ -135,35 +135,6 @@ std::size_t gemmThreads();
 /// started with alive until their panels drain.
 void setGemmThreads(std::size_t t);
 
-/// The calling thread's per-call gemm thread budget: 0 when no
-/// GemmThreadBudgetScope is active (the process-wide setGemmThreads
-/// setting applies unchanged).
-std::size_t gemmThreadBudget();
-
-/// RAII per-thread kernel-thread budget. While a scope with budget b > 0
-/// is active on a thread, every gemm() issued FROM THAT THREAD fans out
-/// to at most min(b, setGemmThreads width) workers; b == 1 bypasses the
-/// kernel pool entirely for those calls. b == 0 means "no override".
-/// Scopes nest; the previous budget is restored on destruction.
-///
-/// PassivityAnalyzer::runBatch holds a budget-1 scope on each of its
-/// workers when it runs more than one: concurrent analyses already
-/// occupy the cores, so their gemms run inline instead of contending for
-/// the shared kernel pool. The budget is thread-local and does not
-/// propagate into tasks a thread submits to a ThreadPool. By the gemm
-/// determinism contract the budget can never change results, only
-/// scheduling; tests/test_scheduler_random.cpp pins this bitwise.
-class GemmThreadBudgetScope {
- public:
-  explicit GemmThreadBudgetScope(std::size_t budget);
-  ~GemmThreadBudgetScope();
-  GemmThreadBudgetScope(const GemmThreadBudgetScope&) = delete;
-  GemmThreadBudgetScope& operator=(const GemmThreadBudgetScope&) = delete;
-
- private:
-  std::size_t previous_;
-};
-
 /// Returns op(A) * op(B).
 Matrix multiply(const Matrix& a, bool transA, const Matrix& b, bool transB);
 

@@ -428,6 +428,35 @@ TEST(ApiPipeline, TracesCoverAllStagesOnAPassiveRun) {
   }
 }
 
+TEST(ApiPipeline, PassingRunReleasesIntermediateSlots) {
+  // Impulsive, so impulse deflation removes modes and every slot is used.
+  ds::DescriptorSystem g = circuits::makeBenchmarkModel(40, true);
+  PipelineState state;
+  state.input = &g;
+  Status status = standardPipeline().run(state);
+  ASSERT_TRUE(status.ok()) << status.toString();
+  ASSERT_TRUE(state.result.passive);
+  ASSERT_GT(state.result.removedImpulsive, 0u);
+
+  // Released by their last readers.
+  EXPECT_TRUE(state.phi.a.empty());
+  EXPECT_TRUE(state.phi.e.empty());
+  EXPECT_TRUE(state.deflation.reduced.a.empty());
+  EXPECT_TRUE(state.deflation.reduced.e.empty());
+  EXPECT_TRUE(state.deflation.vKeep.empty());
+  EXPECT_TRUE(state.deflation.impulseUnobservable.empty());
+  EXPECT_FALSE(state.deflation.hasHalfECompression);
+  EXPECT_TRUE(state.nondynamic.shh.a.empty());
+  EXPECT_TRUE(state.nondynamic.shh.e.empty());
+
+  // Kept for callers.
+  EXPECT_EQ(state.balanced.sys.order(), g.order());
+  EXPECT_TRUE(state.result.properPart.ok);
+  EXPECT_FALSE(state.result.properPart.lambda.empty());
+  EXPECT_FALSE(state.result.properPart.b1.empty());
+  EXPECT_FALSE(state.result.properPart.c1.empty());
+}
+
 TEST(ApiPipeline, NullInputIsAnInvalidArgumentNotACrash) {
   PipelineState state;  // input left null
   Status status = standardPipeline().run(state);

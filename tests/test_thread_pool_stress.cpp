@@ -226,8 +226,8 @@ TEST(ThreadPoolStress, SetGemmThreadsRacingInFlightGemms) {
 
 TEST(ThreadPoolStress, RunBatchUnderOversubscription) {
   // More batch workers than cores over a threaded kernel pool: the
-  // workers run their gemms inline, the sequential twins below fan out on
-  // the pool, and every report must still decision-match its twin.
+  // workers and the sequential twins below share that one pool, and every
+  // report must still decision-match its twin.
   SerialGemmAtExit cleanup;
   linalg::setGemmThreads(3);
 
