@@ -73,8 +73,7 @@ struct AnalysisReport {
   /// Health of the one-pass staircase deflation chain (kernel mix,
   /// compression reuse, chain truncation — linalg/staircase.hpp), merged
   /// across the impulse-deflation, nondynamic-removal, and m1-extraction
-  /// stages; all-zero when every stage ran the legacy SVD chain.
-  /// Serialized under diagnostics.staircase.
+  /// stages. Serialized under diagnostics.staircase.
   linalg::StaircaseReport staircase;
   /// Non-fatal diagnostic flags (e.g. Warning::ReorderSwapRejected).
   std::vector<Warning> warnings;

@@ -106,8 +106,8 @@ class M1ExtractionStage final : public Stage {
                                      &s.result.rankPolicy,
                                      &s.result.staircase, eComp))
       return verdict(core::FailureStage::HigherOrderImpulse);
-    const core::M1Extraction m1 = core::extractM1(
-        s.balanced.sys, s.options.rankTol, core::DeflationPath::Auto, eComp);
+    const core::M1Extraction m1 =
+        core::extractM1(s.balanced.sys, s.options.rankTol, {}, eComp);
     s.deflation.halfECompression = linalg::Compression{};  // last reader
     s.deflation.hasHalfECompression = false;
     s.result.rankPolicy.merge(m1.rankReport);

@@ -11,16 +11,14 @@
 // W = -J V removes both families at once and yields a skew-symmetric /
 // symmetric reduced pencil (E1, A1) with input map -C1^T (Eq. 17).
 //
-// Two implementations (core/deflation_path.hpp): the staircase path
-// compresses Phi's E once — exploiting its exact diag(E, E^T) block
+// The stage runs as a one-pass staircase reduction (linalg/staircase.hpp):
+// it compresses Phi's E once — exploiting its exact diag(E, E^T) block
 // structure when present, so ONE half-size compression serves both
 // blocks — then derives every kernel/range basis of the chain from that
 // compression plus two tall QR-compressions, and truncates the chain as
-// soon as the deflation subspace is empty. The legacy SVD chain is kept
-// below the crossover and as the equivalence oracle.
+// soon as the deflation subspace is empty.
 #pragma once
 
-#include "core/deflation_path.hpp"
 #include "linalg/staircase.hpp"
 #include "linalg/svd.hpp"
 #include "shh/shh_pencil.hpp"
@@ -37,31 +35,19 @@ struct ImpulseDeflationResult {
   linalg::Matrix impulseUnobservable;  ///< Orthonormal basis of V_o.
   /// Health of the SVD rank decisions taken (shared policy, svd.hpp).
   linalg::RankReport rankReport;
-  /// Staircase-path health (kernel mix, fallbacks, chain truncation).
-  /// All-zero when the legacy SVD chain ran.
+  /// Staircase-chain health (kernel mix, fallbacks, chain truncation).
   linalg::StaircaseReport staircase;
-  /// When the staircase path detected Phi's exact diag(E, E^T) block
-  /// structure, the compression of the half-size E block (a compression
-  /// of the balanced system's own E) is kept here so the m1-extraction
-  /// stage can reuse it instead of recomputing four SVDs of E.
+  /// When the stage detected Phi's exact diag(E, E^T) block structure,
+  /// the compression of the half-size E block (a compression of the
+  /// balanced system's own E) is kept here so the m1-extraction stage
+  /// can reuse it instead of recompressing E.
   bool hasHalfECompression = false;
   linalg::Compression halfECompression;
 };
 
-/// Compute the impulse-unobservable subspace V_o of an SHH realization.
-/// Exposed for tests and diagnostics. When `report` is non-null, every
-/// SVD rank decision on the way is recorded into it.
-linalg::Matrix impulseUnobservableSubspace(const shh::ShhRealization& phi,
-                                           double rankTol = -1.0,
-                                           linalg::RankReport* report =
-                                               nullptr);
-
 /// One pass of the deflation (sufficient for minimal passive G, which has
-/// generalized eigenvectors of grade at most 2). `path` selects the
-/// staircase vs legacy implementation; Auto dispatches on phi.order().
+/// generalized eigenvectors of grade at most 2).
 ImpulseDeflationResult deflateImpulseModes(const shh::ShhRealization& phi,
-                                           double rankTol = -1.0,
-                                           DeflationPath path =
-                                               DeflationPath::Auto);
+                                           double rankTol = -1.0);
 
 }  // namespace shhpass::core

@@ -3,16 +3,15 @@
 // eigenvector chains (Eqs. 24-25), plus the detection of higher-order
 // (grade >= 3) impulsive structure which Eq. (3) forbids for passive G.
 //
-// Two implementations (core/deflation_path.hpp): the staircase path makes
-// ONE rank-revealing compression of E serve every consumer of the chain —
-// Ker E / Im E for the right chains, Ker E^T / Im E^T for the left chains,
-// and both pseudoinverse applications E^+ and (E^T)^+ for the grade-2
-// partners — where the legacy path pays four full SVDs of E. When the
-// impulse-deflation stage already compressed the (balanced) E, the
-// pipeline hands that compression in and this stage recomputes nothing.
+// The stage is a staircase step (linalg/staircase.hpp): ONE rank-revealing
+// compression of E serves every consumer of the chain — Ker E / Im E for
+// the right chains, Ker E^T / Im E^T for the left chains, and both
+// pseudoinverse applications E^+ and (E^T)^+ for the grade-2 partners.
+// When the impulse-deflation stage already compressed the (balanced) E,
+// the pipeline hands that compression in and this stage recomputes
+// nothing.
 #pragma once
 
-#include "core/deflation_path.hpp"
 #include "ds/descriptor.hpp"
 #include "linalg/staircase.hpp"
 #include "linalg/svd.hpp"
@@ -26,24 +25,27 @@ struct M1Extraction {
   bool symmetric = false;   ///< M1 = M1^T within tolerance (required for
                             ///< positive realness of the pole at infinity).
   bool psd = false;         ///< M1 symmetric positive semidefinite.
-  /// Rank decisions taken on the staircase path (shared policy). Empty
-  /// when the legacy SVD chain ran (it predates the recording plumbing).
+  /// Rank decisions taken (shared policy, svd.hpp).
   linalg::RankReport rankReport;
-  /// Staircase-path health; all-zero when the legacy SVD chain ran.
+  /// Staircase-chain health (kernel mix, compression reuse, truncation).
   linalg::StaircaseReport staircase;
 };
+
+/// A tag that selects nothing: the staircase chain is the only deflation
+/// chain. Kept only for perfbench/replay.cpp, which passes
+/// DeflationPath::Auto as extractM1's third argument.
+enum class DeflationPath { Auto };
 
 /// Extract M1 via the deflating-subspace projections of Eq. (25):
 /// right chains V1 = Ker E with A V1 in Im E, V2 = E^+ A V1; left chains
 /// likewise on (E^T, A^T); then M1 = -Cinf Ainf^{-1} Einf Ainf^{-1} Binf
 /// on the projected pencil. For an impulse-free system M1 = 0.
 ///
-/// `path` selects the staircase vs legacy implementation (Auto dispatches
-/// on g.order()). On the staircase path, a non-null `eCompression` (a
-/// compression of g.e with range/corange/nullspace/leftNullspace bases)
-/// is reused instead of recompressing E.
+/// A non-null `eCompression` (a compression of g.e with range/corange/
+/// nullspace/leftNullspace bases) is reused instead of recompressing E.
+/// The unnamed DeflationPath parameter is ignored.
 M1Extraction extractM1(const ds::DescriptorSystem& g, double rankTol = -1.0,
-                       DeflationPath path = DeflationPath::Auto,
+                       DeflationPath = DeflationPath::Auto,
                        const linalg::Compression* eCompression = nullptr);
 
 /// True iff the pencil (E, A) carries generalized eigenvector chains of

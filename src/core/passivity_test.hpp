@@ -69,8 +69,7 @@ struct PassivityResult {
   /// Health of the one-pass staircase deflation chain (kernel mix,
   /// compression reuse, chain truncation — linalg/staircase.hpp), merged
   /// across the impulse-deflation, nondynamic-removal, and m1-extraction
-  /// stages. All-zero when every stage ran the legacy SVD chain (orders
-  /// below linalg::kStaircaseCrossover).
+  /// stages.
   linalg::StaircaseReport staircase;
 };
 

@@ -1,7 +1,6 @@
 // Rank-revealing row/column compression — the primitive under the one-pass
-// staircase deflation chain (GUPTRI-style) that replaced the repeated
-// full-SVD chains of the impulse-deflation, nondynamic-removal, and
-// m1-extraction stages.
+// staircase deflation chain (GUPTRI-style) that runs the impulse-deflation,
+// nondynamic-removal, and m1-extraction stages at every order.
 //
 // A Compression is a certificate about ONE matrix M: the full list of its
 // singular values (so every rank decision still goes through the shared
@@ -53,18 +52,10 @@
 
 namespace shhpass::linalg {
 
-/// Smallest pencil order for which the deflation chains dispatch to the
-/// staircase path. Below it the legacy SVD-chain implementations run (same
-/// kernel sequence as the pre-staircase library, plus the "twice is
-/// enough" re-orthogonalization bugfix), which keeps the golden-set
-/// decision path on the historical kernels; the retained chains also
-/// serve as the equivalence oracle for the seeded staircase suite.
-inline constexpr std::size_t kStaircaseCrossover = 256;
-
 /// Which compression kernel ran (or, in options, is requested).
 enum class CompressionKernel { Auto, Svd, Diagonal, QrSvd, SkewTridiagonal };
 
-/// Per-stage health record of the staircase path, threaded through the
+/// Per-stage health record of the staircase chain, threaded through the
 /// stage results into AnalysisReport diagnostics (next to RankReport).
 struct StaircaseReport {
   std::size_t compressions = 0;       ///< Compressions computed.
@@ -73,8 +64,7 @@ struct StaircaseReport {
   std::size_t qrCompressions = 0;     ///< ... served by the QR+small-SVD kernel.
   std::size_t skewTridiagonalizations = 0;  ///< ... by the skew kernel.
   std::size_t reusedCompressions = 0; ///< Consumers served by a compression
-                                      ///< computed earlier in the chain
-                                      ///< (the legacy chains recompute).
+                                      ///< computed earlier in the chain.
   std::size_t chainLength = 0;        ///< Staircase steps executed.
   std::size_t truncatedSteps = 0;     ///< Steps skipped because the
                                       ///< deflation subspace stabilized.

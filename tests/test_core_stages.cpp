@@ -17,6 +17,7 @@
 #include "linalg/schur.hpp"
 #include "linalg/svd.hpp"
 #include "shh/symplectic.hpp"
+#include "svd_chain_oracle.hpp"
 #include "test_support.hpp"
 
 namespace shhpass::core {
@@ -83,15 +84,18 @@ TEST(Stage1Deflation, JDualityOfSubspaces) {
   // w = J v satisfies E^T w = 0, A^T w in Im E^T, B^T w = 0.
   ds::DescriptorSystem g = impulsiveLadder(2);
   shh::ShhRealization phi = buildPhi(g);
-  Matrix vo = impulseUnobservableSubspace(phi);
-  ASSERT_GT(vo.cols(), 0u);
-  Matrix jv = shh::applyJ(vo);
-  EXPECT_LT(linalg::multiply(phi.e, true, jv, false).maxAbs(), 1e-9);
-  EXPECT_LT(linalg::multiply(phi.b(), true, jv, false).maxAbs(), 1e-9);
-  // A^T (Jv) must lie in Im(E^T) = Ker(E)^perp:
-  Matrix atJv = linalg::multiply(phi.a, true, jv, false);
+  // Checked on the staircase chain's V_o and on the SVD-chain oracle's.
   Matrix kerE = linalg::kernel(phi.e);
-  EXPECT_LT(linalg::atb(kerE, atJv).maxAbs(), 1e-8);
+  for (const Matrix& vo : {deflateImpulseModes(phi).impulseUnobservable,
+                           oracle::impulseUnobservableSubspace(phi)}) {
+    ASSERT_GT(vo.cols(), 0u);
+    Matrix jv = shh::applyJ(vo);
+    EXPECT_LT(linalg::multiply(phi.e, true, jv, false).maxAbs(), 1e-9);
+    EXPECT_LT(linalg::multiply(phi.b(), true, jv, false).maxAbs(), 1e-9);
+    // A^T (Jv) must lie in Im(E^T) = Ker(E)^perp:
+    Matrix atJv = linalg::multiply(phi.a, true, jv, false);
+    EXPECT_LT(linalg::atb(kerE, atJv).maxAbs(), 1e-8);
+  }
 }
 
 TEST(Stage2Nondynamic, ImpulseFreeLadderPasses) {

@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "api/analyzer.hpp"
 #include "circuits/generators.hpp"
 #include "circuits/mna.hpp"
 #include "core/passivity_test.hpp"
@@ -30,6 +31,25 @@ TEST(Robustness, ExtremeUnitScales) {
   ds::DescriptorSystem g = circuits::makeRlcLadder(opt);
   core::PassivityResult r = core::testPassivityShh(g);
   EXPECT_TRUE(r.passive) << core::failureStageName(r.failure);
+}
+
+TEST(Robustness, ScaledPortCapLaddersAreOk) {
+  // Millihenry / femtofarad ladders across six decades of R are passive
+  // by physics, so each must analyze to OK: the expected verdict is
+  // exact, not a tolerance.
+  for (double r : {1e-3, 1.0, 1e3}) {
+    circuits::LadderOptions opt;
+    opt.sections = 3;
+    opt.capAtPort = true;
+    opt.l = 1e-3;
+    opt.c = 1e-15;
+    opt.r = r;
+    api::Result<api::AnalysisReport> report =
+        api::PassivityAnalyzer().analyze(circuits::makeRlcLadder(opt));
+    ASSERT_TRUE(report.ok()) << report.status().toString();
+    EXPECT_EQ(report->verdict, api::ErrorCode::Ok)
+        << "R=" << r << ": " << api::errorCodeName(report->verdict);
+  }
 }
 
 TEST(Robustness, TinyAndHugeUniformScaling) {

@@ -9,10 +9,10 @@
 //     (M Ker = 0, range projector reproduces M, pinv solves in-range
 //     systems);
 //   * rank-decision parity under roundoff wobble of the resolved cutoff;
-//   * staircase-vs-SvdChain oracle parity of the three chain stages
-//     (deflation counts, impulse-freeness, M1, transfer preservation)
-//     on seeded RLC models, with both paths FORCED so the dispatch
-//     crossover does not mask differences;
+//   * parity of the three staircase chain stages with the SVD-chain
+//     oracle (svd_chain_oracle.hpp): deflation counts, impulse-freeness,
+//     M1, transfer preservation on seeded RLC models, and the staircase
+//     chain engaging in the pipeline at every model order;
 //   * gemm-thread bit-determinism of the staircase path (1/2/3/7);
 //   * the rankTol plumbing regression: passivityMargin and
 //     reduceDescriptor must honor a caller rankTol exactly like the
@@ -40,6 +40,7 @@
 #include "linalg/qr.hpp"
 #include "linalg/staircase.hpp"
 #include "linalg/svd.hpp"
+#include "svd_chain_oracle.hpp"
 #include "test_support.hpp"
 
 namespace shhpass {
@@ -263,20 +264,17 @@ TEST(StaircaseCompression, BitDeterministicAcrossGemmThreads) {
 }
 
 // ---------------------------------------------------------------------------
-// Staircase chain vs the retained SVD-chain oracle, both paths FORCED.
+// Staircase chain vs the SVD-chain oracle.
 
 void expectChainParity(const ds::DescriptorSystem& g, const char* label) {
   SCOPED_TRACE(label);
   shh::ShhRealization phi = core::buildPhi(g);
-  core::ImpulseDeflationResult sc = core::deflateImpulseModes(
-      phi, -1.0, core::DeflationPath::Staircase);
-  core::ImpulseDeflationResult ora = core::deflateImpulseModes(
-      phi, -1.0, core::DeflationPath::SvdChain);
+  core::ImpulseDeflationResult sc = core::deflateImpulseModes(phi);
+  oracle::ImpulseDeflation ora = oracle::deflateImpulseModes(phi);
   EXPECT_EQ(sc.removed, ora.removed) << "stage-1 deflation count";
   EXPECT_EQ(sc.reduced.order(), ora.reduced.order());
   EXPECT_TRUE(sc.reduced.checkStructure());
   EXPECT_GT(sc.staircase.compressions, 0u);
-  EXPECT_EQ(ora.staircase.compressions, 0u);
 
   // Transfer preservation of the staircase reduction (same property the
   // oracle path is tested for in test_core_stages.cpp).
@@ -289,10 +287,8 @@ void expectChainParity(const ds::DescriptorSystem& g, const char* label) {
     expectMatrixNear(ga.im, gb.im, 1e-7 * (1.0 + w));
   }
 
-  core::NondynamicRemovalResult nsc = core::removeNondynamicModes(
-      sc.reduced, -1.0, core::DeflationPath::Staircase);
-  core::NondynamicRemovalResult nora = core::removeNondynamicModes(
-      ora.reduced, -1.0, core::DeflationPath::SvdChain);
+  core::NondynamicRemovalResult nsc = core::removeNondynamicModes(sc.reduced);
+  oracle::NondynamicRemoval nora = oracle::removeNondynamicModes(ora.reduced);
   EXPECT_EQ(nsc.removed, nora.removed) << "stage-2 removal count";
   EXPECT_EQ(nsc.impulseFree, nora.impulseFree);
   if (nsc.impulseFree) {
@@ -300,10 +296,8 @@ void expectChainParity(const ds::DescriptorSystem& g, const char* label) {
     EXPECT_EQ(nsc.shh.order(), nora.shh.order());
   }
 
-  core::M1Extraction msc =
-      core::extractM1(g, -1.0, core::DeflationPath::Staircase);
-  core::M1Extraction mora =
-      core::extractM1(g, -1.0, core::DeflationPath::SvdChain);
+  core::M1Extraction msc = core::extractM1(g);
+  oracle::M1Extraction mora = oracle::extractM1(g);
   EXPECT_EQ(msc.chainCount, mora.chainCount) << "grade-2 chain count";
   EXPECT_EQ(msc.symmetric, mora.symmetric);
   EXPECT_EQ(msc.psd, mora.psd);
@@ -350,26 +344,37 @@ TEST(StaircaseChainParity, GradeThreeScreenAgreesWithVerdicts) {
   EXPECT_GT(sr2.reusedCompressions, 0u);
 }
 
-TEST(StaircaseChainParity, PipelineAboveCrossoverUsesStaircase) {
-  // Above kStaircaseCrossover the Auto dispatch must engage the staircase
-  // path and keep the verdict of the oracle chain.
-  ds::DescriptorSystem g = circuits::makeBenchmarkModel(150, true);
-  core::PassivityResult res = core::testPassivityShh(g);
-  EXPECT_TRUE(res.passive) << core::failureStageName(res.failure);
-  EXPECT_GT(res.staircase.compressions, 0u);
-  EXPECT_GT(res.staircase.reusedCompressions, 0u);
-  EXPECT_GT(res.staircase.chainLength, 0u);
+TEST(StaircaseChainParity, PipelineUsesStaircaseAtEveryOrder) {
+  // One deflation chain at every model order: each analysis must run the
+  // staircase chain and keep the oracle's deflation and removal counts.
+  for (std::size_t order : {25u, 64u, 150u}) {
+    SCOPED_TRACE(order);
+    ds::DescriptorSystem g = circuits::makeBenchmarkModel(order, true);
+    core::PassivityResult res = core::testPassivityShh(g);
+    EXPECT_TRUE(res.passive) << core::failureStageName(res.failure);
+    EXPECT_GT(res.staircase.compressions, 0u);
+    EXPECT_GT(res.staircase.reusedCompressions, 0u);
+    EXPECT_GT(res.staircase.chainLength, 0u);
 
-  // Oracle verdict on the same model through the forced legacy stages.
-  ds::DescriptorSystem bal = ds::balanceDescriptor(g).sys;
-  shh::ShhRealization phi = core::buildPhi(bal);
-  core::ImpulseDeflationResult s1 = core::deflateImpulseModes(
-      phi, -1.0, core::DeflationPath::SvdChain);
-  EXPECT_EQ(res.removedImpulsive, s1.removed);
-  core::NondynamicRemovalResult s2 = core::removeNondynamicModes(
-      s1.reduced, -1.0, core::DeflationPath::SvdChain);
-  EXPECT_EQ(res.removedNondynamic, s2.removed);
-  EXPECT_TRUE(s2.impulseFree);
+    ds::DescriptorSystem bal = ds::balanceDescriptor(g).sys;
+    shh::ShhRealization phi = core::buildPhi(bal);
+    oracle::ImpulseDeflation s1 = oracle::deflateImpulseModes(phi);
+    EXPECT_EQ(res.removedImpulsive, s1.removed);
+    oracle::NondynamicRemoval s2 = oracle::removeNondynamicModes(s1.reduced);
+    EXPECT_EQ(res.removedNondynamic, s2.removed);
+    EXPECT_TRUE(s2.impulseFree);
+
+    if (order == 150u) {
+      // m1-extraction reuses the impulse-deflation stage's compression of
+      // the balanced E instead of recompressing it.
+      core::ImpulseDeflationResult d = core::deflateImpulseModes(phi);
+      ASSERT_TRUE(d.hasHalfECompression);
+      core::M1Extraction m1 =
+          core::extractM1(bal, -1.0, {}, &d.halfECompression);
+      EXPECT_GT(m1.staircase.reusedCompressions, 0u);
+      EXPECT_EQ(m1.chainCount, oracle::extractM1(bal).chainCount);
+    }
+  }
 }
 
 TEST(StaircaseChainParity, StaircasePathBitDeterministicAcrossThreads) {
@@ -377,21 +382,18 @@ TEST(StaircaseChainParity, StaircasePathBitDeterministicAcrossThreads) {
   ds::DescriptorSystem bal = ds::balanceDescriptor(g).sys;
   shh::ShhRealization phi = core::buildPhi(bal);
   linalg::setGemmThreads(1);
-  core::ImpulseDeflationResult base = core::deflateImpulseModes(
-      phi, -1.0, core::DeflationPath::Staircase);
-  core::NondynamicRemovalResult nbase = core::removeNondynamicModes(
-      base.reduced, -1.0, core::DeflationPath::Staircase);
+  core::ImpulseDeflationResult base = core::deflateImpulseModes(phi);
+  core::NondynamicRemovalResult nbase =
+      core::removeNondynamicModes(base.reduced);
   for (std::size_t threads : {2u, 3u, 7u}) {
     linalg::setGemmThreads(threads);
-    core::ImpulseDeflationResult r = core::deflateImpulseModes(
-        phi, -1.0, core::DeflationPath::Staircase);
+    core::ImpulseDeflationResult r = core::deflateImpulseModes(phi);
     EXPECT_EQ(r.removed, base.removed);
     EXPECT_TRUE(bitIdentical(r.reduced.e, base.reduced.e)) << threads;
     EXPECT_TRUE(bitIdentical(r.reduced.a, base.reduced.a)) << threads;
     EXPECT_TRUE(bitIdentical(r.reduced.c, base.reduced.c)) << threads;
     EXPECT_TRUE(bitIdentical(r.vKeep, base.vKeep)) << threads;
-    core::NondynamicRemovalResult nr = core::removeNondynamicModes(
-        r.reduced, -1.0, core::DeflationPath::Staircase);
+    core::NondynamicRemovalResult nr = core::removeNondynamicModes(r.reduced);
     EXPECT_EQ(nr.removed, nbase.removed);
     EXPECT_TRUE(bitIdentical(nr.shh.e, nbase.shh.e)) << threads;
     EXPECT_TRUE(bitIdentical(nr.shh.a, nbase.shh.a)) << threads;

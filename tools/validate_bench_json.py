@@ -169,8 +169,8 @@ def main():
             f"got {variants}")
 
     # Bench-smoke performance floor: the one-pass staircase chain must
-    # beat the legacy SVD chain by at least 1.5x at order 256 (the
-    # smallest order the Auto dispatch routes to the staircase path).
+    # beat the SVD-chain oracle (tests/svd_chain_oracle.hpp) by at least
+    # 1.5x at order 256.
     chain = {row["variant"]: row["seconds"]
              for row in kernels
              if row["kernel"] == "deflation-chain" and row["n"] == 256}
