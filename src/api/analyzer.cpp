@@ -263,7 +263,8 @@ Result<AnalysisReport> PassivityAnalyzer::analyzeImpl(
   if (marginTol && (status.ok() || isVerdictCode(status.code()))) {
     // On this thread, from the proper part the pipeline just extracted.
     StageTrace margin = runTimedStage("margin", [&] {
-      report.margin = core::marginOfRun(state.result, *marginTol);
+      report.margin = core::marginOfRun(state.result, *marginTol,
+                                          opts.imagTol);
       return Status::okStatus();
     });
     if (!margin.status.ok()) status = margin.status;

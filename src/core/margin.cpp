@@ -22,7 +22,8 @@ bool shiftedPr(const ProperPartResult& pp, double delta, double imagTol) {
 
 }  // namespace
 
-PassivityMargin marginOfRun(const PassivityResult& run, double tol) {
+PassivityMargin marginOfRun(const PassivityResult& run, double tol,
+                            double imagTol) {
   PassivityMargin out;
   // Structural (impulsive) defects are not repairable by D-shifts; only a
   // run that reached the positive-realness test has a proper part to shift.
@@ -38,10 +39,12 @@ PassivityMargin marginOfRun(const PassivityResult& run, double tol) {
   const double scale =
       1.0 + pp.dHalf.maxAbs() + pp.c1.maxAbs() * pp.b1.maxAbs();
   double lo = 0.0, hi = 0.0;  // invariant: PR(hi) true, PR(lo) false
-  if (shiftedPr(pp, 0.0, 1e-8)) {
+  // PR(0) is the run's own verdict: its pr-test stage ran the same test on
+  // this very (lambda, b1, c1, dHalf) with the same imagTol.
+  if (run.failure == FailureStage::None) {
     hi = 0.0;
     lo = -scale;
-    while (shiftedPr(pp, lo, 1e-8)) {
+    while (shiftedPr(pp, lo, imagTol)) {
       hi = lo;
       lo *= 4.0;
       if (lo < -1e12 * scale) {
@@ -54,7 +57,7 @@ PassivityMargin marginOfRun(const PassivityResult& run, double tol) {
   } else {
     lo = 0.0;
     hi = scale;
-    while (!shiftedPr(pp, hi, 1e-8)) {
+    while (!shiftedPr(pp, hi, imagTol)) {
       lo = hi;
       hi *= 4.0;
       if (hi > 1e12 * scale) {
@@ -65,7 +68,7 @@ PassivityMargin marginOfRun(const PassivityResult& run, double tol) {
   }
   while (hi - lo > tol) {
     const double mid = 0.5 * (lo + hi);
-    if (shiftedPr(pp, mid, 1e-8))
+    if (shiftedPr(pp, mid, imagTol))
       hi = mid;
     else
       lo = mid;
@@ -79,7 +82,7 @@ PassivityMargin passivityMargin(const ds::DescriptorSystem& g, double tol,
                                 double rankTol) {
   PassivityOptions options;
   options.rankTol = rankTol;
-  return marginOfRun(testPassivityShh(g, options), tol);
+  return marginOfRun(testPassivityShh(g, options), tol, options.imagTol);
 }
 
 ds::DescriptorSystem enforcePassivity(const ds::DescriptorSystem& g,

@@ -40,11 +40,19 @@ struct PassivityMargin {
 /// bisect on their own `run.properPart` to absolute tolerance `tol`;
 /// every other failure is a structural defect and leaves the margin
 /// undefined with `structuralDefect = run.failure`.
-PassivityMargin marginOfRun(const PassivityResult& run, double tol);
+///
+/// The delta = 0 probe is not re-run: it is the run's own verdict
+/// (`run.failure == FailureStage::None`), which the pr-test stage decided
+/// with the same test on the same proper part. That reuse is exact only
+/// if `imagTol` is the run's PassivityOptions::imagTol, and every shifted
+/// probe uses it too.
+PassivityMargin marginOfRun(const PassivityResult& run, double tol,
+                            double imagTol);
 
 /// Compute the passivity margin of a descriptor system: runs the standard
 /// pipeline (testPassivityShh) with `rankTol` (negative = shared SVD
-/// default) threaded into every rank decision, then marginOfRun. `tol` is
+/// default) threaded into every rank decision, then marginOfRun with
+/// that run's (default) imagTol. `tol` is
 /// the absolute bisection tolerance on the margin value. Operational
 /// failures throw as in testPassivityShh (std::invalid_argument for bad
 /// input, otherwise std::runtime_error).

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <stdexcept>
 
 #include "api/shhpass.hpp"
@@ -137,6 +138,59 @@ TEST(Margin, AnalyzerMarginEqualsStandaloneWrapper) {
     // PROPER_PART_NOT_PR reports its deficit as a negative margin.
     if (r->verdict == api::ErrorCode::ProperPartNotPr)
       EXPECT_LT(r->margin->margin, 0.0) << c.name;
+  }
+}
+
+TEST(Margin, SignAgreesWithVerdictAtEachImagTol) {
+  // Passive runs have margin >= 0 and PROPER_PART_NOT_PR runs margin < 0
+  // at any imagTol: the bisection takes its delta = 0 probe from the run's
+  // own verdict, so every shifted probe must use the run's tolerance too.
+  circuits::LadderOptions ladder;
+  ladder.sections = 4;
+  ladder.capAtPort = true;  // D = 0: the pr-test samples G(jw)
+  const ds::DescriptorSystem capLadder = circuits::makeRlcLadder(ladder);
+  ds::DescriptorSystem flipped = capLadder;  // -G: sampled and not PR
+  flipped.c *= -1.0;
+  const ds::DescriptorSystem systems[] = {
+      capLadder,
+      flipped,
+      firstOrder(0.5),
+      firstOrder(-0.25),
+      circuits::makeNonPassiveNegativeFeedthrough(3),
+      circuits::makeRandomRlcNetwork(8, 5),
+      circuits::makeRandomRlcNetwork(12, 9),
+  };
+  for (double imagTol : {1e-8, 1e-6}) {
+    api::AnalyzerOptions options;
+    options.passivity.imagTol = imagTol;
+    const api::PassivityAnalyzer analyzer(options);
+    int passive = 0, notPr = 0;
+    for (std::size_t i = 0; i < std::size(systems); ++i) {
+      api::AnalysisRequest req;
+      req.system = systems[i];
+      req.marginTol = 1e-6;
+      const api::Result<api::AnalysisReport> r = analyzer.analyze(req);
+      ASSERT_TRUE(r.ok()) << i << ": " << r.status().toString();
+      ASSERT_TRUE(r->margin.has_value()) << i;
+      const PassivityMargin& pm = *r->margin;
+      if (r->verdict == api::ErrorCode::Ok) {
+        ++passive;
+        ASSERT_TRUE(pm.defined) << i;
+        EXPECT_GE(pm.margin, 0.0) << i << " imagTol=" << imagTol;
+      } else if (r->verdict == api::ErrorCode::ProperPartNotPr) {
+        ++notPr;
+        ASSERT_TRUE(pm.defined) << i;
+        EXPECT_LT(pm.margin, 0.0) << i << " imagTol=" << imagTol;
+      }
+      // The analyzer threads its imagTol into the bisection.
+      const PassivityMargin direct = marginOfRun(
+          testPassivityShh(systems[i], options.passivity), 1e-6, imagTol);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(direct.margin),
+                std::bit_cast<std::uint64_t>(pm.margin))
+          << i << " imagTol=" << imagTol;
+    }
+    EXPECT_GE(passive, 3) << "imagTol=" << imagTol;
+    EXPECT_GE(notPr, 2) << "imagTol=" << imagTol;
   }
 }
 
