@@ -60,8 +60,6 @@ int main(int argc, char** argv) {
   obs::setMetricsEnabled(true);
   obs::setMemoryEnabled(true);
 
-  const api::Pipeline pipeline = api::Pipeline::standard();
-
   std::printf(
       "# Ablation: per-stage wall time (sec) of the proposed SHH test\n"
       "# (StageTrace records), reorder health of the Eq.-(22) split\n"
@@ -81,8 +79,7 @@ int main(int argc, char** argv) {
 
     api::PipelineState state;
     state.input = &g;
-    std::vector<api::StageTrace> traces;
-    const api::Status status = pipeline.run(state, &traces);
+    const api::Status status = api::runPipeline(state);
     if (!status.ok()) {
       std::fprintf(stderr, "unexpected verdict/error at n=%zu: %s\n", n,
                    status.toString().c_str());
@@ -90,7 +87,7 @@ int main(int argc, char** argv) {
     }
     std::map<std::string, double> t;
     std::size_t peakBytes = 0;
-    for (const api::StageTrace& tr : traces) {
+    for (const api::StageTrace& tr : state.report.stages) {
       t[tr.name] = tr.seconds;
       peakBytes = std::max(peakBytes, tr.peakBytes);
     }
@@ -100,7 +97,7 @@ int main(int argc, char** argv) {
     // stable/antistable Lyapunov split, both re-run on the intermediate
     // A4 as ObsSpan scopes and read back from the tracer, so they land
     // on the same timeline as the stage and kernel spans they contain.
-    const linalg::Matrix& a4 = state.result.properPart.a4;
+    const linalg::Matrix& a4 = state.properPart.a4;
     {
       obs::ObsSpan span("eig22", "ablation");
       control::stableInvariantSubspace(a4);
@@ -112,7 +109,7 @@ int main(int argc, char** argv) {
     const double tEig22 = spanSeconds("eig22");
     const double tSplit = spanSeconds("lyapunov-split");
 
-    const linalg::ReorderReport& rr = state.result.reorder;
+    const linalg::ReorderReport& rr = state.report.reorder;
     std::printf(
         "%-8zu %-10.4f %-10.4f %-10.4f %-10.4f %-12.4f %-10.4f %-7zu "
         "%-5zu %-10.2e %-7llu %-6llu %-8.2f\n",

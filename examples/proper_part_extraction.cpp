@@ -26,11 +26,10 @@ int main() {
   std::printf("original descriptor order: %zu (singular E)\n", g.order());
 
   // Drive the Fig.-1 stage pipeline directly, watching stages go by.
-  api::Pipeline pipeline = api::Pipeline::standard();
   api::PipelineState state;
   state.input = &g;
   api::Status status =
-      pipeline.run(state, nullptr, [](const api::StageTrace& t) {
+      api::runPipeline(state, [](const api::StageTrace& t) {
         std::printf("  stage %-20s %-8s (%.4f s)\n", t.name.c_str(),
                     api::errorCodeName(t.status.code()), t.seconds);
       });
@@ -39,7 +38,7 @@ int main() {
     return 1;
   }
 
-  const core::ProperPartResult& pp = state.result.properPart;
+  const core::ProperPartResult& pp = state.properPart;
   std::printf("extracted stable proper part: order %zu (regular E = I)\n",
               pp.lambda.rows());
   std::printf("poles of the proper part:\n");

@@ -1,8 +1,11 @@
 #include "api/pipeline.hpp"
 
-#include <utility>
+#include <algorithm>
+#include <cstdint>
 
+#include "api/json.hpp"
 #include "control/pr_test.hpp"
+#include "core/markov.hpp"
 #include "core/phi_builder.hpp"
 #include "obs/clock.hpp"
 #include "obs/memory.hpp"
@@ -20,157 +23,126 @@ Status verdict(core::FailureStage stage) {
 
 // Stage 0 of Fig. 1: shape validation, squareness, pencil balancing, and
 // (unless skipped) the regularity and finite-stability screens.
-class PrerequisitesStage final : public Stage {
- public:
-  const char* name() const override { return "prerequisites"; }
-  Status run(PipelineState& s) override {
-    s.input->validate();
-    if (!s.input->isSquareSystem())
-      return verdict(core::FailureStage::NotSquare);
-    // Balance the pencil: frequency scaling + equilibration, both exact
-    // r.s.e. operations under which passivity is invariant.
-    s.balanced = s.options.balance ? ds::balanceDescriptor(*s.input)
-                                   : ds::BalancedSystem{*s.input, 1.0};
-    if (!s.options.skipPrerequisites) {
-      if (!ds::isRegular(s.balanced.sys))
-        return verdict(core::FailureStage::SingularPencil);
-      if (!ds::hasStableFiniteModes(s.balanced.sys))
-        return verdict(core::FailureStage::UnstableFiniteModes);
-    }
-    return Status::okStatus();
+Status prerequisites(PipelineState& s) {
+  s.input->validate();
+  if (!s.input->isSquareSystem())
+    return verdict(core::FailureStage::NotSquare);
+  // Balance the pencil: frequency scaling + equilibration, both exact
+  // r.s.e. operations under which passivity is invariant.
+  s.balanced = s.options.balance ? ds::balanceDescriptor(*s.input)
+                                 : ds::BalancedSystem{*s.input, 1.0};
+  if (!s.options.skipPrerequisites) {
+    if (!ds::isRegular(s.balanced.sys))
+      return verdict(core::FailureStage::SingularPencil);
+    if (!ds::hasStableFiniteModes(s.balanced.sys))
+      return verdict(core::FailureStage::UnstableFiniteModes);
   }
-};
+  return Status::okStatus();
+}
 
 // Stage 1: realize Phi = G + G~ as an SHH pencil (Eq. 10).
-class BuildPhiStage final : public Stage {
- public:
-  const char* name() const override { return "build-phi"; }
-  Status run(PipelineState& s) override {
-    s.phi = core::buildPhi(s.balanced.sys);
-    return Status::okStatus();
-  }
-};
+Status buildPhi(PipelineState& s) {
+  s.phi = core::buildPhi(s.balanced.sys);
+  return Status::okStatus();
+}
 
 // Stage 2: deflate impulse-unobservable/-uncontrollable modes (Eqs. 11-17).
-class ImpulseDeflationStage final : public Stage {
- public:
-  const char* name() const override { return "impulse-deflation"; }
-  Status run(PipelineState& s) override {
-    s.deflation = core::deflateImpulseModes(s.phi, s.options.rankTol);
-    // Last reader of Phi; no stage reads the deflation's bases.
-    s.phi = shh::ShhRealization{};
-    s.deflation.vKeep = linalg::Matrix();
-    s.deflation.impulseUnobservable = linalg::Matrix();
-    s.result.removedImpulsive = s.deflation.removed;
-    s.result.rankPolicy.merge(s.deflation.rankReport);
-    s.result.staircase.merge(s.deflation.staircase);
-    return Status::okStatus();
-  }
-};
+Status impulseDeflation(PipelineState& s) {
+  s.deflation = core::deflateImpulseModes(s.phi, s.options.rankTol);
+  // Last reader of Phi; no stage reads the deflation's bases.
+  s.phi = shh::ShhRealization{};
+  s.deflation.vKeep = linalg::Matrix();
+  s.deflation.impulseUnobservable = linalg::Matrix();
+  s.report.removedImpulsive = s.deflation.removed;
+  s.report.rankPolicy.merge(s.deflation.rankReport);
+  s.report.staircase.merge(s.deflation.staircase);
+  return Status::okStatus();
+}
 
 // Stage 3: impulse-freeness certificate + nondynamic removal (Eqs. 18-20).
-class NondynamicRemovalStage final : public Stage {
- public:
-  const char* name() const override { return "nondynamic-removal"; }
-  Status run(PipelineState& s) override {
-    s.nondynamic =
-        core::removeNondynamicModes(s.deflation.reduced, s.options.rankTol);
-    s.deflation.reduced = shh::SkewSymRealization{};  // last reader
-    s.result.removedNondynamic = s.nondynamic.removed;
-    s.result.rankPolicy.merge(s.nondynamic.rankReport);
-    s.result.staircase.merge(s.nondynamic.staircase);
-    if (!s.nondynamic.impulseFree)
-      return verdict(core::FailureStage::ResidualImpulses);
-    return Status::okStatus();
-  }
-};
+Status nondynamicRemoval(PipelineState& s) {
+  s.nondynamic =
+      core::removeNondynamicModes(s.deflation.reduced, s.options.rankTol);
+  s.deflation.reduced = shh::SkewSymRealization{};  // last reader
+  s.report.removedNondynamic = s.nondynamic.removed;
+  s.report.rankPolicy.merge(s.nondynamic.rankReport);
+  s.report.staircase.merge(s.nondynamic.staircase);
+  if (!s.nondynamic.impulseFree)
+    return verdict(core::FailureStage::ResidualImpulses);
+  return Status::okStatus();
+}
 
 // Stage 4: impulsive-part admissibility of G itself — grade >= 3 screen
 // plus M1 extraction and the M1 >= 0 check (Eqs. 24-25). Reads only the
 // prerequisites' balanced system and the impulse-deflation outputs.
-class M1ExtractionStage final : public Stage {
- public:
-  const char* name() const override { return "m1-extraction"; }
-  Status run(PipelineState& s) override {
-    // The impulse-deflation stage's compression of the balanced E (the
-    // half-size block of Phi's diag(E, E^T)) serves this whole stage too.
-    const linalg::Compression* eComp =
-        s.deflation.hasHalfECompression ? &s.deflation.halfECompression
-                                        : nullptr;
-    // Skew-symmetric Mk cancel inside Phi, so the grade >= 3 screen only
-    // needs to run when the stage-2 deflation was non-trivial. Rank and
-    // staircase records only accumulate (sums, min/max), so they can go
-    // straight into the result.
-    if (s.deflation.removed > 0 &&
-        core::hasHigherOrderImpulses(s.balanced.sys, s.options.rankTol,
-                                     &s.result.rankPolicy,
-                                     &s.result.staircase, eComp))
-      return verdict(core::FailureStage::HigherOrderImpulse);
-    const core::M1Extraction m1 =
-        core::extractM1(s.balanced.sys, s.options.rankTol, {}, eComp);
-    s.deflation.halfECompression = linalg::Compression{};  // last reader
-    s.deflation.hasHalfECompression = false;
-    s.result.rankPolicy.merge(m1.rankReport);
-    s.result.staircase.merge(m1.staircase);
-    // The balanced system is G_b(s) = G(tau * s) with residue tau * M1 at
-    // infinity; undo the frequency scaling for reporting.
-    s.result.m1 = (1.0 / s.balanced.freqScale) * m1.m1;
-    s.result.impulsiveChains = m1.chainCount;
-    if (!m1.symmetric || !m1.psd)
-      return verdict(core::FailureStage::M1NotPsd);
-    return Status::okStatus();
-  }
-};
+Status m1Extraction(PipelineState& s) {
+  // The impulse-deflation stage's compression of the balanced E (the
+  // half-size block of Phi's diag(E, E^T)) serves this whole stage too.
+  const linalg::Compression* eComp =
+      s.deflation.hasHalfECompression ? &s.deflation.halfECompression
+                                      : nullptr;
+  // Skew-symmetric Mk cancel inside Phi, so the grade >= 3 screen only
+  // needs to run when the stage-2 deflation was non-trivial. Rank and
+  // staircase records only accumulate (sums, min/max), so they can go
+  // straight into the report.
+  if (s.deflation.removed > 0 &&
+      core::hasHigherOrderImpulses(s.balanced.sys, s.options.rankTol,
+                                   &s.report.rankPolicy,
+                                   &s.report.staircase, eComp))
+    return verdict(core::FailureStage::HigherOrderImpulse);
+  const core::M1Extraction m1 =
+      core::extractM1(s.balanced.sys, s.options.rankTol, {}, eComp);
+  s.deflation.halfECompression = linalg::Compression{};  // last reader
+  s.deflation.hasHalfECompression = false;
+  s.report.rankPolicy.merge(m1.rankReport);
+  s.report.staircase.merge(m1.staircase);
+  // The balanced system is G_b(s) = G(tau * s) with residue tau * M1 at
+  // infinity; undo the frequency scaling for reporting.
+  s.report.m1 = (1.0 / s.balanced.freqScale) * m1.m1;
+  s.report.impulsiveChains = m1.chainCount;
+  if (!m1.symmetric || !m1.psd)
+    return verdict(core::FailureStage::M1NotPsd);
+  return Status::okStatus();
+}
 
 // Stage 5: normalize E3 and split off the stable proper part (Eqs. 21-23).
-class ProperPartStage final : public Stage {
- public:
-  const char* name() const override { return "proper-part"; }
-  Status run(PipelineState& s) override {
-    core::ProperPartResult& pp = s.result.properPart;
-    pp = core::extractProperPart(s.nondynamic.shh, s.options.imagTol,
-                                 s.options.rankTol);
-    s.nondynamic.shh = shh::ShhRealization{};  // last reader
-    s.result.reorder = pp.reorder;
-    s.result.schur = pp.schur;
-    s.result.rankPolicy.merge(pp.rankReport);
-    if (!pp.ok) return verdict(core::FailureStage::LosslessAxisModes);
-    return Status::okStatus();
-  }
-};
+Status properPart(PipelineState& s) {
+  core::ProperPartResult& pp = s.properPart;
+  pp = core::extractProperPart(s.nondynamic.shh, s.options.imagTol,
+                               s.options.rankTol);
+  s.nondynamic.shh = shh::ShhRealization{};  // last reader
+  s.report.reorder = pp.reorder;
+  s.report.schur = pp.schur;
+  s.report.rankPolicy.merge(pp.rankReport);
+  if (!pp.ok) return verdict(core::FailureStage::LosslessAxisModes);
+  return Status::okStatus();
+}
 
 // Stage 6: standard positive-realness test on the extracted proper part.
-class PositiveRealnessStage final : public Stage {
- public:
-  const char* name() const override { return "pr-test"; }
-  Status run(PipelineState& s) override {
-    const core::ProperPartResult& pp = s.result.properPart;
-    control::PrTestResult pr = control::testPositiveRealProper(
-        pp.lambda, pp.b1, pp.c1, pp.dHalf, s.options.imagTol);
-    if (!pr.positiveReal)
-      return verdict(core::FailureStage::ProperPartNotPr);
-    return Status::okStatus();
-  }
+Status positiveRealness(PipelineState& s) {
+  const core::ProperPartResult& pp = s.properPart;
+  const control::PrTestResult pr = control::testPositiveRealProper(
+      pp.lambda, pp.b1, pp.c1, pp.dHalf, s.options.imagTol);
+  if (!pr.positiveReal) return verdict(core::FailureStage::ProperPartNotPr);
+  return Status::okStatus();
+}
+
+/// The Fig.-1 flowchart, one row per box, in execution order.
+struct StageEntry {
+  const char* name;
+  Status (*run)(PipelineState&);
+};
+constexpr StageEntry kStages[] = {
+    {"prerequisites", prerequisites},
+    {"build-phi", buildPhi},
+    {"impulse-deflation", impulseDeflation},
+    {"nondynamic-removal", nondynamicRemoval},
+    {"m1-extraction", m1Extraction},
+    {"proper-part", properPart},
+    {"pr-test", positiveRealness},
 };
 
 }  // namespace
-
-Pipeline Pipeline::standard() {
-  Pipeline p;
-  p.addStage(std::make_unique<PrerequisitesStage>());
-  p.addStage(std::make_unique<BuildPhiStage>());
-  p.addStage(std::make_unique<ImpulseDeflationStage>());
-  p.addStage(std::make_unique<NondynamicRemovalStage>());
-  p.addStage(std::make_unique<M1ExtractionStage>());
-  p.addStage(std::make_unique<ProperPartStage>());
-  p.addStage(std::make_unique<PositiveRealnessStage>());
-  return p;
-}
-
-Pipeline& Pipeline::addStage(std::unique_ptr<Stage> stage) {
-  stages_.push_back(std::move(stage));
-  return *this;
-}
 
 StageTrace runTimedStage(const char* name,
                          const std::function<Status()>& body) {
@@ -192,21 +164,19 @@ StageTrace runTimedStage(const char* name,
   return trace;
 }
 
-const Pipeline& standardPipeline() {
-  static const Pipeline kPipeline = Pipeline::standard();
-  return kPipeline;
-}
-
-Status Pipeline::run(PipelineState& state, std::vector<StageTrace>* traces,
-                     const Observer& observer) const {
-  state.result = core::PassivityResult{};
+Status runPipeline(PipelineState& state, const StageObserver& observer) {
+  state.properPart = core::ProperPartResult{};
+  state.report = AnalysisReport{};
   if (state.input == nullptr)
     return Status::error(ErrorCode::InvalidArgument,
                          "PipelineState::input is null");
-  for (const std::unique_ptr<Stage>& stage : stages_) {
-    const StageTrace trace =
-        runTimedStage(stage->name(), [&] { return stage->run(state); });
-    if (traces) traces->push_back(trace);
+  AnalysisReport& report = state.report;
+  Status status = Status::okStatus();
+  for (const StageEntry& stage : kStages) {
+    report.stages.push_back(
+        runTimedStage(stage.name, [&] { return stage.run(state); }));
+    const StageTrace& trace = report.stages.back();
+    report.totalSeconds += trace.seconds;
     if (observer) {
       try {
         observer(trace);
@@ -216,17 +186,136 @@ Status Pipeline::run(PipelineState& state, std::vector<StageTrace>* traces,
       }
     }
     if (!trace.status.ok()) {
-      if (isVerdictCode(trace.status.code())) {
-        state.result.passive = false;
-        state.result.failure =
-            *failureStageFromErrorCode(trace.status.code());
-      }
-      return trace.status;
+      status = trace.status;
+      break;
     }
   }
-  state.result.passive = true;
-  state.result.failure = core::FailureStage::None;
-  return Status::okStatus();
+  if (!status.ok() && !isVerdictCode(status.code())) return status;
+
+  report.passive = status.ok();
+  report.verdict = status.code();
+  report.verdictMessage =
+      status.ok() ? core::failureStageName(core::FailureStage::None)
+                  : status.message();
+  report.failure = status.ok() ? core::FailureStage::None
+                               : *failureStageFromErrorCode(status.code());
+  report.order = state.input->order();
+  report.ports = state.input->numInputs();
+  report.properOrder = state.properPart.lambda.rows();
+  if (report.reorder.rejectedSwaps > 0)
+    report.warnings.push_back(Warning::ReorderSwapRejected);
+  return status;
+}
+
+bool AnalysisReport::decisionEquals(const AnalysisReport& other) const {
+  if (id != other.id || passive != other.passive ||
+      verdict != other.verdict || verdictMessage != other.verdictMessage ||
+      failure != other.failure || order != other.order ||
+      ports != other.ports || removedImpulsive != other.removedImpulsive ||
+      removedNondynamic != other.removedNondynamic ||
+      impulsiveChains != other.impulsiveChains ||
+      properOrder != other.properOrder || reorder != other.reorder ||
+      schur != other.schur || rankPolicy != other.rankPolicy ||
+      staircase != other.staircase || warnings != other.warnings ||
+      margin != other.margin)
+    return false;
+  if (m1.rows() != other.m1.rows() || m1.cols() != other.m1.cols())
+    return false;
+  for (std::size_t i = 0; i < m1.rows(); ++i)
+    for (std::size_t j = 0; j < m1.cols(); ++j)
+      if (m1(i, j) != other.m1(i, j)) return false;
+  if (stages.size() != other.stages.size()) return false;
+  for (std::size_t k = 0; k < stages.size(); ++k) {
+    if (stages[k].name != other.stages[k].name ||
+        stages[k].status.code() != other.stages[k].status.code() ||
+        stages[k].status.message() != other.stages[k].status.message())
+      return false;
+  }
+  return true;
+}
+
+std::string AnalysisReport::toJson() const {
+  json::Writer w;
+  w.beginObject();
+  w.key("id").value(id);
+  w.key("passive").value(passive);
+  w.key("verdict").value(errorCodeName(verdict));
+  w.key("verdictMessage").value(verdictMessage);
+  w.key("order").value(order);
+  w.key("ports").value(ports);
+  w.key("diagnostics").beginObject();
+  w.key("removedImpulsive").value(removedImpulsive);
+  w.key("removedNondynamic").value(removedNondynamic);
+  w.key("impulsiveChains").value(impulsiveChains);
+  w.key("properOrder").value(properOrder);
+  {
+    // Peak of the per-stage memory high-water marks (0 when the obs
+    // memory accountant was off for the run).
+    std::size_t peak = 0;
+    for (const StageTrace& t : stages) peak = std::max(peak, t.peakBytes);
+    w.key("peakBytes").value(peak);
+  }
+  w.key("m1").value(m1);
+  w.key("reorder").beginObject();
+  w.key("swaps").value(reorder.swaps);
+  w.key("rejectedSwaps").value(reorder.rejectedSwaps);
+  w.key("maxResidual").value(reorder.maxResidual);
+  w.key("eigenvalueDrift").value(reorder.eigenvalueDrift);
+  w.key("standardizations").value(reorder.standardizations);
+  w.endObject();
+  w.key("schur").beginObject();
+  w.key("multishift").value(schur.multishift);
+  w.key("sweeps").value(schur.sweeps);
+  w.key("aedWindows").value(schur.aedWindows);
+  w.key("aedDeflations").value(schur.aedDeflations);
+  w.key("shiftsApplied").value(schur.shiftsApplied);
+  w.key("iterations").value(schur.iterations);
+  w.key("structureRepairs").value(schur.structureRepairs);
+  w.endObject();
+  w.key("rankPolicy").beginObject();
+  w.key("decisions").value(rankPolicy.decisions);
+  w.key("minKeptMargin").value(rankPolicy.minKeptMargin);
+  w.key("maxDroppedMargin").value(rankPolicy.maxDroppedMargin);
+  w.endObject();
+  w.key("staircase").beginObject();
+  w.key("compressions").value(staircase.compressions);
+  w.key("svdFallbacks").value(staircase.svdFallbacks);
+  w.key("diagonalFastPaths").value(staircase.diagonalFastPaths);
+  w.key("qrCompressions").value(staircase.qrCompressions);
+  w.key("skewTridiagonalizations").value(staircase.skewTridiagonalizations);
+  w.key("reusedCompressions").value(staircase.reusedCompressions);
+  w.key("chainLength").value(staircase.chainLength);
+  w.key("truncatedSteps").value(staircase.truncatedSteps);
+  w.endObject();
+  if (margin) {
+    w.key("margin").beginObject();
+    w.key("defined").value(margin->defined);
+    if (margin->defined)
+      w.key("value").value(margin->margin);
+    else
+      w.key("structuralDefect")
+          .value(errorCodeName(
+              errorCodeFromFailureStage(margin->structuralDefect)));
+    w.endObject();
+  }
+  w.endObject();
+  w.key("warnings").beginArray();
+  for (Warning warn : warnings) w.value(warningName(warn));
+  w.endArray();
+  w.key("stages").beginArray();
+  for (const StageTrace& t : stages) {
+    w.beginObject();
+    w.key("name").value(t.name);
+    w.key("status").value(errorCodeName(t.status.code()));
+    if (!t.status.ok()) w.key("message").value(t.status.message());
+    w.key("seconds").value(t.seconds);
+    if (t.peakBytes > 0) w.key("peakBytes").value(t.peakBytes);
+    w.endObject();
+  }
+  w.endArray();
+  w.key("totalSeconds").value(totalSeconds);
+  w.endObject();
+  return w.str();
 }
 
 }  // namespace shhpass::api

@@ -1,9 +1,9 @@
 // Stage-pipeline engine for the Fig.-1 passivity test. Each box of the
-// paper's flowchart is a Stage object with a uniform
-//     run(PipelineState&) -> Status
-// interface; the Pipeline runs them in order with per-stage wall-clock
-// timing and an optional diagnostic observer (this subsumes the per-stage
-// instrumentation the ablation bench used to hand-roll).
+// paper's flowchart is one stage function
+//     Status stage(PipelineState&)
+// in a fixed table; runPipeline runs them in order with per-stage
+// wall-clock timing and an optional diagnostic observer, and records the
+// outcome in the one result type, AnalysisReport.
 //
 // Status semantics inside the pipeline:
 //   * ok            -> continue to the next stage;
@@ -12,68 +12,33 @@
 //   * error code    -> the analysis failed (bad input / numerical
 //                      breakdown); the run stops and the error propagates.
 //
-// run() executes the stages strictly in order on the calling thread. The
-// Fig.-1 chain is sequential (every stage reads what the previous one
-// built), so there is one execution mode; parallelism lives one level up,
-// across analyses (PassivityAnalyzer::runBatch), and one level down,
-// inside the gemm kernel (linalg/blas.hpp).
+// runPipeline executes the stages strictly in order on the calling
+// thread. The Fig.-1 chain is sequential (every stage reads what the
+// previous one built), so there is one execution mode; parallelism lives
+// one level up, across analyses (PassivityAnalyzer::runBatch), and one
+// level down, inside the gemm kernel (linalg/blas.hpp).
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "api/status.hpp"
 #include "core/impulse_deflation.hpp"
-#include "core/markov.hpp"
+#include "core/margin.hpp"
 #include "core/nondynamic.hpp"
 #include "core/passivity_test.hpp"
 #include "core/proper_part.hpp"
 #include "ds/balance.hpp"
+#include "linalg/schur_multishift.hpp"
+#include "linalg/schur_reorder.hpp"
+#include "linalg/staircase.hpp"
+#include "linalg/svd.hpp"
 #include "shh/shh_pencil.hpp"
 
 namespace shhpass::api {
-
-/// Mutable state threaded through the stages: the input system, the
-/// intermediate realizations, and the accumulated legacy-compatible
-/// diagnostics (core::PassivityResult) from which reports are built.
-///
-/// Slot ownership: each slot below is written by exactly one stage and
-/// released (reset to empty) by the last stage that reads it, so a batch
-/// worker holds at most the realizations its current stage needs. Stages
-/// write their diagnostics straight into `result`.
-struct PipelineState {
-  const ds::DescriptorSystem* input = nullptr;  ///< Borrowed; must outlive.
-  core::PassivityOptions options;
-
-  /// Set by prerequisites; kept after run() (m1-extraction reads it, and
-  /// callers read it to evaluate the proper part in balanced coordinates).
-  ds::BalancedSystem balanced;
-  /// Set by build-phi; released by impulse-deflation.
-  shh::ShhRealization phi;
-  /// Set by impulse-deflation, which releases `vKeep` and
-  /// `impulseUnobservable` (no stage reads them); nondynamic-removal
-  /// releases `reduced`; m1-extraction reads and then releases
-  /// `halfECompression`.
-  core::ImpulseDeflationResult deflation;
-  /// Set by nondynamic-removal; proper-part releases `shh`.
-  core::NondynamicRemovalResult nondynamic;
-
-  /// Verdict + diagnostics, identical in content to the legacy
-  /// testPassivityShh result (the deprecated shim returns exactly this).
-  /// pr-test reads the proper part from result.properPart.
-  core::PassivityResult result;
-};
-
-/// One box of the Fig.-1 flowchart.
-class Stage {
- public:
-  virtual ~Stage() = default;
-  virtual const char* name() const = 0;
-  virtual Status run(PipelineState& state) = 0;
-};
 
 /// Per-stage execution record: what ran, how long, and with what outcome.
 struct StageTrace {
@@ -86,60 +51,141 @@ struct StageTrace {
   std::size_t peakBytes = 0;
 };
 
+/// Full decision-path record of one analysis.
+struct AnalysisReport {
+  std::string id;               ///< AnalysisRequest::id (empty for ad hoc).
+  bool passive = false;
+  ErrorCode verdict = ErrorCode::Ok;  ///< Ok when passive, else the Fig.-1
+                                      ///< stage verdict code.
+  std::string verdictMessage;   ///< Human-readable verdict.
+  core::FailureStage failure = core::FailureStage::None;
+
+  // Input shape.
+  std::size_t order = 0;        ///< State count of the input system.
+  std::size_t ports = 0;        ///< Input (= output) count.
+
+  // Stage diagnostics.
+  std::size_t removedImpulsive = 0;   ///< Deflated directions (stage 2).
+  std::size_t removedNondynamic = 0;  ///< Eliminated states (stage 3).
+  std::size_t impulsiveChains = 0;    ///< Grade-2 chain count of G.
+  linalg::Matrix m1;            ///< First Markov parameter (residue at inf).
+  std::size_t properOrder = 0;  ///< Order of the extracted proper part.
+
+  /// Health of the Schur reordering behind the Eq.-(22) stable/antistable
+  /// split (zeroed when the run never reached the proper-part stage). A
+  /// nonzero rejectedSwaps means some exchanges were numerically
+  /// ill-posed and the ordering is incomplete — a LosslessAxisModes
+  /// verdict is then conservative rather than certain.
+  linalg::ReorderReport reorder;
+  /// Health of the real Schur eigensolver behind that split: which
+  /// kernel path ran (multishift vs unblocked oracle), sweep / AED /
+  /// shift / iteration counters (linalg/schur_multishift.hpp; zeroed
+  /// when the run never reached the proper-part stage). Serialized
+  /// under diagnostics.schur.
+  linalg::SchurReport schur;
+  /// Health of the shared-policy SVD rank decisions behind every
+  /// deflation step (decision count + worst kept/dropped margins,
+  /// linalg/svd.hpp; empty when the run stopped before the deflation
+  /// stages). Serialized under diagnostics.rankPolicy.
+  linalg::RankReport rankPolicy;
+  /// Health of the one-pass staircase deflation chain (kernel mix,
+  /// compression reuse, chain truncation — linalg/staircase.hpp), merged
+  /// across the impulse-deflation, nondynamic-removal, and m1-extraction
+  /// stages. Serialized under diagnostics.staircase.
+  linalg::StaircaseReport staircase;
+  /// Non-fatal diagnostic flags (e.g. Warning::ReorderSwapRejected).
+  std::vector<Warning> warnings;
+  /// Passivity margin (core::marginOfRun), present only when the request
+  /// set marginTol. Defined for passive and PROPER_PART_NOT_PR verdicts;
+  /// undefined with structuralDefect = failure for every other verdict.
+  /// Serialized under diagnostics.margin.
+  std::optional<core::PassivityMargin> margin;
+
+  // Execution record.
+  /// One trace per executed stage, in Fig.-1 order, followed by a
+  /// "margin" trace when the request set marginTol and the margin was
+  /// computed.
+  std::vector<StageTrace> stages;
+  double totalSeconds = 0.0;  ///< Sum of the stage seconds.
+
+  /// Decision-path equality: every field that reflects WHAT was decided
+  /// (verdict, diagnostics, M1, margin, per-stage statuses) — everything
+  /// except wall-clock timings and memory peaks. Batch results must
+  /// decisionEquals their sequential single-shot counterparts, for every
+  /// worker count.
+  bool decisionEquals(const AnalysisReport& other) const;
+
+  /// Compact JSON serialization of the full decision path (service wire
+  /// format; see README for the schema).
+  std::string toJson() const;
+};
+
+/// Mutable state threaded through the stages: the input system, the
+/// intermediate realizations, and the report the stages fill in.
+///
+/// Slot ownership: each slot below is written by exactly one stage and
+/// released (reset to empty) by the last stage that reads it, so a batch
+/// worker holds at most the realizations its current stage needs. Stages
+/// write their diagnostics straight into `report`.
+struct PipelineState {
+  const ds::DescriptorSystem* input = nullptr;  ///< Borrowed; must outlive.
+  core::PassivityOptions options;
+
+  /// Set by prerequisites; kept after runPipeline (m1-extraction reads
+  /// it, and callers read it to evaluate the proper part in balanced
+  /// coordinates).
+  ds::BalancedSystem balanced;
+  /// Set by build-phi; released by impulse-deflation.
+  shh::ShhRealization phi;
+  /// Set by impulse-deflation, which releases `vKeep` and
+  /// `impulseUnobservable` (no stage reads them); nondynamic-removal
+  /// releases `reduced`; m1-extraction reads and then releases
+  /// `halfECompression`.
+  core::ImpulseDeflationResult deflation;
+  /// Set by nondynamic-removal; proper-part releases `shh`.
+  core::NondynamicRemovalResult nondynamic;
+  /// The decoupled stable proper part (the paper's "sidetrack"). Set by
+  /// proper-part, read by pr-test; kept after runPipeline for the
+  /// margin (core::marginOfRun) and for callers.
+  core::ProperPartResult properPart;
+
+  /// The run's result. runPipeline resets it, the stages write their
+  /// diagnostics into it, and the run fills in the verdict fields,
+  /// order/ports, properOrder, warnings, stage traces and totalSeconds.
+  /// `id` and `margin` are left to the caller.
+  AnalysisReport report;
+};
+
+/// Per-stage diagnostic hook (see runPipeline for its threading contract).
+using StageObserver = std::function<void(const StageTrace&)>;
+
 /// Run `body` as the stage `name`: time it, record its peak memory, emit
 /// its "stage" span and stage metrics. An exception escaping `body`
-/// becomes the trace's Status. Pipeline::run times every Fig.-1 stage
-/// this way; the analyzer times the margin bisection the same way.
+/// becomes the trace's Status. runPipeline times every Fig.-1 stage this
+/// way; the analyzer times the margin bisection the same way.
 StageTrace runTimedStage(const char* name,
                          const std::function<Status()>& body);
 
-/// An ordered sequence of stages with timing and diagnostic hooks.
-class Pipeline {
- public:
-  using Observer = std::function<void(const StageTrace&)>;
-
-  Pipeline() = default;
-  Pipeline(Pipeline&&) = default;
-  Pipeline& operator=(Pipeline&&) = default;
-
-  /// The seven-stage Fig.-1 pipeline of the paper: prerequisites, Phi
-  /// build, impulse deflation, nondynamic removal, M1 extraction/PSD
-  /// check, proper-part extraction, positive-realness test.
-  static Pipeline standard();
-
-  /// Append a stage; stages run in the order they were added.
-  Pipeline& addStage(std::unique_ptr<Stage> stage);
-  const std::vector<std::unique_ptr<Stage>>& stages() const {
-    return stages_;
-  }
-
-  /// Run the stages on `state`. Exceptions escaping a stage are translated
-  /// to operational-error Statuses (no exceptions cross this boundary).
-  /// Each completed stage is appended to `traces` (if non-null) and handed
-  /// to `observer` (if set).
-  ///
-  /// Observer threading contract: the observer is invoked synchronously on
-  /// the thread calling run(), once per completed stage, never after run()
-  /// returns. The analyzer snapshots its installed observer under a mutex
-  /// before each analysis (see PassivityAnalyzer::setStageObserver), so
-  /// swapping observers concurrently with a running analysis is safe; a
-  /// callable shared across concurrent analyses must itself be
-  /// thread-safe, because two run() calls may invoke it concurrently.
-  /// Returns:
-  ///   * ok       — all stages passed; state.result.passive == true;
-  ///   * verdict  — a stage declared non-passivity; state.result.failure
-  ///                names the stage;
-  ///   * error    — the analysis failed; state.result is meaningless.
-  Status run(PipelineState& state, std::vector<StageTrace>* traces = nullptr,
-             const Observer& observer = nullptr) const;
-
- private:
-  std::vector<std::unique_ptr<Stage>> stages_;
-};
-
-/// The shared immutable instance of Pipeline::standard() used by both the
-/// analyzer facade and the deprecated core::testPassivityShh shim (one
-/// construction site, so the two entry points cannot diverge).
-const Pipeline& standardPipeline();
+/// Run the seven Fig.-1 stages of the paper on `state`: prerequisites,
+/// Phi build, impulse deflation, nondynamic removal, M1 extraction/PSD
+/// check, proper-part extraction, positive-realness test. Exceptions
+/// escaping a stage are translated to operational-error Statuses (no
+/// exceptions cross this boundary). Each completed stage is appended to
+/// `state.report.stages` and handed to `observer` (if set).
+///
+/// Observer threading contract: the observer is invoked synchronously on
+/// the thread calling runPipeline, once per completed stage, never after
+/// it returns. The analyzer snapshots its installed observer under a
+/// mutex before each analysis (see PassivityAnalyzer::setStageObserver),
+/// so swapping observers concurrently with a running analysis is safe; a
+/// callable shared across concurrent analyses must itself be
+/// thread-safe, because two runs may invoke it concurrently.
+/// Returns:
+///   * ok       — all stages passed; state.report.passive == true;
+///   * verdict  — a stage declared non-passivity; state.report.failure
+///                names the stage;
+///   * error    — the analysis failed; state.report is meaningless.
+Status runPipeline(PipelineState& state,
+                   const StageObserver& observer = nullptr);
 
 }  // namespace shhpass::api

@@ -7,13 +7,11 @@
 //   if (result.ok()) std::puts(result->toJson().c_str());
 //
 // Pulls in the engine facade (PassivityAnalyzer, AnalysisRequest/-Report,
-// runBatch), the Status/Result error model, the stage-pipeline engine, and
-// the modelling front ends (descriptor systems, netlists, MNA stamping,
-// circuit generators) needed to build analysis inputs.
-//
-// The per-module free functions underneath (core::testPassivityShh and the
-// stage helpers) remain available for advanced use but are deprecated as
-// entry points; new code should go through this header.
+// runBatch), the Status/Result error model, the stage-pipeline engine
+// (runPipeline, for callers that want the intermediate realizations), the
+// passivity margin and enforcement helpers, and the modelling front ends
+// (descriptor systems, netlists, MNA stamping, circuit generators) needed
+// to build analysis inputs.
 #pragma once
 
 // Engine facade and error model.
@@ -39,5 +37,5 @@
 #include "ds/descriptor.hpp"
 #include "ds/impulse_tests.hpp"
 
-// Legacy single-call test (deprecated shim over the pipeline engine).
-#include "core/passivity_test.hpp"
+// Passivity margin and feedthrough enforcement (Sec. 4 remarks).
+#include "core/margin.hpp"

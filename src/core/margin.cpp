@@ -1,7 +1,9 @@
 #include "core/margin.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
+#include "api/pipeline.hpp"
 #include "control/pr_test.hpp"
 
 namespace shhpass::core {
@@ -20,19 +22,27 @@ bool shiftedPr(const ProperPartResult& pp, double delta, double imagTol) {
   return pr.positiveReal;
 }
 
+// `while (hi - lo > tol)` ends only for a finite, positive tol.
+void requireBisectionTol(double tol) {
+  if (!(std::isfinite(tol) && tol > 0.0))
+    throw std::invalid_argument(
+        "passivity margin: tol must be finite and > 0");
+}
+
 }  // namespace
 
-PassivityMargin marginOfRun(const PassivityResult& run, double tol,
+PassivityMargin marginOfRun(FailureStage failure,
+                            const ProperPartResult& pp, double tol,
                             double imagTol) {
+  requireBisectionTol(tol);
   PassivityMargin out;
   // Structural (impulsive) defects are not repairable by D-shifts; only a
   // run that reached the positive-realness test has a proper part to shift.
-  if (run.failure != FailureStage::None &&
-      run.failure != FailureStage::ProperPartNotPr) {
-    out.structuralDefect = run.failure;
+  if (failure != FailureStage::None &&
+      failure != FailureStage::ProperPartNotPr) {
+    out.structuralDefect = failure;
     return out;
   }
-  const ProperPartResult& pp = run.properPart;
 
   // Bisect delta such that Hp + (delta/2) I turns positive real exactly at
   // delta = -2*margin. Bracket first.
@@ -41,7 +51,7 @@ PassivityMargin marginOfRun(const PassivityResult& run, double tol,
   double lo = 0.0, hi = 0.0;  // invariant: PR(hi) true, PR(lo) false
   // PR(0) is the run's own verdict: its pr-test stage ran the same test on
   // this very (lambda, b1, c1, dHalf) with the same imagTol.
-  if (run.failure == FailureStage::None) {
+  if (failure == FailureStage::None) {
     hi = 0.0;
     lo = -scale;
     while (shiftedPr(pp, lo, imagTol)) {
@@ -80,13 +90,25 @@ PassivityMargin marginOfRun(const PassivityResult& run, double tol,
 
 PassivityMargin passivityMargin(const ds::DescriptorSystem& g, double tol,
                                 double rankTol) {
-  PassivityOptions options;
-  options.rankTol = rankTol;
-  return marginOfRun(testPassivityShh(g, options), tol, options.imagTol);
+  requireBisectionTol(tol);  // before, not after, a full pipeline run
+  api::PipelineState state;
+  state.input = &g;
+  state.options.rankTol = rankTol;
+  const api::Status status = api::runPipeline(state);
+  if (!status.ok() && !api::isVerdictCode(status.code())) {
+    if (status.code() == api::ErrorCode::InvalidArgument)
+      throw std::invalid_argument(status.message());
+    throw std::runtime_error(status.message());
+  }
+  return marginOfRun(state.report.failure, state.properPart, tol,
+                     state.options.imagTol);
 }
 
 ds::DescriptorSystem enforcePassivity(const ds::DescriptorSystem& g,
                                       double headroom, double rankTol) {
+  if (!(std::isfinite(headroom) && headroom >= 0.0))
+    throw std::invalid_argument(
+        "enforcePassivity: headroom must be finite and >= 0");
   PassivityMargin pm = passivityMargin(g, 1e-6, rankTol);
   if (!pm.defined)
     throw std::invalid_argument(

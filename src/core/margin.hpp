@@ -12,12 +12,13 @@
 //
 // The proper part is the one the standard Fig.-1 pipeline
 // (api/pipeline.hpp) already builds: marginOfRun bisects on a finished
-// run, which is how the analyzer serves AnalysisRequest::marginTol inside
-// a batch, and passivityMargin is the standalone wrapper that runs the
-// pipeline first.
+// run's failure stage and proper part, which is how the analyzer serves
+// AnalysisRequest::marginTol inside a batch, and passivityMargin is the
+// standalone wrapper that runs the pipeline first.
 #pragma once
 
 #include "core/passivity_test.hpp"
+#include "core/proper_part.hpp"
 #include "ds/descriptor.hpp"
 
 namespace shhpass::core {
@@ -33,38 +34,43 @@ struct PassivityMargin {
                           ///< negative: add -margin * I to D to enforce
                           ///< passivity.
   FailureStage structuralDefect = FailureStage::None;  ///< Why undefined.
+
+  bool operator==(const PassivityMargin&) const = default;
 };
 
-/// Margin of a completed Fig.-1 pipeline run. Runs that reached the
-/// positive-realness test (passive, or FailureStage::ProperPartNotPr)
-/// bisect on their own `run.properPart` to absolute tolerance `tol`;
-/// every other failure is a structural defect and leaves the margin
-/// undefined with `structuralDefect = run.failure`.
+/// Margin of a completed Fig.-1 pipeline run that stopped at `failure`
+/// and extracted `properPart`. Runs that reached the positive-realness
+/// test (passive, or FailureStage::ProperPartNotPr) bisect on their own
+/// proper part to absolute tolerance `tol`; every other failure is a
+/// structural defect and leaves the margin undefined with
+/// `structuralDefect = failure`.
 ///
 /// The delta = 0 probe is not re-run: it is the run's own verdict
-/// (`run.failure == FailureStage::None`), which the pr-test stage decided
+/// (`failure == FailureStage::None`), which the pr-test stage decided
 /// with the same test on the same proper part. That reuse is exact only
 /// if `imagTol` is the run's PassivityOptions::imagTol, and every shifted
-/// probe uses it too.
-PassivityMargin marginOfRun(const PassivityResult& run, double tol,
+/// probe uses it too. Throws std::invalid_argument unless `tol` is
+/// finite and > 0 (the bisection could not terminate otherwise).
+PassivityMargin marginOfRun(FailureStage failure,
+                            const ProperPartResult& properPart, double tol,
                             double imagTol);
 
 /// Compute the passivity margin of a descriptor system: runs the standard
-/// pipeline (testPassivityShh) with `rankTol` (negative = shared SVD
+/// pipeline (api::runPipeline) with `rankTol` (negative = shared SVD
 /// default) threaded into every rank decision, then marginOfRun with
-/// that run's (default) imagTol. `tol` is
-/// the absolute bisection tolerance on the margin value. Operational
-/// failures throw as in testPassivityShh (std::invalid_argument for bad
-/// input, otherwise std::runtime_error).
+/// that run's (default) imagTol. `tol` is the absolute bisection
+/// tolerance on the margin value and must be finite and > 0. Bad input
+/// (including a bad `tol`) throws std::invalid_argument; any other
+/// operational failure of the run throws std::runtime_error.
 PassivityMargin passivityMargin(const ds::DescriptorSystem& g,
                                 double tol = 1e-6, double rankTol = -1.0);
 
 /// Passivity enforcement by feedthrough augmentation: returns a copy of g
 /// with D increased by (margin deficit + headroom) * I when the system has
 /// a repairable (proper-part) violation; returns the input unchanged when
-/// already passive. Throws std::invalid_argument when the defect is
-/// impulsive/structural and cannot be repaired this way. `rankTol` as in
-/// passivityMargin.
+/// already passive. Throws std::invalid_argument when `headroom` is not
+/// finite and >= 0, or when the defect is impulsive/structural and cannot
+/// be repaired this way. `rankTol` as in passivityMargin.
 ds::DescriptorSystem enforcePassivity(const ds::DescriptorSystem& g,
                                       double headroom = 1e-9,
                                       double rankTol = -1.0);

@@ -1,12 +1,4 @@
-// DEPRECATED SHIM. The Fig.-1 orchestration moved into the stage-pipeline
-// engine (api/pipeline.hpp); testPassivityShh remains as a thin wrapper so
-// existing callers keep working. New code should use
-// api::PassivityAnalyzer via the api/shhpass.hpp umbrella header.
 #include "core/passivity_test.hpp"
-
-#include <stdexcept>
-
-#include "api/pipeline.hpp"
 
 namespace shhpass::core {
 
@@ -27,22 +19,6 @@ std::string failureStageName(FailureStage s) {
       return "proper part not positive real";
   }
   return "unknown";
-}
-
-PassivityResult testPassivityShh(const ds::DescriptorSystem& g,
-                                 const PassivityOptions& opt) {
-  api::PipelineState state;
-  state.input = &g;
-  state.options = opt;
-  const api::Status status = api::standardPipeline().run(state);
-  // Preserve the historical contract: operational failures surfaced as
-  // exceptions from this (pre-Status) entry point.
-  if (!status.ok() && !api::isVerdictCode(status.code())) {
-    if (status.code() == api::ErrorCode::InvalidArgument)
-      throw std::invalid_argument(status.message());
-    throw std::runtime_error(status.message());
-  }
-  return state.result;
 }
 
 }  // namespace shhpass::core

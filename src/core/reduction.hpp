@@ -26,9 +26,10 @@ struct ReducedModel {
                                    ///< proper part (descending).
   std::size_t properOrder = 0;     ///< Retained proper states r.
   std::size_t impulsiveRank = 0;   ///< rank(M1).
-  bool ok = false;                 ///< False if the input failed the
-                                   ///< pipeline prerequisites (see
-                                   ///< testPassivityShh diagnostics).
+  bool ok = false;                 ///< False if Phi kept impulsive modes,
+                                   ///< the Eq.-(22) split failed, or M1
+                                   ///< is not symmetric (the analyzer's
+                                   ///< report names the failing stage).
 };
 
 /// Reduce a (passive) descriptor system. `properOrder` caps the retained
@@ -37,7 +38,7 @@ struct ReducedModel {
 /// balanced copy and mapped back to the original frequency scale.
 /// `rankTol` is threaded into every rank decision of the deflation chain
 /// (impulse deflation, nondynamic removal, M1 extraction), matching the
-/// analyzePassivity pipeline (negative = shared SVD default); it does NOT
+/// Fig.-1 pipeline (negative = shared SVD default); it does NOT
 /// affect the Gramian-factor cutoffs, which are eigenvalue tolerances
 /// documented at psdFactor.
 ReducedModel reduceDescriptor(const ds::DescriptorSystem& g,

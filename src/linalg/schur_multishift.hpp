@@ -82,8 +82,8 @@ class SchurConvergenceError : public std::runtime_error {
 };
 
 /// Health record of one real Schur computation, threaded (alongside
-/// ReorderReport) through core::ProperPartResult -> core::PassivityResult
-/// -> api::AnalysisReport and serialized under diagnostics.schur.
+/// ReorderReport) through core::ProperPartResult -> api::AnalysisReport
+/// and serialized under diagnostics.schur.
 struct SchurReport {
   /// True when the multishift path ran (false: unblocked oracle below
   /// kSchurCrossover, which leaves the counters at their hqr2 values).
@@ -111,6 +111,8 @@ struct SchurReport {
   /// Accumulate another computation's record (sum counters, OR the
   /// path flag) — for callers that factor several matrices.
   void absorb(const SchurReport& other);
+
+  bool operator==(const SchurReport&) const = default;
 };
 
 /// Number of simultaneous shifts the multishift sweep uses for an active

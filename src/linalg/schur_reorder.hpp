@@ -77,6 +77,8 @@ struct ReorderReport {
 
   /// Merge another pass's record (for callers that reorder repeatedly).
   void absorb(const ReorderReport& other);
+
+  bool operator==(const ReorderReport&) const = default;
 };
 
 /// Reorder a real Schur factorization (t, q) in place so that every

@@ -71,6 +71,8 @@ struct StaircaseReport {
 
   /// Accumulate another report (plain sums).
   void merge(const StaircaseReport& other);
+
+  bool operator==(const StaircaseReport&) const = default;
 };
 
 /// What compress() should assemble. Singular values and the rank decision

@@ -76,6 +76,8 @@ struct RankReport {
   RankReport();
   /// Accumulate another report (sum counts, widen margins).
   void merge(const RankReport& other);
+
+  bool operator==(const RankReport&) const = default;
 };
 
 /// Resolve a rank tolerance: returns `tol` unchanged when >= 0, else the

@@ -3,8 +3,10 @@
 // (error paths, JSON reports), and batch/sequential agreement.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "api/shhpass.hpp"
@@ -318,6 +320,125 @@ TEST(ApiJson, MarginIsSerializedOnlyWhenRequested) {
       << withMargin->toJson();
 }
 
+TEST(ApiAnalyzer, DecisionEqualsSeesEveryDecisionField) {
+  // Impulsive ladder with a margin: every sub-report is populated.
+  circuits::LadderOptions opt;
+  opt.sections = 4;
+  opt.capAtPort = false;
+  AnalysisRequest req;
+  req.id = "golden";
+  req.system = circuits::makeRlcLadder(opt);
+  req.marginTol = 1e-6;
+  Result<AnalysisReport> golden = PassivityAnalyzer().analyze(req);
+  ASSERT_TRUE(golden.ok()) << golden.status().toString();
+  ASSERT_TRUE(golden->margin.has_value());
+  ASSERT_FALSE(golden->m1.empty());
+  ASSERT_EQ(golden->stages.size(), 8u);
+
+  using Mutation = std::function<void(AnalysisReport&)>;
+  const std::pair<const char*, Mutation> decisions[] = {
+      {"id", [](AnalysisReport& r) { r.id += "x"; }},
+      {"passive", [](AnalysisReport& r) { r.passive = !r.passive; }},
+      {"verdict",
+       [](AnalysisReport& r) { r.verdict = ErrorCode::ProperPartNotPr; }},
+      {"verdictMessage", [](AnalysisReport& r) { r.verdictMessage += "x"; }},
+      {"failure",
+       [](AnalysisReport& r) {
+         r.failure = core::FailureStage::ProperPartNotPr;
+       }},
+      {"order", [](AnalysisReport& r) { ++r.order; }},
+      {"ports", [](AnalysisReport& r) { ++r.ports; }},
+      {"removedImpulsive", [](AnalysisReport& r) { ++r.removedImpulsive; }},
+      {"removedNondynamic", [](AnalysisReport& r) { ++r.removedNondynamic; }},
+      {"impulsiveChains", [](AnalysisReport& r) { ++r.impulsiveChains; }},
+      {"m1 entry", [](AnalysisReport& r) { r.m1(0, 0) += 1.0; }},
+      {"m1 shape",
+       [](AnalysisReport& r) { r.m1 = Matrix(r.m1.rows() + 1, 1); }},
+      {"properOrder", [](AnalysisReport& r) { ++r.properOrder; }},
+      {"reorder.swaps", [](AnalysisReport& r) { ++r.reorder.swaps; }},
+      {"reorder.rejectedSwaps",
+       [](AnalysisReport& r) { ++r.reorder.rejectedSwaps; }},
+      {"reorder.maxResidual",
+       [](AnalysisReport& r) { r.reorder.maxResidual += 1.0; }},
+      {"reorder.eigenvalueDrift",
+       [](AnalysisReport& r) { r.reorder.eigenvalueDrift += 1.0; }},
+      {"reorder.standardizations",
+       [](AnalysisReport& r) { ++r.reorder.standardizations; }},
+      {"schur.multishift",
+       [](AnalysisReport& r) { r.schur.multishift = !r.schur.multishift; }},
+      {"schur.sweeps", [](AnalysisReport& r) { ++r.schur.sweeps; }},
+      {"schur.aedWindows", [](AnalysisReport& r) { ++r.schur.aedWindows; }},
+      {"schur.aedDeflations",
+       [](AnalysisReport& r) { ++r.schur.aedDeflations; }},
+      {"schur.shiftsApplied",
+       [](AnalysisReport& r) { ++r.schur.shiftsApplied; }},
+      {"schur.iterations", [](AnalysisReport& r) { ++r.schur.iterations; }},
+      {"schur.structureRepairs",
+       [](AnalysisReport& r) { ++r.schur.structureRepairs; }},
+      {"rankPolicy.decisions",
+       [](AnalysisReport& r) { ++r.rankPolicy.decisions; }},
+      {"rankPolicy.minKeptMargin",
+       [](AnalysisReport& r) { r.rankPolicy.minKeptMargin = -1.0; }},
+      {"rankPolicy.maxDroppedMargin",
+       [](AnalysisReport& r) { r.rankPolicy.maxDroppedMargin += 1.0; }},
+      {"staircase.compressions",
+       [](AnalysisReport& r) { ++r.staircase.compressions; }},
+      {"staircase.svdFallbacks",
+       [](AnalysisReport& r) { ++r.staircase.svdFallbacks; }},
+      {"staircase.diagonalFastPaths",
+       [](AnalysisReport& r) { ++r.staircase.diagonalFastPaths; }},
+      {"staircase.qrCompressions",
+       [](AnalysisReport& r) { ++r.staircase.qrCompressions; }},
+      {"staircase.skewTridiagonalizations",
+       [](AnalysisReport& r) { ++r.staircase.skewTridiagonalizations; }},
+      {"staircase.reusedCompressions",
+       [](AnalysisReport& r) { ++r.staircase.reusedCompressions; }},
+      {"staircase.chainLength",
+       [](AnalysisReport& r) { ++r.staircase.chainLength; }},
+      {"staircase.truncatedSteps",
+       [](AnalysisReport& r) { ++r.staircase.truncatedSteps; }},
+      {"warnings",
+       [](AnalysisReport& r) {
+         r.warnings.push_back(Warning::ReorderSwapRejected);
+       }},
+      {"margin presence", [](AnalysisReport& r) { r.margin.reset(); }},
+      {"margin.defined",
+       [](AnalysisReport& r) { r.margin->defined = !r.margin->defined; }},
+      {"margin.margin", [](AnalysisReport& r) { r.margin->margin += 1.0; }},
+      {"margin.structuralDefect",
+       [](AnalysisReport& r) {
+         r.margin->structuralDefect = core::FailureStage::M1NotPsd;
+       }},
+      {"stage count", [](AnalysisReport& r) { r.stages.pop_back(); }},
+      {"stage name", [](AnalysisReport& r) { r.stages[2].name += "x"; }},
+      {"stage status code",
+       [](AnalysisReport& r) {
+         r.stages[2].status = Status::error(ErrorCode::Internal, "");
+       }},
+      {"stage status message",
+       [](AnalysisReport& r) {
+         r.stages[2].status = Status(r.stages[2].status.code(), "x");
+       }},
+  };
+  ASSERT_TRUE(golden->decisionEquals(*golden));
+  for (const auto& [field, mutate] : decisions) {
+    AnalysisReport changed = *golden;
+    mutate(changed);
+    EXPECT_FALSE(golden->decisionEquals(changed)) << field;
+    EXPECT_FALSE(changed.decisionEquals(*golden)) << field;
+  }
+
+  // Timings and memory peaks are execution record, not decisions.
+  AnalysisReport timed = *golden;
+  for (StageTrace& t : timed.stages) {
+    t.seconds += 1.0;
+    t.peakBytes += 4096;
+  }
+  timed.totalSeconds += 8.0;
+  EXPECT_TRUE(golden->decisionEquals(timed));
+  EXPECT_TRUE(timed.decisionEquals(*golden));
+}
+
 TEST(ApiAnalyzer, MarginIsTimedAsTheLastStage) {
   circuits::LadderOptions opt;
   opt.sections = 3;
@@ -377,25 +498,6 @@ TEST(ApiAnalyzer, NonPassiveMutantsGetTheExpectedVerdicts) {
   EXPECT_EQ(pr->verdict, ErrorCode::ProperPartNotPr);
 }
 
-TEST(ApiAnalyzer, ReportAgreesWithLegacyShim) {
-  circuits::LadderOptions opt;
-  opt.sections = 4;
-  opt.capAtPort = false;  // impulsive: M1 = l at the port
-  ds::DescriptorSystem g = circuits::makeRlcLadder(opt);
-
-  PassivityAnalyzer analyzer;
-  Result<AnalysisReport> r = analyzer.analyze(g);
-  ASSERT_TRUE(r.ok()) << r.status().toString();
-  core::PassivityResult legacy = core::testPassivityShh(g);
-
-  EXPECT_EQ(r->passive, legacy.passive);
-  EXPECT_EQ(r->failure, legacy.failure);
-  EXPECT_EQ(r->removedImpulsive, legacy.removedImpulsive);
-  EXPECT_EQ(r->removedNondynamic, legacy.removedNondynamic);
-  EXPECT_EQ(r->impulsiveChains, legacy.impulsiveChains);
-  testing::expectMatrixNear(r->m1, legacy.m1, 0.0);
-}
-
 // ----------------------------------------------------------------- pipeline
 
 TEST(ApiPipeline, TracesCoverAllStagesOnAPassiveRun) {
@@ -404,28 +506,53 @@ TEST(ApiPipeline, TracesCoverAllStagesOnAPassiveRun) {
   opt.capAtPort = true;
   ds::DescriptorSystem g = circuits::makeRlcLadder(opt);
 
-  const Pipeline pipeline = Pipeline::standard();
-  ASSERT_EQ(pipeline.stages().size(), 7u);
-
   PipelineState state;
   state.input = &g;
-  std::vector<StageTrace> traces;
   std::size_t observed = 0;
-  Status status = pipeline.run(state, &traces,
-                               [&](const StageTrace&) { ++observed; });
+  Status status =
+      runPipeline(state, [&](const StageTrace&) { ++observed; });
   EXPECT_TRUE(status.ok()) << status.toString();
-  EXPECT_TRUE(state.result.passive);
-  ASSERT_EQ(traces.size(), 7u);
+  const AnalysisReport& report = state.report;
+  EXPECT_TRUE(report.passive);
+  EXPECT_EQ(report.verdict, ErrorCode::Ok);
+  EXPECT_EQ(report.order, g.order());
+  EXPECT_EQ(report.properOrder, state.properPart.lambda.rows());
+  ASSERT_EQ(report.stages.size(), 7u);
   EXPECT_EQ(observed, 7u);
   const char* expected[] = {"prerequisites",      "build-phi",
                             "impulse-deflation",  "nondynamic-removal",
                             "m1-extraction",      "proper-part",
                             "pr-test"};
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    EXPECT_EQ(traces[i].name, expected[i]);
-    EXPECT_TRUE(traces[i].status.ok());
-    EXPECT_GE(traces[i].seconds, 0.0);
+  double total = 0.0;
+  for (std::size_t i = 0; i < report.stages.size(); ++i) {
+    EXPECT_EQ(report.stages[i].name, expected[i]);
+    EXPECT_TRUE(report.stages[i].status.ok());
+    EXPECT_GE(report.stages[i].seconds, 0.0);
+    total += report.stages[i].seconds;
   }
+  EXPECT_EQ(report.totalSeconds, total);
+}
+
+TEST(ApiPipeline, AnalyzerReportIsThePipelineReport) {
+  // The analyzer adds only the request id (and the margin, when asked
+  // for) to the report the pipeline wrote.
+  circuits::LadderOptions opt;
+  opt.sections = 4;
+  opt.capAtPort = false;  // impulsive: M1 = l at the port
+  ds::DescriptorSystem g = circuits::makeRlcLadder(opt);
+
+  PipelineState state;
+  state.input = &g;
+  ASSERT_TRUE(runPipeline(state).ok());
+  AnalysisRequest req;
+  req.id = "ladder";
+  req.system = g;
+  Result<AnalysisReport> r = PassivityAnalyzer().analyze(req);
+  ASSERT_TRUE(r.ok()) << r.status().toString();
+  state.report.id = "ladder";
+  EXPECT_TRUE(r->decisionEquals(state.report));
+  EXPECT_GT(r->removedImpulsive, 0u);
+  EXPECT_EQ(r->m1.rows(), 1u);
 }
 
 TEST(ApiPipeline, PassingRunReleasesIntermediateSlots) {
@@ -433,10 +560,10 @@ TEST(ApiPipeline, PassingRunReleasesIntermediateSlots) {
   ds::DescriptorSystem g = circuits::makeBenchmarkModel(40, true);
   PipelineState state;
   state.input = &g;
-  Status status = standardPipeline().run(state);
+  Status status = runPipeline(state);
   ASSERT_TRUE(status.ok()) << status.toString();
-  ASSERT_TRUE(state.result.passive);
-  ASSERT_GT(state.result.removedImpulsive, 0u);
+  ASSERT_TRUE(state.report.passive);
+  ASSERT_GT(state.report.removedImpulsive, 0u);
 
   // Released by their last readers.
   EXPECT_TRUE(state.phi.a.empty());
@@ -451,32 +578,34 @@ TEST(ApiPipeline, PassingRunReleasesIntermediateSlots) {
 
   // Kept for callers.
   EXPECT_EQ(state.balanced.sys.order(), g.order());
-  EXPECT_TRUE(state.result.properPart.ok);
-  EXPECT_FALSE(state.result.properPart.lambda.empty());
-  EXPECT_FALSE(state.result.properPart.b1.empty());
-  EXPECT_FALSE(state.result.properPart.c1.empty());
+  EXPECT_TRUE(state.properPart.ok);
+  EXPECT_FALSE(state.properPart.lambda.empty());
+  EXPECT_FALSE(state.properPart.b1.empty());
+  EXPECT_FALSE(state.properPart.c1.empty());
 }
 
 TEST(ApiPipeline, NullInputIsAnInvalidArgumentNotACrash) {
   PipelineState state;  // input left null
-  Status status = standardPipeline().run(state);
+  Status status = runPipeline(state);
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), ErrorCode::InvalidArgument);
 }
 
 TEST(ApiPipeline, VerdictStopsThePipelineEarly) {
   ds::DescriptorSystem g = circuits::makeNonPassiveIndefiniteM1();
-  const Pipeline pipeline = Pipeline::standard();
   PipelineState state;
   state.input = &g;
-  std::vector<StageTrace> traces;
-  Status status = pipeline.run(state, &traces);
+  Status status = runPipeline(state);
   EXPECT_FALSE(status.ok());
   EXPECT_TRUE(isVerdictCode(status.code()));
   EXPECT_EQ(status.code(), ErrorCode::M1NotPsd);
+  EXPECT_FALSE(state.report.passive);
+  EXPECT_EQ(state.report.verdict, ErrorCode::M1NotPsd);
+  EXPECT_EQ(state.report.failure, core::FailureStage::M1NotPsd);
+  EXPECT_EQ(state.report.verdictMessage, status.message());
   // m1-extraction is stage 5 of 7; the last two stages never ran.
-  EXPECT_EQ(traces.size(), 5u);
-  EXPECT_EQ(traces.back().name, "m1-extraction");
+  EXPECT_EQ(state.report.stages.size(), 5u);
+  EXPECT_EQ(state.report.stages.back().name, "m1-extraction");
 }
 
 // --------------------------------------------------------------------- JSON

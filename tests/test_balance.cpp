@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "circuits/generators.hpp"
-#include "core/passivity_test.hpp"
 #include "ds/balance.hpp"
 #include "test_support.hpp"
 
@@ -94,16 +93,16 @@ TEST(Balance, VerdictInvariance) {
   DescriptorSystem g = circuits::makeRlcLadder(opt);
   core::PassivityOptions with, without;
   without.balance = false;
-  EXPECT_EQ(core::testPassivityShh(g, with).passive,
-            core::testPassivityShh(g, without).passive);
+  EXPECT_EQ(testing::pipelineReport(g, with).passive,
+            testing::pipelineReport(g, without).passive);
 }
 
 TEST(Balance, M1ReportedInOriginalUnits) {
   circuits::LadderOptions opt;
   opt.sections = 3;
   opt.l = 3.7e-3;
-  core::PassivityResult r =
-      core::testPassivityShh(circuits::makeRlcLadder(opt));
+  api::AnalysisReport r =
+      testing::pipelineReport(circuits::makeRlcLadder(opt));
   ASSERT_TRUE(r.passive);
   EXPECT_NEAR(r.m1(0, 0), opt.l, 1e-8);
 }

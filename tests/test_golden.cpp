@@ -18,10 +18,10 @@
 #include "circuits/netlist.hpp"
 #include "core/margin.hpp"
 #include "core/markov.hpp"
-#include "core/passivity_test.hpp"
 #include "core/reduction.hpp"
 #include "ds/balance.hpp"
 #include "ds/impulse_tests.hpp"
+#include "test_support.hpp"
 
 namespace shhpass {
 namespace {
@@ -77,7 +77,7 @@ TEST(Golden, M1IsTheInductance) {
 }
 
 TEST(Golden, PassiveWithDiagnostics) {
-  core::PassivityResult r = core::testPassivityShh(goldenCircuit());
+  api::AnalysisReport r = testing::pipelineReport(goldenCircuit());
   EXPECT_TRUE(r.passive) << core::failureStageName(r.failure);
   EXPECT_NEAR(r.m1(0, 0), kL, 1e-9);
   EXPECT_GT(r.removedImpulsive, 0u);
@@ -86,7 +86,7 @@ TEST(Golden, PassiveWithDiagnostics) {
 TEST(Golden, ReorderHealthOnWellConditionedSeed) {
   // On a tiny well-conditioned model every adjacent-block exchange of the
   // Eq.-(22) split must be accepted, with residual and drift at round-off.
-  core::PassivityResult r = core::testPassivityShh(goldenCircuit());
+  api::AnalysisReport r = testing::pipelineReport(goldenCircuit());
   EXPECT_EQ(r.reorder.rejectedSwaps, 0u);
   EXPECT_TRUE(r.reorder.clean());
   EXPECT_LE(r.reorder.maxResidual, 1e-10);

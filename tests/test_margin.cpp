@@ -183,8 +183,13 @@ TEST(Margin, SignAgreesWithVerdictAtEachImagTol) {
         EXPECT_LT(pm.margin, 0.0) << i << " imagTol=" << imagTol;
       }
       // The analyzer threads its imagTol into the bisection.
+      api::PipelineState run;
+      run.input = &systems[i];
+      run.options = options.passivity;
+      const api::Status status = api::runPipeline(run);
+      ASSERT_TRUE(status.ok() || api::isVerdictCode(status.code())) << i;
       const PassivityMargin direct = marginOfRun(
-          testPassivityShh(systems[i], options.passivity), 1e-6, imagTol);
+          run.report.failure, run.properPart, 1e-6, imagTol);
       EXPECT_EQ(std::bit_cast<std::uint64_t>(direct.margin),
                 std::bit_cast<std::uint64_t>(pm.margin))
           << i << " imagTol=" << imagTol;
@@ -200,12 +205,40 @@ TEST(Margin, WrapperRejectsNonFiniteInput) {
   EXPECT_THROW(passivityMargin(g), std::invalid_argument);
 }
 
+TEST(Margin, RejectsToleranceTheBisectionCannotReach) {
+  // With tol <= 0 `while (hi - lo > tol)` never ends; a NaN tol used to
+  // return the unbisected bracket. Each must be rejected up front, by the
+  // wrapper and by marginOfRun alike.
+  circuits::LadderOptions opt;
+  opt.sections = 3;
+  opt.capAtPort = true;
+  const ds::DescriptorSystem g = circuits::makeRlcLadder(opt);
+  api::PipelineState run;
+  run.input = &g;
+  ASSERT_TRUE(api::runPipeline(run).ok());
+  for (double tol : {0.0, -1.0, std::nan("")}) {
+    EXPECT_THROW(passivityMargin(g, tol), std::invalid_argument) << tol;
+    EXPECT_THROW(marginOfRun(run.report.failure, run.properPart, tol, 1e-8),
+                 std::invalid_argument)
+        << tol;
+  }
+}
+
+TEST(Enforcement, RejectsBadHeadroom) {
+  const ds::DescriptorSystem bad =
+      circuits::makeNonPassiveNegativeFeedthrough(3);
+  for (double headroom : {-1e-9, std::nan(""), HUGE_VAL})
+    EXPECT_THROW(enforcePassivity(bad, headroom), std::invalid_argument)
+        << headroom;
+  EXPECT_NO_THROW(enforcePassivity(bad, 0.0));
+}
+
 TEST(Enforcement, RepairsNegativeFeedthrough) {
   ds::DescriptorSystem bad = circuits::makeNonPassiveNegativeFeedthrough(3);
-  ASSERT_FALSE(testPassivityShh(bad).passive);
+  ASSERT_FALSE(testing::pipelineReport(bad).passive);
   ds::DescriptorSystem fixed = enforcePassivity(bad, 1e-6);
-  EXPECT_TRUE(testPassivityShh(fixed).passive)
-      << failureStageName(testPassivityShh(fixed).failure);
+  EXPECT_TRUE(testing::pipelineReport(fixed).passive)
+      << failureStageName(testing::pipelineReport(fixed).failure);
   // The repair is minimal-ish: the shift should be close to 0.02.
   EXPECT_NEAR(fixed.d(0, 0) - bad.d(0, 0), 0.02, 5e-3);
 }

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "circuits/generators.hpp"
-#include "core/passivity_test.hpp"
 #include "ds/weierstrass.hpp"
 #include "test_support.hpp"
 
@@ -17,7 +16,7 @@ TEST(ShhPassivity, ImpulseFreeLadderIsPassive) {
   circuits::LadderOptions opt;
   opt.sections = 4;
   opt.capAtPort = true;
-  PassivityResult r = testPassivityShh(circuits::makeRlcLadder(opt));
+  api::AnalysisReport r = testing::pipelineReport(circuits::makeRlcLadder(opt));
   EXPECT_TRUE(r.passive) << failureStageName(r.failure);
   EXPECT_EQ(r.removedImpulsive, 0u);
   EXPECT_GT(r.removedNondynamic, 0u);
@@ -28,7 +27,7 @@ TEST(ShhPassivity, ImpulsiveLadderIsPassive) {
   circuits::LadderOptions opt;
   opt.sections = 4;
   opt.capAtPort = false;
-  PassivityResult r = testPassivityShh(circuits::makeRlcLadder(opt));
+  api::AnalysisReport r = testing::pipelineReport(circuits::makeRlcLadder(opt));
   EXPECT_TRUE(r.passive) << failureStageName(r.failure);
   EXPECT_GT(r.removedImpulsive, 0u);
   EXPECT_GE(r.impulsiveChains, 1u);
@@ -40,7 +39,7 @@ TEST(ShhPassivity, LLSectionsStillPassive) {
   circuits::LadderOptions opt;
   opt.sections = 6;
   opt.impulsiveEvery = 2;
-  PassivityResult r = testPassivityShh(circuits::makeRlcLadder(opt));
+  api::AnalysisReport r = testing::pipelineReport(circuits::makeRlcLadder(opt));
   EXPECT_TRUE(r.passive) << failureStageName(r.failure);
 }
 
@@ -54,7 +53,7 @@ TEST(ShhPassivity, SevenSectionCapAtPortLadderPassive) {
   circuits::LadderOptions opt;
   opt.sections = 7;
   opt.capAtPort = true;
-  PassivityResult r = testPassivityShh(circuits::makeRlcLadder(opt));
+  api::AnalysisReport r = testing::pipelineReport(circuits::makeRlcLadder(opt));
   EXPECT_TRUE(r.passive) << failureStageName(r.failure);
 }
 
@@ -63,14 +62,14 @@ TEST(ShhPassivity, TwoPortLadderPassive) {
   opt.sections = 3;
   opt.twoPort = true;
   opt.capAtPort = true;
-  PassivityResult r = testPassivityShh(circuits::makeRlcLadder(opt));
+  api::AnalysisReport r = testing::pipelineReport(circuits::makeRlcLadder(opt));
   EXPECT_TRUE(r.passive) << failureStageName(r.failure);
 }
 
 TEST(ShhPassivity, RandomRlcNetworksPassive) {
   for (unsigned seed : {11u, 12u, 13u}) {
-    PassivityResult r =
-        testPassivityShh(circuits::makeRandomRlcNetwork(7, seed));
+    api::AnalysisReport r =
+        testing::pipelineReport(circuits::makeRandomRlcNetwork(7, seed));
     EXPECT_TRUE(r.passive)
         << "seed=" << seed << ": " << failureStageName(r.failure);
   }
@@ -84,7 +83,7 @@ TEST(ShhPassivity, RegularStateSpacePassive) {
   g.b = Matrix{{1.0}};
   g.c = Matrix{{1.0}};
   g.d = Matrix{{0.25}};
-  PassivityResult r = testPassivityShh(g);
+  api::AnalysisReport r = testing::pipelineReport(g);
   EXPECT_TRUE(r.passive) << failureStageName(r.failure);
   EXPECT_EQ(r.removedImpulsive, 0u);
   EXPECT_EQ(r.removedNondynamic, 0u);
@@ -94,8 +93,8 @@ TEST(ShhPassivity, NegativeResistorFails) {
   // The strongly negative leak resistor destabilizes the network, so the
   // stability screen (or, in milder variants, the proper-part stage)
   // rejects it.
-  PassivityResult r =
-      testPassivityShh(circuits::makeNonPassiveNegativeResistor(4));
+  api::AnalysisReport r =
+      testing::pipelineReport(circuits::makeNonPassiveNegativeResistor(4));
   EXPECT_FALSE(r.passive);
   EXPECT_TRUE(r.failure == FailureStage::UnstableFiniteModes ||
               r.failure == FailureStage::ProperPartNotPr)
@@ -103,22 +102,22 @@ TEST(ShhPassivity, NegativeResistorFails) {
 }
 
 TEST(ShhPassivity, NegativeFeedthroughFailsInProperPart) {
-  PassivityResult r =
-      testPassivityShh(circuits::makeNonPassiveNegativeFeedthrough(4));
+  api::AnalysisReport r =
+      testing::pipelineReport(circuits::makeNonPassiveNegativeFeedthrough(4));
   EXPECT_FALSE(r.passive);
   EXPECT_EQ(r.failure, FailureStage::ProperPartNotPr);
 }
 
 TEST(ShhPassivity, IndefiniteM1Fails) {
-  PassivityResult r =
-      testPassivityShh(circuits::makeNonPassiveIndefiniteM1());
+  api::AnalysisReport r =
+      testing::pipelineReport(circuits::makeNonPassiveIndefiniteM1());
   EXPECT_FALSE(r.passive);
   EXPECT_EQ(r.failure, FailureStage::M1NotPsd);
 }
 
 TEST(ShhPassivity, HigherOrderImpulseFails) {
-  PassivityResult r =
-      testPassivityShh(circuits::makeNonPassiveHigherOrderImpulse());
+  api::AnalysisReport r =
+      testing::pipelineReport(circuits::makeNonPassiveHigherOrderImpulse());
   EXPECT_FALSE(r.passive);
   // Symmetric M2 does not cancel in Phi: caught as residual impulses (or,
   // if it cancels structurally, by the index check).
@@ -136,7 +135,7 @@ TEST(ShhPassivity, AsymmetricM1FailsAsResidualImpulse) {
   g.b = Matrix{{0.0, 0.0}, {1.0, 0.0}};
   g.c = Matrix{{0.0, 0.0}, {-1.0, 0.0}};
   g.d = Matrix::identity(2);
-  PassivityResult r = testPassivityShh(g);
+  api::AnalysisReport r = testing::pipelineReport(g);
   EXPECT_FALSE(r.passive);
   EXPECT_EQ(r.failure, FailureStage::ResidualImpulses);
 }
@@ -161,7 +160,7 @@ TEST(ShhPassivity, SkewM1CancelsButFailsM1Check) {
   };
   addBlock(0, 1, 0, 1.0);   // contributes +s at (0,1)
   addBlock(2, 0, 1, -1.0);  // contributes -s at (1,0)
-  PassivityResult r = testPassivityShh(g);
+  api::AnalysisReport r = testing::pipelineReport(g);
   EXPECT_FALSE(r.passive);
   EXPECT_EQ(r.failure, FailureStage::M1NotPsd);
 }
@@ -173,7 +172,7 @@ TEST(ShhPassivity, UnstableSystemScreened) {
   g.b = Matrix{{1.0}};
   g.c = Matrix{{1.0}};
   g.d = Matrix{{1.0}};
-  PassivityResult r = testPassivityShh(g);
+  api::AnalysisReport r = testing::pipelineReport(g);
   EXPECT_FALSE(r.passive);
   EXPECT_EQ(r.failure, FailureStage::UnstableFiniteModes);
 }
@@ -185,7 +184,7 @@ TEST(ShhPassivity, SingularPencilScreened) {
   g.b = Matrix(2, 1);
   g.c = Matrix(1, 2);
   g.d = Matrix(1, 1);
-  PassivityResult r = testPassivityShh(g);
+  api::AnalysisReport r = testing::pipelineReport(g);
   EXPECT_EQ(r.failure, FailureStage::SingularPencil);
 }
 
@@ -196,7 +195,7 @@ TEST(ShhPassivity, NonSquareScreened) {
   g.b = Matrix(2, 1, 1.0);
   g.c = Matrix(2, 2, 0.5);
   g.d = Matrix(2, 1);
-  PassivityResult r = testPassivityShh(g);
+  api::AnalysisReport r = testing::pipelineReport(g);
   EXPECT_EQ(r.failure, FailureStage::NotSquare);
 }
 
@@ -207,7 +206,7 @@ class AgreementSweep
 TEST_P(AgreementSweep, ShhAgreesWithWeierstrass) {
   const auto [order, impulsive] = GetParam();
   ds::DescriptorSystem g = circuits::makeBenchmarkModel(order, impulsive);
-  PassivityResult shh = testPassivityShh(g);
+  api::AnalysisReport shh = testing::pipelineReport(g);
   ds::WeierstrassPassivityResult wei = ds::testPassivityWeierstrass(g);
   EXPECT_TRUE(shh.passive) << failureStageName(shh.failure);
   EXPECT_EQ(shh.passive, wei.passive);

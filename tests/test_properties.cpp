@@ -10,7 +10,6 @@
 #include "core/impulse_deflation.hpp"
 #include "core/markov.hpp"
 #include "core/nondynamic.hpp"
-#include "core/passivity_test.hpp"
 #include "core/phi_builder.hpp"
 #include "ds/balance.hpp"
 #include "ds/impulse_tests.hpp"
@@ -44,13 +43,13 @@ ds::DescriptorSystem makeCase(const LadderCase& c) {
 
 TEST_P(LadderSweep, PhysicalLadderIsPassive) {
   ds::DescriptorSystem g = makeCase(GetParam());
-  core::PassivityResult r = core::testPassivityShh(g);
+  api::AnalysisReport r = testing::pipelineReport(g);
   EXPECT_TRUE(r.passive) << core::failureStageName(r.failure);
 }
 
 TEST_P(LadderSweep, ShhAgreesWithWeierstrass) {
   ds::DescriptorSystem g = makeCase(GetParam());
-  EXPECT_EQ(core::testPassivityShh(g).passive,
+  EXPECT_EQ(testing::pipelineReport(g).passive,
             ds::testPassivityWeierstrass(g).passive);
 }
 
@@ -120,14 +119,14 @@ class RandomNetSweep : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(RandomNetSweep, RandomNetworksPassive) {
   ds::DescriptorSystem g = circuits::makeRandomRlcNetwork(9, GetParam());
-  core::PassivityResult r = core::testPassivityShh(g);
+  api::AnalysisReport r = testing::pipelineReport(g);
   EXPECT_TRUE(r.passive) << core::failureStageName(r.failure);
 }
 
 TEST_P(RandomNetSweep, SparseSingularVariantsHandled) {
   ds::DescriptorSystem g =
       circuits::makeRandomRlcNetwork(8, GetParam(), /*sprinkle=*/true);
-  core::PassivityResult r = core::testPassivityShh(g);
+  api::AnalysisReport r = testing::pipelineReport(g);
   EXPECT_TRUE(r.passive) << core::failureStageName(r.failure);
 }
 
@@ -165,15 +164,15 @@ TEST(StructuralInvariants, PhiRealizationStructurePreservedByStages) {
 
 TEST(NonPassiveMutants, AllDetectedAcrossSizes) {
   for (std::size_t sections : {3u, 5u, 8u}) {
-    EXPECT_FALSE(core::testPassivityShh(
+    EXPECT_FALSE(testing::pipelineReport(
                      circuits::makeNonPassiveNegativeFeedthrough(sections))
                      .passive)
         << sections;
   }
   EXPECT_FALSE(
-      core::testPassivityShh(circuits::makeNonPassiveIndefiniteM1()).passive);
+      testing::pipelineReport(circuits::makeNonPassiveIndefiniteM1()).passive);
   EXPECT_FALSE(
-      core::testPassivityShh(circuits::makeNonPassiveHigherOrderImpulse())
+      testing::pipelineReport(circuits::makeNonPassiveHigherOrderImpulse())
           .passive);
 }
 

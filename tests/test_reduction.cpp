@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "circuits/generators.hpp"
-#include "core/passivity_test.hpp"
 #include "core/markov.hpp"
 #include "core/reduction.hpp"
 #include "ds/impulse_tests.hpp"
@@ -64,7 +63,7 @@ TEST(Reduction, TruncationKeepsAccuracyAndPassivity) {
   EXPECT_LT(rom.sys.order(), g.order());
   EXPECT_LT(worstAxisError(g, rom.sys), 0.05);
   // The reduced model is itself a passive descriptor system.
-  PassivityResult pr = testPassivityShh(rom.sys);
+  api::AnalysisReport pr = testing::pipelineReport(rom.sys);
   EXPECT_TRUE(pr.passive) << failureStageName(pr.failure);
 }
 
@@ -177,7 +176,7 @@ TEST(Reduction, NearRankDeficientMarkovMomentBoundary) {
   opt.l = 1e-13;
   ds::DescriptorSystem degenerate = circuits::makeRlcLadder(opt);
   EXPECT_FALSE(reduceDescriptor(degenerate, 100).ok);
-  PassivityResult pr = testPassivityShh(degenerate);
+  api::AnalysisReport pr = testing::pipelineReport(degenerate);
   EXPECT_EQ(pr.failure, FailureStage::LosslessAxisModes);
   // The structural chain census is scale-relative and still sees the
   // grade-2 chain with its (near-zero) moment.

@@ -8,7 +8,6 @@
 #include "api/analyzer.hpp"
 #include "circuits/generators.hpp"
 #include "circuits/mna.hpp"
-#include "core/passivity_test.hpp"
 #include "ds/balance.hpp"
 #include "ds/descriptor.hpp"
 #include "lmi/lmi_passivity.hpp"
@@ -29,7 +28,7 @@ TEST(Robustness, ExtremeUnitScales) {
   opt.r = 1e6;
   opt.shuntR = 5e6;
   ds::DescriptorSystem g = circuits::makeRlcLadder(opt);
-  core::PassivityResult r = core::testPassivityShh(g);
+  api::AnalysisReport r = testing::pipelineReport(g);
   EXPECT_TRUE(r.passive) << core::failureStageName(r.failure);
 }
 
@@ -62,7 +61,7 @@ TEST(Robustness, TinyAndHugeUniformScaling) {
   for (double alpha : {1e-8, 1e8}) {
     ds::DescriptorSystem scaled = g;
     scaled.c = alpha * scaled.c;
-    core::PassivityResult r = core::testPassivityShh(scaled);
+    api::AnalysisReport r = testing::pipelineReport(scaled);
     EXPECT_TRUE(r.passive)
         << "alpha=" << alpha << ": " << core::failureStageName(r.failure);
   }
@@ -77,7 +76,7 @@ TEST(Robustness, ZeroTransferFunctionIsPassiveBoundary) {
   g.b = Matrix(3, 1);
   g.c = Matrix(1, 3);
   g.d = Matrix(1, 1);
-  core::PassivityResult r = core::testPassivityShh(g);
+  api::AnalysisReport r = testing::pipelineReport(g);
   EXPECT_TRUE(r.passive) << core::failureStageName(r.failure);
 }
 
@@ -89,7 +88,7 @@ TEST(Robustness, PureResistorNetworkStatic) {
   net.addPort(1);
   ds::DescriptorSystem g = circuits::stampMna(net);
   EXPECT_EQ(g.e.maxAbs(), 0.0);
-  core::PassivityResult r = core::testPassivityShh(g);
+  api::AnalysisReport r = testing::pipelineReport(g);
   EXPECT_TRUE(r.passive) << core::failureStageName(r.failure);
   ds::TransferValue z = ds::evalTransfer(g, 0.0, 1.0);
   EXPECT_NEAR(z.re(0, 0), 5.0, 1e-10);
@@ -103,7 +102,7 @@ TEST(Robustness, SingleStateEdgeCases) {
   dyn.b = Matrix{{1.0}};
   dyn.c = Matrix{{1.0}};
   dyn.d = Matrix{{0.0}};
-  EXPECT_TRUE(core::testPassivityShh(dyn).passive);
+  EXPECT_TRUE(testing::pipelineReport(dyn).passive);
 
   ds::DescriptorSystem nondyn;  // E = 0: G = -c b / a = 1 (static)
   nondyn.e = Matrix{{0.0}};
@@ -111,7 +110,7 @@ TEST(Robustness, SingleStateEdgeCases) {
   nondyn.b = Matrix{{1.0}};
   nondyn.c = Matrix{{1.0}};
   nondyn.d = Matrix{{0.0}};
-  EXPECT_TRUE(core::testPassivityShh(nondyn).passive);
+  EXPECT_TRUE(testing::pipelineReport(nondyn).passive);
 }
 
 TEST(Robustness, MimoPortCountMismatchCaught) {
@@ -121,7 +120,7 @@ TEST(Robustness, MimoPortCountMismatchCaught) {
   g.b = Matrix(2, 3, 0.1);
   g.c = Matrix(2, 2, 0.1);
   g.d = Matrix(2, 3);
-  EXPECT_EQ(core::testPassivityShh(g).failure,
+  EXPECT_EQ(testing::pipelineReport(g).failure,
             core::FailureStage::NotSquare);
   EXPECT_THROW(lmi::testPassivityLmi(g), std::invalid_argument);
 }
@@ -148,8 +147,8 @@ TEST(Robustness, BalanceHandlesZeroRowsAndColumns) {
 TEST(Robustness, RepeatedInvocationDeterminism) {
   // No hidden state: two runs give bit-identical diagnostics.
   ds::DescriptorSystem g = circuits::makeRandomRlcNetwork(7, 99);
-  core::PassivityResult a = core::testPassivityShh(g);
-  core::PassivityResult b = core::testPassivityShh(g);
+  api::AnalysisReport a = testing::pipelineReport(g);
+  api::AnalysisReport b = testing::pipelineReport(g);
   EXPECT_EQ(a.passive, b.passive);
   EXPECT_EQ(a.removedImpulsive, b.removedImpulsive);
   EXPECT_EQ(a.removedNondynamic, b.removedNondynamic);
@@ -166,7 +165,7 @@ TEST(Robustness, ImpulsiveBenchmarkModelsNoFalseLosslessVerdict) {
   // exchange accepted.
   for (std::size_t order : {25u, 30u, 35u}) {
     ds::DescriptorSystem g = circuits::makeBenchmarkModel(order, true);
-    core::PassivityResult r = core::testPassivityShh(g);
+    api::AnalysisReport r = testing::pipelineReport(g);
     EXPECT_TRUE(r.passive)
         << "order=" << order << ": " << core::failureStageName(r.failure);
     EXPECT_NE(r.failure, core::FailureStage::LosslessAxisModes)
@@ -187,7 +186,7 @@ TEST(Robustness, NearlyPassiveBoundaryCases) {
     g.c = Matrix{{1.0}};
     g.d = Matrix{{-eps}};
     // Re G(j inf) = -eps < 0: non-passive at any resolvable eps.
-    EXPECT_FALSE(core::testPassivityShh(g).passive) << eps;
+    EXPECT_FALSE(testing::pipelineReport(g).passive) << eps;
   }
 }
 

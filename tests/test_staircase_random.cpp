@@ -31,7 +31,6 @@
 #include "core/margin.hpp"
 #include "core/markov.hpp"
 #include "core/nondynamic.hpp"
-#include "core/passivity_test.hpp"
 #include "core/phi_builder.hpp"
 #include "core/reduction.hpp"
 #include "ds/balance.hpp"
@@ -350,7 +349,7 @@ TEST(StaircaseChainParity, PipelineUsesStaircaseAtEveryOrder) {
   for (std::size_t order : {25u, 64u, 150u}) {
     SCOPED_TRACE(order);
     ds::DescriptorSystem g = circuits::makeBenchmarkModel(order, true);
-    core::PassivityResult res = core::testPassivityShh(g);
+    api::AnalysisReport res = testing::pipelineReport(g);
     EXPECT_TRUE(res.passive) << core::failureStageName(res.failure);
     EXPECT_GT(res.staircase.compressions, 0u);
     EXPECT_GT(res.staircase.reusedCompressions, 0u);
@@ -431,12 +430,12 @@ TEST(RankTolPlumbing, MarginAndReductionHonorRankTol) {
   ds::DescriptorSystem g = circuits::makeRlcLadder(opt);
 
   core::PassivityOptions defaults;
-  core::PassivityResult base = core::testPassivityShh(g, defaults);
+  api::AnalysisReport base = testing::pipelineReport(g, defaults);
   ASSERT_TRUE(base.passive);
 
   core::PassivityOptions coarse;
   coarse.rankTol = 1e6;  // absolute: larger than every singular value
-  core::PassivityResult broken = core::testPassivityShh(g, coarse);
+  api::AnalysisReport broken = testing::pipelineReport(g, coarse);
   ASSERT_FALSE(broken.passive);
   ASSERT_NE(broken.removedNondynamic, base.removedNondynamic)
       << "coarse rankTol must change the deflation count on the pipeline";

@@ -1,5 +1,5 @@
-// Shared helpers for shhpass tests: deterministic random matrices and
-// common structural assertions.
+// Shared helpers for shhpass tests: deterministic random matrices,
+// common structural assertions, and a one-call Fig.-1 report.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -7,7 +7,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 
+#include "api/pipeline.hpp"
 #include "circuits/netlist.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/matrix.hpp"
@@ -116,6 +118,20 @@ inline bool bitIdentical(const Matrix& a, const Matrix& b) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
   return std::memcmp(a.data(), b.data(),
                      sizeof(double) * a.rows() * a.cols()) == 0;
+}
+
+/// The Fig.-1 report of `g` under `options` (api::runPipeline, no
+/// analyzer). A verdict is a result; an operational failure fails the
+/// calling test and returns the (meaningless) partial report.
+inline api::AnalysisReport pipelineReport(
+    const ds::DescriptorSystem& g, const core::PassivityOptions& options = {}) {
+  api::PipelineState state;
+  state.input = &g;
+  state.options = options;
+  const api::Status status = api::runPipeline(state);
+  EXPECT_TRUE(status.ok() || api::isVerdictCode(status.code()))
+      << status.toString();
+  return std::move(state.report);
 }
 
 /// Deterministic random connected RLC netlist for the ingestion / sweep
