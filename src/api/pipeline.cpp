@@ -1,6 +1,7 @@
 #include "api/pipeline.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 #include "api/json.hpp"
@@ -21,9 +22,19 @@ Status verdict(core::FailureStage stage) {
                        core::failureStageName(stage));
 }
 
-// Stage 0 of Fig. 1: shape validation, squareness, pencil balancing, and
-// (unless skipped) the regularity and finite-stability screens.
+// Stage 0 of Fig. 1: tolerance and shape validation, squareness, pencil
+// balancing, and (unless skipped) the regularity and finite-stability
+// screens.
 Status prerequisites(PipelineState& s) {
+  // An infinite or NaN cutoff silently decides every rank and every
+  // imaginary-axis test one way; a negative rankTol is the shared-policy
+  // sentinel (linalg/svd.hpp), a negative imagTol has no meaning.
+  const core::PassivityOptions& o = s.options;
+  if (!(std::isfinite(o.imagTol) && o.imagTol >= 0.0) ||
+      !std::isfinite(o.rankTol))
+    return Status::error(ErrorCode::InvalidArgument,
+                         "PassivityOptions: imagTol must be finite and >= 0, "
+                         "rankTol finite");
   s.input->validate();
   if (!s.input->isSquareSystem())
     return verdict(core::FailureStage::NotSquare);

@@ -100,10 +100,11 @@ std::string Status::toString() const {
   return s;
 }
 
-// This function is the ONE sanctioned exception-handling site in
-// src/api: everything else is Status/Result based, and `throw` anywhere
-// else in src/api fails the no-throw-in-api rule of
-// tools/lint_invariants.py (status.cpp is the rule's only exemption).
+// This function and throwIfOperationalError below are the ONE sanctioned
+// exception-handling site in src/api: everything else is Status/Result
+// based, and `throw` anywhere else in src/api fails the no-throw-in-api
+// rule of tools/lint_invariants.py (status.cpp is the rule's only
+// exemption).
 Status statusFromCurrentException() {
   try {
     throw;
@@ -120,6 +121,13 @@ Status statusFromCurrentException() {
   } catch (...) {
     return Status::error(ErrorCode::Internal, "unknown exception");
   }
+}
+
+void throwIfOperationalError(const Status& status) {
+  if (status.ok() || isVerdictCode(status.code())) return;
+  if (status.code() == ErrorCode::InvalidArgument)
+    throw std::invalid_argument(status.message());
+  throw std::runtime_error(status.message());
 }
 
 }  // namespace shhpass::api

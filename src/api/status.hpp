@@ -105,6 +105,12 @@ class Status {
 /// Call only from inside a catch block.
 Status statusFromCurrentException();
 
+/// The way back for the exception-based wrappers over runPipeline
+/// (core::passivityMargin, core::reduceDescriptor): returns for Ok and
+/// verdict codes, throws std::invalid_argument for InvalidArgument and
+/// std::runtime_error for every other operational error.
+void throwIfOperationalError(const Status& status);
+
 /// A Status or a value of type T. `ok()` guarantees `value()` is present.
 template <typename T>
 class Result {

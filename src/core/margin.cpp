@@ -94,12 +94,7 @@ PassivityMargin passivityMargin(const ds::DescriptorSystem& g, double tol,
   api::PipelineState state;
   state.input = &g;
   state.options.rankTol = rankTol;
-  const api::Status status = api::runPipeline(state);
-  if (!status.ok() && !api::isVerdictCode(status.code())) {
-    if (status.code() == api::ErrorCode::InvalidArgument)
-      throw std::invalid_argument(status.message());
-    throw std::runtime_error(status.message());
-  }
+  api::throwIfOperationalError(api::runPipeline(state));
   return marginOfRun(state.report.failure, state.properPart, tol,
                      state.options.imagTol);
 }

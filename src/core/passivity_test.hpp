@@ -39,8 +39,11 @@ std::string failureStageName(FailureStage s);
 
 /// Options for the proposed test.
 struct PassivityOptions {
-  double rankTol = -1.0;   ///< Rank tolerance for all deflation SVDs.
-  double imagTol = 1e-8;   ///< Imaginary-axis tolerance for spectra.
+  double rankTol = -1.0;   ///< Rank tolerance for all deflation SVDs;
+                           ///< must be finite (negative = shared SVD
+                           ///< default, linalg/svd.hpp).
+  double imagTol = 1e-8;   ///< Imaginary-axis tolerance for spectra;
+                           ///< must be finite and >= 0.
   bool skipPrerequisites = false;  ///< Skip regularity/stability screens
                                    ///< (when the caller already knows).
   bool balance = true;     ///< Balance the pencil first (frequency scaling

@@ -3,13 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "api/pipeline.hpp"
 #include "control/lyapunov.hpp"
-#include "core/impulse_deflation.hpp"
-#include "core/markov.hpp"
-#include "core/nondynamic.hpp"
-#include "core/phi_builder.hpp"
-#include "core/proper_part.hpp"
-#include "ds/balance.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/svd.hpp"
 #include "linalg/symmetric_eig.hpp"
@@ -54,20 +49,18 @@ ReducedModel reduceDescriptor(const ds::DescriptorSystem& g,
                               std::size_t properOrder, double hsvTol,
                               double rankTol) {
   ReducedModel out;
-  g.validate();
-
-  // Run the pipeline on the balanced system, threading `rankTol` into
-  // every stage (historically these calls took the default, silently
-  // ignoring a caller-chosen tolerance).
-  ds::BalancedSystem bal = ds::balanceDescriptor(g);
-  shh::ShhRealization phi = buildPhi(bal.sys);
-  ImpulseDeflationResult s1 = deflateImpulseModes(phi, rankTol);
-  NondynamicRemovalResult s2 = removeNondynamicModes(s1.reduced, rankTol);
-  if (!s2.impulseFree) return out;
-  ProperPartResult pp = extractProperPart(s2.shh);
-  if (!pp.ok) return out;
-  M1Extraction m1e = extractM1(bal.sys, rankTol);
-  if (!m1e.symmetric) return out;
+  api::PipelineState state;
+  state.input = &g;
+  state.options.rankTol = rankTol;
+  api::throwIfOperationalError(api::runPipeline(state));
+  // Only a run that reached the pr-test certified what the reduction
+  // reassembles: a stable proper part and a PSD M1. A proper part that
+  // fails positive realness is still reduced faithfully.
+  const FailureStage failure = state.report.failure;
+  if (failure != FailureStage::None &&
+      failure != FailureStage::ProperPartNotPr)
+    return out;
+  const ProperPartResult& pp = state.properPart;
 
   const std::size_t np = pp.lambda.rows();
   const std::size_t m = g.numInputs();
@@ -105,8 +98,9 @@ ReducedModel reduceDescriptor(const ds::DescriptorSystem& g,
   Matrix br = lr * pp.b1;
   Matrix cr = pp.c1 * tr;
 
-  // Impulsive part: M1 (in ORIGINAL frequency units) = M1_bal / tau.
-  Matrix m1 = (1.0 / bal.freqScale) * m1e.m1;
+  // Impulsive part: the report's M1 is already in ORIGINAL frequency
+  // units (M1_bal / tau).
+  Matrix m1 = state.report.m1;
   linalg::symmetrize(m1);
   Matrix f = psdFactor(m1, 1e-12 * std::max(1.0, m1.maxAbs()));
   const std::size_t pRank = f.rows();
@@ -129,7 +123,8 @@ ReducedModel reduceDescriptor(const ds::DescriptorSystem& g,
   // (where M0 is symmetric), and exact in the Hermitian part — the part
   // passivity and port energy see — in general.
   red.d = pp.dHalf + 0.5 * (g.d - g.d.transposed());
-  for (std::size_t i = 0; i < r; ++i) red.e(i, i) = 1.0 / bal.freqScale;
+  for (std::size_t i = 0; i < r; ++i)
+    red.e(i, i) = 1.0 / state.balanced.freqScale;
   red.a.setBlock(0, 0, ar);
   red.b.setBlock(0, 0, br);
   red.c.setBlock(0, 0, cr);

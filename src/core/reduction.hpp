@@ -26,21 +26,24 @@ struct ReducedModel {
                                    ///< proper part (descending).
   std::size_t properOrder = 0;     ///< Retained proper states r.
   std::size_t impulsiveRank = 0;   ///< rank(M1).
-  bool ok = false;                 ///< False if Phi kept impulsive modes,
-                                   ///< the Eq.-(22) split failed, or M1
-                                   ///< is not symmetric (the analyzer's
-                                   ///< report names the failing stage).
+  bool ok = false;                 ///< False whenever the Fig.-1 run
+                                   ///< stops before the pr-test (its
+                                   ///< failure stage is neither None nor
+                                   ///< ProperPartNotPr; the analyzer's
+                                   ///< report names that stage).
 };
 
-/// Reduce a (passive) descriptor system. `properOrder` caps the retained
-/// proper states; `hsvTol` additionally drops states whose Hankel singular
-/// value is below hsvTol * hsv_max. The reduction is performed on the
-/// balanced copy and mapped back to the original frequency scale.
-/// `rankTol` is threaded into every rank decision of the deflation chain
-/// (impulse deflation, nondynamic removal, M1 extraction), matching the
-/// Fig.-1 pipeline (negative = shared SVD default); it does NOT
-/// affect the Gramian-factor cutoffs, which are eigenvalue tolerances
-/// documented at psdFactor.
+/// Reduce a (passive) descriptor system. Runs the standard Fig.-1
+/// pipeline (api::runPipeline) with `rankTol` (negative = shared SVD
+/// default) threaded into every rank decision, and reduces the proper
+/// part and M1 that run extracted on the balanced copy, mapped back to
+/// the original frequency scale; `rankTol` does NOT affect the
+/// Gramian-factor cutoffs, which are eigenvalue tolerances documented at
+/// psdFactor. `properOrder` caps the retained proper states; `hsvTol`
+/// additionally drops states whose Hankel singular value is below
+/// hsvTol * hsv_max. Bad input (including a non-finite `rankTol`) throws
+/// std::invalid_argument; any other operational failure of the run throws
+/// std::runtime_error.
 ReducedModel reduceDescriptor(const ds::DescriptorSystem& g,
                               std::size_t properOrder,
                               double hsvTol = 0.0,

@@ -2,12 +2,14 @@
 // (1x1 blocks for real eigenvalues, standardized 2x2 blocks for complex
 // conjugate pairs).
 //
-// Two implementations share the public entry point:
+// Two QR iterations share one driver (Hessenberg reduction, iteration,
+// standardizing cleanup) behind the public entry points:
 //
-//   * schurUnblocked — Hessenberg reduction + the EISPACK hqr2 / JAMA
-//     lineage Francis double-shift iteration. Kept as the reference
-//     oracle (and used below the crossover, where its lower constant
-//     wins).
+//   * francisSchurWindow (schur_multishift.hpp) — the EISPACK / LAPACK
+//     dlahqr lineage Francis double-shift iteration, run on the
+//     whole matrix. schurUnblocked is this path at every order: the
+//     reference oracle, and the path realSchur takes below the
+//     crossover, where its lower constant wins.
 //   * the multishift QR subsystem with aggressive early deflation
 //     (schur_multishift.hpp, aed.hpp; LAPACK dlaqr0/dlaqr2/dlaqr5
 //     lineage), which converts the bulk of the QR-iteration work into
@@ -46,16 +48,17 @@ struct RealSchurResult {
 /// fails to converge (mapped to SCHUR_NO_CONVERGENCE by the public API).
 RealSchurResult realSchur(const Matrix& a);
 
-/// The unblocked EISPACK hqr2-lineage reference implementation. Exposed
-/// for the multishift-vs-reference equivalence tests and kernel
-/// benchmarks; production code should call realSchur().
+/// The unblocked reference implementation: Hessenberg reduction plus
+/// francisSchurWindow over the whole matrix, at every order. Exposed for
+/// the multishift-vs-reference equivalence tests and kernel benchmarks;
+/// production code should call realSchur().
 RealSchurResult schurUnblocked(const Matrix& a);
 
-/// Eigenvalues only. Above the crossover this runs the identical
-/// Hessenberg + multishift iteration WITHOUT accumulating the orthogonal
-/// factor (the Q-sized gemm flushes and accumulation loops are skipped
-/// outright), so the values are exactly realSchur's at a fraction of the
-/// cost; below the crossover it is plain schurUnblocked.
+/// Eigenvalues only. Runs realSchur's Hessenberg reduction and QR
+/// iteration (the same dispatch on kSchurCrossover) WITHOUT forming the
+/// orthogonal factor (the Q-sized accumulation loops and gemm flushes are
+/// skipped outright). The T iterates never read Q, so the values are
+/// bitwise realSchur's at every order, at a fraction of the cost.
 std::vector<std::complex<double>> eigenvalues(const Matrix& a);
 
 /// Extract the eigenvalues from an already quasi-triangular matrix

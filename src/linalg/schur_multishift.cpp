@@ -455,9 +455,9 @@ void multishiftSchurHessenberg(Matrix& h, Matrix& z, SchurReport* report) {
   local.multishift = true;
   const double eps = std::numeric_limits<double>::epsilon();
 
-  // Global fallback scale of the small-subdiagonal test (matches the
-  // hqr2 convention of substituting the matrix norm for a zero local
-  // scale).
+  // Global fallback scale of the small-subdiagonal test (matches
+  // francisSchurWindow, which substitutes the matrix norm for a zero
+  // local scale).
   double norm = 0.0;
   for (long i = 0; i < n; ++i)
     for (long j = std::max(i - 1, 0L); j < n; ++j) norm += std::abs(h(i, j));

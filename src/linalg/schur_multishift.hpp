@@ -2,8 +2,8 @@
 // BLAS-3 production path behind realSchur() (LAPACK dlaqr0 / dlaqr2 /
 // dlaqr5 lineage).
 //
-// The historical Francis double-shift iteration (`hqr2` in schur.cpp,
-// EISPACK lineage) applies every 3x3 bulge reflector across the full
+// The Francis double-shift iteration (francisSchurWindow below, EISPACK
+// lineage) applies every 3x3 bulge reflector across the full
 // matrix immediately: O(n) BLAS-1 work per reflector, O(n^3) total, none
 // of it blockable. This subsystem converts the bulk of that work into
 // calls to the blocked, bit-deterministic gemm() of blas.hpp:
@@ -24,11 +24,9 @@
 //     window transform is likewise applied off-window as gemms.
 //
 // realSchur() dispatches on kSchurCrossover (consistent with
-// kHessenbergCrossover and kSvdCrossover): below it the EISPACK-lineage
-// schurUnblocked() oracle runs and the result is BIT-IDENTICAL to it
-// (enforced by tests; note schurUnblocked itself now zeroes negligible
-// subdiagonals at deflation time, so it is equivalent to — not bitwise
-// frozen at — the historical implementation).
+// kHessenbergCrossover and kSvdCrossover): below it francisSchurWindow
+// runs on the whole matrix, which is exactly the schurUnblocked() oracle,
+// so the result is BIT-IDENTICAL to it (enforced by tests).
 // Above it this subsystem runs; its only nondeterminism-relevant
 // dependency is gemm(), so results are bit-identical for every
 // setGemmThreads() setting (the thread-pool contract of blas.hpp is
@@ -51,7 +49,7 @@
 namespace shhpass::linalg {
 
 /// Smallest order for which realSchur() takes the multishift path. Below
-/// it the EISPACK-lineage unblocked iteration is faster AND the dispatch
+/// it francisSchurWindow over the whole matrix is faster AND the dispatch
 /// is bit-identical to schurUnblocked (consistent with
 /// kHessenbergCrossover and kSvdCrossover).
 inline constexpr std::size_t kSchurCrossover = 128;
@@ -71,8 +69,9 @@ inline constexpr std::size_t kSchurSweepChunk = 32;
 /// deflates at least this percentage of its window (LAPACK's NIBBLE).
 inline constexpr std::size_t kSchurAedNibble = 14;
 
-/// Typed non-convergence error of the QR eigeniteration (both the
-/// unblocked hqr2 path and the multishift path). The public API maps it
+/// Typed non-convergence error of the QR eigeniteration (thrown by
+/// francisSchurWindow, on the unblocked path or inside the multishift
+/// path). The public API maps it
 /// onto api::ErrorCode::SchurNoConvergence ("SCHUR_NO_CONVERGENCE")
 /// instead of the generic NUMERICAL_FAILURE of plain runtime errors.
 class SchurConvergenceError : public std::runtime_error {
@@ -85,8 +84,8 @@ class SchurConvergenceError : public std::runtime_error {
 /// ReorderReport) through core::ProperPartResult -> api::AnalysisReport
 /// and serialized under diagnostics.schur.
 struct SchurReport {
-  /// True when the multishift path ran (false: unblocked oracle below
-  /// kSchurCrossover, which leaves the counters at their hqr2 values).
+  /// True when the multishift path ran (false: francisSchurWindow over
+  /// the whole matrix, which only counts iterations).
   bool multishift = false;
   /// Multishift bulge-chain sweeps performed.
   std::size_t sweeps = 0;
@@ -98,8 +97,8 @@ struct SchurReport {
   /// Shifts consumed by the multishift sweeps (2 per bulge).
   std::size_t shiftsApplied = 0;
   /// Total implicit-QR iterations of the windowed Francis solver
-  /// (small active blocks + AED window factorizations + hqr2 itself on
-  /// the unblocked path).
+  /// (small active blocks + AED window factorizations on the multishift
+  /// path; the whole matrix on the unblocked path).
   std::size_t iterations = 0;
   /// Entries the belt-and-braces repairQuasiTriangularStructure pass had
   /// to zero after the iteration (eps-level deflation leftovers between
@@ -123,14 +122,16 @@ std::size_t schurShiftCount(std::size_t active);
 /// than the shift count, so the sweep's shifts come out of one window).
 std::size_t schurAedWindow(std::size_t active);
 
-/// Windowed Francis double-shift QR iteration (EISPACK hqr2 / LAPACK
-/// dlahqr lineage): reduce rows/columns [lo, hi] of the upper Hessenberg
+/// Windowed Francis double-shift QR iteration (EISPACK / LAPACK dlahqr
+/// lineage): reduce rows/columns [lo, hi] of the upper Hessenberg
 /// `h` to quasi-triangular form by orthogonal similarity, applying every
 /// transformation across the full matrix (rows of `h` to the right of the
 /// window, columns above it) and accumulating it into all rows of `q`
-/// (columns [lo, hi]). Used by the multishift driver for small active
-/// blocks and by the AED step for the window factorization; the diagonal
-/// blocks it leaves are NOT yet standardized (see
+/// (columns [lo, hi]); a 0 x 0 `q` skips the accumulation. Used by the
+/// multishift driver for small active blocks, by the AED step for the
+/// window factorization, and over the whole matrix ([0, n-1]) by
+/// schurUnblocked and by realSchur/eigenvalues below kSchurCrossover. The
+/// diagonal blocks it leaves are NOT yet standardized (see
 /// standardizeQuasiTriangular). Subdiagonal entries judged negligible at
 /// deflation time are zeroed immediately, so no eps-level leftovers
 /// remain between blocks. Throws SchurConvergenceError when a window

@@ -16,8 +16,10 @@ namespace {
 
 // Golub-Kahan-Reinsch SVD for m >= n (JAMA lineage). Computes thin U (m x n),
 // singular values s (n), and full V (n x n), sorted descending. This is the
-// unblocked reference kernel; it must stay bit-identical to the historical
-// implementation (the dispatch below kSvdCrossover relies on that).
+// unblocked reference kernel: per-reflector bidiagonalization and rank-1
+// factor generation, then the shared implicit-QR sweep
+// (detail::bidiagonalQrSweepTransposed) on the bidiagonal core. The
+// dispatch below kSvdCrossover returns its result bit for bit.
 void gkSvd(const Matrix& aIn, std::vector<double>& sv, Matrix& u, Matrix& v) {
   Matrix a = aIn;
   const int m = static_cast<int>(a.rows());
@@ -119,173 +121,32 @@ void gkSvd(const Matrix& aIn, std::vector<double>& sv, Matrix& u, Matrix& v) {
     v(k, k) = 1.0;
   }
 
-  // Main iteration: diagonalize the bidiagonal form.
-  const int pp = p - 1;
-  int iter = 0;
-  const double eps = std::numeric_limits<double>::epsilon();
-  const double tiny = std::numeric_limits<double>::min() / eps;
-  while (p > 0) {
-    int k, kase;
-    for (k = p - 2; k >= -1; --k) {
-      if (k == -1) break;
-      if (std::abs(e[k]) <=
-          tiny + eps * (std::abs(s[k]) + std::abs(s[k + 1]))) {
-        e[k] = 0.0;
-        break;
-      }
-    }
-    if (k == p - 2) {
-      kase = 4;
-    } else {
-      int ks;
-      for (ks = p - 1; ks >= k; --ks) {
-        if (ks == k) break;
-        const double t = (ks != p ? std::abs(e[ks]) : 0.0) +
-                         (ks != k + 1 ? std::abs(e[ks - 1]) : 0.0);
-        if (std::abs(s[ks]) <= tiny + eps * t) {
-          s[ks] = 0.0;
-          break;
-        }
-      }
-      if (ks == k) {
-        kase = 3;
-      } else if (ks == p - 1) {
-        kase = 1;
-      } else {
-        kase = 2;
-        k = ks;
-      }
-    }
-    ++k;
-
-    switch (kase) {
-      case 1: {  // Deflate negligible s(p-1).
-        double f = e[p - 2];
-        e[p - 2] = 0.0;
-        for (int j = p - 2; j >= k; --j) {
-          double t = std::hypot(s[j], f);
-          const double cs = s[j] / t;
-          const double sn = f / t;
-          s[j] = t;
-          if (j != k) {
-            f = -sn * e[j - 1];
-            e[j - 1] = cs * e[j - 1];
-          }
-          for (int i = 0; i < n; ++i) {
-            t = cs * v(i, j) + sn * v(i, p - 1);
-            v(i, p - 1) = -sn * v(i, j) + cs * v(i, p - 1);
-            v(i, j) = t;
-          }
-        }
-        break;
-      }
-      case 2: {  // Split at negligible s(k).
-        double f = e[k - 1];
-        e[k - 1] = 0.0;
-        for (int j = k; j < p; ++j) {
-          double t = std::hypot(s[j], f);
-          const double cs = s[j] / t;
-          const double sn = f / t;
-          s[j] = t;
-          f = -sn * e[j];
-          e[j] = cs * e[j];
-          for (int i = 0; i < m; ++i) {
-            t = cs * u(i, j) + sn * u(i, k - 1);
-            u(i, k - 1) = -sn * u(i, j) + cs * u(i, k - 1);
-            u(i, j) = t;
-          }
-        }
-        break;
-      }
-      case 3: {  // One QR step with Wilkinson shift.
-        const double scale = std::max(
-            {std::abs(s[p - 1]), std::abs(s[p - 2]), std::abs(e[p - 2]),
-             std::abs(s[k]), std::abs(e[k])});
-        const double sp = s[p - 1] / scale;
-        const double spm1 = s[p - 2] / scale;
-        const double epm1 = e[p - 2] / scale;
-        const double sk = s[k] / scale;
-        const double ek = e[k] / scale;
-        const double b = ((spm1 + sp) * (spm1 - sp) + epm1 * epm1) / 2.0;
-        const double c = (sp * epm1) * (sp * epm1);
-        double shift = 0.0;
-        if (b != 0.0 || c != 0.0) {
-          shift = std::sqrt(b * b + c);
-          if (b < 0.0) shift = -shift;
-          shift = c / (b + shift);
-        }
-        double f = (sk + sp) * (sk - sp) + shift;
-        double g = sk * ek;
-        for (int j = k; j < p - 1; ++j) {
-          double t = std::hypot(f, g);
-          double cs = f / t;
-          double sn = g / t;
-          if (j != k) e[j - 1] = t;
-          f = cs * s[j] + sn * e[j];
-          e[j] = cs * e[j] - sn * s[j];
-          g = sn * s[j + 1];
-          s[j + 1] = cs * s[j + 1];
-          for (int i = 0; i < n; ++i) {
-            t = cs * v(i, j) + sn * v(i, j + 1);
-            v(i, j + 1) = -sn * v(i, j) + cs * v(i, j + 1);
-            v(i, j) = t;
-          }
-          t = std::hypot(f, g);
-          cs = f / t;
-          sn = g / t;
-          s[j] = t;
-          f = cs * e[j] + sn * s[j + 1];
-          s[j + 1] = -sn * e[j] + cs * s[j + 1];
-          g = sn * e[j + 1];
-          e[j + 1] = cs * e[j + 1];
-          if (j < m - 1)
-            for (int i = 0; i < m; ++i) {
-              t = cs * u(i, j) + sn * u(i, j + 1);
-              u(i, j + 1) = -sn * u(i, j) + cs * u(i, j + 1);
-              u(i, j) = t;
-            }
-        }
-        e[p - 2] = f;
-        if (++iter > 500)
-          throw std::runtime_error("SVD: QR iteration failed to converge");
-        break;
-      }
-      case 4: {  // Convergence.
-        if (s[k] <= 0.0) {
-          s[k] = (s[k] < 0.0 ? -s[k] : 0.0);
-          for (int i = 0; i <= pp; ++i) v(i, k) = -v(i, k);
-        }
-        while (k < pp) {
-          if (s[k] >= s[k + 1]) break;
-          std::swap(s[k], s[k + 1]);
-          if (k < n - 1)
-            for (int i = 0; i < n; ++i) std::swap(v(i, k), v(i, k + 1));
-          if (k < m - 1)
-            for (int i = 0; i < m; ++i) std::swap(u(i, k), u(i, k + 1));
-          ++k;
-        }
-        iter = 0;
-        --p;
-        break;
-      }
-    }
-  }
+  // Diagonalize the bidiagonal core with the shared sweep on transposed
+  // (row-contiguous) factor layouts, as gkSvdBlocked does.
+  Matrix ut = u.transposed();
+  Matrix vt = v.transposed();
+  detail::bidiagonalQrSweepTransposed(sv, e, ut, vt);
+  u = ut.transposed();
+  v = vt.transposed();
 }
+
+}  // namespace
 
 // ------------------------------------------------------------------------
 // Blocked (dgebrd/dlabrd-style) kernel.
 // ------------------------------------------------------------------------
 
-// The gkSvd main iteration operating on TRANSPOSED factors: row j of `ut`
-// is column j of U, row j of `vt` is column j of V. Every Givens rotation
-// then updates two contiguous rows instead of two stride-n columns, which
-// is what keeps the O(n^3) rotation stream cache-resident. The update
-// sequence (shifts, deflation tests, rotation order) is the same as
-// gkSvd's loop; only the factor indexing differs.
-void diagonalizeBidiagonalTransposed(std::vector<double>& sv,
-                                     std::vector<double>& e, Matrix& ut,
-                                     Matrix& vt,
-                                     bool withVectors = true) {
+namespace detail {
+
+// The Golub-Kahan-Reinsch implicit-QR iteration (JAMA lineage) on
+// TRANSPOSED factors: row j of `ut` is column j of U, row j of `vt` is
+// column j of V. Every Givens rotation then updates two contiguous rows
+// instead of two stride-n columns, which is what keeps the O(n^3)
+// rotation stream cache-resident. Both SVD kernels and the staircase
+// skew-tridiagonal compression run their bidiagonal core through it.
+void bidiagonalQrSweepTransposed(std::vector<double>& sv,
+                                 std::vector<double>& e, Matrix& ut,
+                                 Matrix& vt, bool withVectors) {
   double* s = sv.data();
   const int n = static_cast<int>(sv.size());
   const int m = static_cast<int>(ut.cols());
@@ -459,6 +320,10 @@ void diagonalizeBidiagonalTransposed(std::vector<double>& sv,
     }
   }
 }
+
+}  // namespace detail
+
+namespace {
 
 // One dlabrd panel: bidiagonalizes rows/columns k .. k+nb-1 of `w` with
 // lazily-applied updates. Instead of updating the trailing matrix after
@@ -653,7 +518,7 @@ void gkSvdBlocked(const Matrix& aIn, std::vector<double>& sv, Matrix& u,
     sv = d;
     e[n - 1] = 0.0;
     Matrix ut, vt;
-    diagonalizeBidiagonalTransposed(sv, e, ut, vt, /*withVectors=*/false);
+    detail::bidiagonalQrSweepTransposed(sv, e, ut, vt, /*withVectors=*/false);
     return;
   }
 
@@ -699,22 +564,12 @@ void gkSvdBlocked(const Matrix& aIn, std::vector<double>& sv, Matrix& u,
   e[n - 1] = 0.0;
   Matrix ut = u.transposed();
   Matrix vt = v.transposed();
-  diagonalizeBidiagonalTransposed(sv, e, ut, vt);
+  detail::bidiagonalQrSweepTransposed(sv, e, ut, vt);
   u = ut.transposed();
   v = vt.transposed();
 }
 
 }  // namespace
-
-namespace detail {
-
-void bidiagonalQrSweepTransposed(std::vector<double>& sv,
-                                 std::vector<double>& e, Matrix& ut,
-                                 Matrix& vt, bool withVectors) {
-  diagonalizeBidiagonalTransposed(sv, e, ut, vt, withVectors);
-}
-
-}  // namespace detail
 
 RankReport::RankReport()
     : minKeptMargin(std::numeric_limits<double>::infinity()) {}

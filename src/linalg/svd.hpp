@@ -4,20 +4,23 @@
 //
 // Two kernels share the public entry point:
 //
-//   * svdUnblocked — the historical Golub-Kahan-Reinsch implementation
-//     (JAMA lineage): per-reflector bidiagonalization, rank-1 factor
-//     generation, implicit-shift QR on the bidiagonal core. Kept as the
-//     reference oracle and used below the crossover, where it is both
-//     faster and bit-identical to the pre-blocking implementation
-//     (seeded downstream tests rely on that).
+//   * svdUnblocked — the Golub-Kahan-Reinsch implementation (JAMA
+//     lineage): per-reflector bidiagonalization and rank-1 factor
+//     generation, then the shared implicit-shift QR sweep on the
+//     bidiagonal core. Kept as the reference oracle and used below the
+//     crossover, where it is faster (seeded downstream tests rely on
+//     its exact bits).
 //   * a blocked dgebrd/dlabrd-style path (svd.cpp): panels of kSvdPanel
 //     columns/rows are bidiagonalized with lazily-applied updates (the
 //     dlabrd X/Y recurrences), the trailing matrix is updated with two
 //     large gemm calls per panel, and U/V are accumulated panel-by-panel
 //     through the compact-WY kernels in householder.hpp — all O(n^3)
-//     work outside the skinny panel products is BLAS-3. The implicit-QR
-//     sweep then runs on transposed (row-contiguous) factor layouts so
-//     the Givens updates stream through cache instead of striding.
+//     work outside the skinny panel products is BLAS-3.
+//
+// Both kernels diagonalize their bidiagonal core with the one sweep
+// detail::bidiagonalQrSweepTransposed, on transposed (row-contiguous)
+// factor layouts so the Givens updates stream through cache instead of
+// striding.
 //
 // SVD() dispatches on kSvdCrossover (min(m, n)); below it the result is
 // bit-identical to svdUnblocked. Above it the two kernels produce equally
@@ -185,10 +188,10 @@ namespace detail {
 /// accumulated on TRANSPOSED layouts — row j of `ut` is column j of U,
 /// row j of `vt` is column j of V — so the Givens stream touches
 /// contiguous rows. On return `sv` is sorted descending with
-/// nonnegative entries. This is the rotation engine of the blocked SVD
-/// kernel, exposed for linalg/staircase.cpp, whose skew-tridiagonal
-/// compression reduces E1 to a half-size bidiagonal core and reuses the
-/// exact same sweep (one implementation, one set of deflation criteria).
+/// nonnegative entries. This is the rotation engine of both SVD kernels,
+/// exposed for linalg/staircase.cpp, whose skew-tridiagonal compression
+/// reduces E1 to a half-size bidiagonal core and reuses the exact same
+/// sweep (one implementation, one set of deflation criteria).
 void bidiagonalQrSweepTransposed(std::vector<double>& sv,
                                  std::vector<double>& e, Matrix& ut,
                                  Matrix& vt, bool withVectors = true);

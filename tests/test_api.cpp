@@ -291,6 +291,52 @@ TEST(ApiAnalyzer, BadMarginToleranceIsAnInvalidArgument) {
   EXPECT_TRUE(r->margin->defined);
 }
 
+TEST(ApiAnalyzer, NonFiniteToleranceIsAnInvalidArgument) {
+  // An infinite or NaN cutoff decides every rank or imaginary-axis test
+  // one way: on this passive ladder imagTol = +inf used to come back as
+  // LOSSLESS_AXIS_MODES and rankTol = +inf as RESIDUAL_IMPULSES.
+  circuits::LadderOptions opt;
+  opt.sections = 2;
+  opt.capAtPort = true;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<core::PassivityOptions> bad(6);
+  bad[0].imagTol = inf;
+  bad[1].imagTol = nan;
+  bad[2].imagTol = -1e-8;
+  bad[3].rankTol = inf;
+  bad[4].rankTol = nan;
+  bad[5].rankTol = -inf;
+  AnalysisRequest req;
+  req.system = circuits::makeRlcLadder(opt);
+  PassivityAnalyzer analyzer;
+  std::vector<AnalysisRequest> batch;
+  for (const core::PassivityOptions& o : bad) {
+    req.options = o;
+    Result<AnalysisReport> r = analyzer.analyze(req);
+    ASSERT_FALSE(r.ok()) << o.imagTol << " " << o.rankTol;
+    EXPECT_EQ(r.status().code(), ErrorCode::InvalidArgument)
+        << o.imagTol << " " << o.rankTol;
+    batch.push_back(req);
+  }
+  for (const Result<AnalysisReport>& r : analyzer.runBatch(batch))
+    EXPECT_EQ(r.status().code(), ErrorCode::InvalidArgument);
+  // A negative rankTol is the shared-policy sentinel, imagTol = 0 is a
+  // valid (strict) cutoff.
+  core::PassivityOptions edge;
+  edge.rankTol = -1.0;
+  edge.imagTol = 0.0;
+  req.options = edge;
+  Result<AnalysisReport> r = analyzer.analyze(req);
+  ASSERT_TRUE(r.ok()) << r.status().toString();
+  EXPECT_TRUE(r->passive);
+  // The exception-based wrappers share the check.
+  EXPECT_THROW(core::passivityMargin(req.system, 1e-6, inf),
+               std::invalid_argument);
+  EXPECT_THROW(core::passivityMargin(req.system, 1e-6, nan),
+               std::invalid_argument);
+}
+
 TEST(ApiJson, MarginIsSerializedOnlyWhenRequested) {
   AnalysisRequest req;
   req.system = circuits::makeNonPassiveIndefiniteM1();

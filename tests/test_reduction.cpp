@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "circuits/generators.hpp"
 #include "core/markov.hpp"
@@ -115,9 +117,29 @@ TEST(Reduction, HsvToleranceDropsStates) {
 }
 
 TEST(Reduction, FailsGracefullyOnDefectiveInput) {
-  ReducedModel rom =
-      reduceDescriptor(circuits::makeNonPassiveHigherOrderImpulse(), 4);
-  EXPECT_FALSE(rom.ok);
+  // Every input whose Fig.-1 run stops before the pr-test is refused:
+  // grade-3 chains, an indefinite M1 (whose negative eigenvalue the PSD
+  // factor would silently drop) and unstable finite modes.
+  EXPECT_FALSE(
+      reduceDescriptor(circuits::makeNonPassiveHigherOrderImpulse(), 4).ok);
+  EXPECT_FALSE(
+      reduceDescriptor(circuits::makeNonPassiveIndefiniteM1(), 100).ok);
+  EXPECT_FALSE(
+      reduceDescriptor(circuits::makeNonPassiveNegativeResistor(4), 100).ok);
+  // A stable proper part that merely fails positive realness is still a
+  // faithful model to reduce: no truncation reproduces G.
+  const ds::DescriptorSystem g = circuits::makeNonPassiveNegativeFeedthrough(4);
+  ASSERT_EQ(testing::pipelineReport(g).failure, FailureStage::ProperPartNotPr);
+  ReducedModel rom = reduceDescriptor(g, 100);
+  ASSERT_TRUE(rom.ok);
+  const ds::TransferValue gv = ds::evalTransfer(g, 0.0, 1e3);
+  const ds::TransferValue rv = ds::evalTransfer(rom.sys, 0.0, 1e3);
+  const double err = (gv.re - rv.re).maxAbs() + (gv.im - rv.im).maxAbs();
+  EXPECT_LT(err, 1e-8 * (gv.re.maxAbs() + gv.im.maxAbs()));
+  // Bad input surfaces as the wrappers' shared exception contract.
+  EXPECT_THROW(reduceDescriptor(g, 100, 0.0,
+                                std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
 }
 
 // ------------- rank decisions at the deflation tolerance boundary

@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <complex>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -279,6 +280,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --------------------------------------------------- dispatch + threads
 
+void expectBitIdentical(const std::vector<std::complex<double>>& a,
+                        const std::vector<std::complex<double>>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])), 0);
+}
+
 TEST(MultishiftDispatch, BitIdenticalToUnblockedBelowCrossover) {
   for (std::size_t n : {16u, 64u, 127u}) {
     Xorshift rng(4242 + n);
@@ -288,10 +295,17 @@ TEST(MultishiftDispatch, BitIdenticalToUnblockedBelowCrossover) {
     EXPECT_FALSE(a.report.multishift);
     expectBitIdentical(a.t, b.t);
     expectBitIdentical(a.q, b.q);
-    ASSERT_EQ(a.eigenvalues.size(), b.eigenvalues.size());
-    for (std::size_t i = 0; i < a.eigenvalues.size(); ++i)
-      EXPECT_EQ(a.eigenvalues[i], b.eigenvalues[i]);
+    expectBitIdentical(a.eigenvalues, b.eigenvalues);
+    // The values-only entry point never forms Q; the T iterates never
+    // read it, so its values are realSchur's bit for bit.
+    expectBitIdentical(eigenvalues(planted.a), a.eigenvalues);
   }
+  // The same values-only contract on the multishift path.
+  Xorshift rng(4242 + 200);
+  const Planted planted = makeClustered(200, rng);
+  const RealSchurResult rs = realSchur(planted.a);
+  EXPECT_TRUE(rs.report.multishift);
+  expectBitIdentical(eigenvalues(planted.a), rs.eigenvalues);
 }
 
 TEST(MultishiftThreads, BitDeterministicUnderGemmThreadPool) {

@@ -353,7 +353,7 @@ TEST(SchurReorderRandom, IllPosedExchangeIsRejectedNotCorrupted) {
 }
 
 TEST(SchurReorderRandom, NegligibleOverlapLeftoverIsRepaired) {
-  // An eps-level subdiagonal BETWEEN two genuine 2x2 blocks (an hqr2
+  // An eps-level subdiagonal BETWEEN two genuine 2x2 blocks (a Francis
   // deflation leftover: its smallness test ran under shifted diagonals)
   // makes the block structure ambiguous. reorderSchur must repair it and
   // then classify/reorder the true blocks correctly.

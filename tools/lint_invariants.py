@@ -74,6 +74,16 @@ no-raw-clock
     obs::monotonicNowNs() (src/obs/clock.hpp). bench/, tests/, and
     examples/ are out of scope. Waivable with `lint-ok: no-raw-clock`.
 
+one-fig1-chain
+    The Fig.-1 chain has one implementation: the stage table of
+    src/api/pipeline.cpp, run by api::runPipeline. A call to
+    `deflateImpulseModes(` anywhere else in src/ (outside the stage's
+    own src/core/impulse_deflation.*) is a hand-wired copy of the chain:
+    it skips whichever screens and gates its author forgot (model
+    reduction once skipped the prerequisites and the M1 >= 0 check).
+    Extensions that need the proper part or M1 run the pipeline and read
+    its PipelineState.
+
 Waivers: append `lint-ok: <rule-id>` in a comment on the offending line
 to waive a line-based rule (use sparingly; the waiver itself is visible
 in review).
@@ -102,6 +112,7 @@ RULE_IDS = (
     "rank-tol-literal",
     "tsan-supp-clean",
     "no-raw-clock",
+    "one-fig1-chain",
 )
 
 
@@ -231,6 +242,7 @@ RANK_TOL_LITERAL_RE = re.compile(
 # indented and therefore ignored.
 RAW_CLOCK_RE = re.compile(
     r"\bstd\s*::\s*chrono\s*::\s*\w*_clock\s*::\s*now\s*\(")
+FIG1_CHAIN_RE = re.compile(r"\bdeflateImpulseModes\s*\(")
 KERNEL_DECL_RE = re.compile(
     r"^[A-Za-z_][\w:<>,&*\s]*?\b([A-Za-z_]\w*?)(Blocked|Unblocked|Reference)"
     r"\s*\(",
@@ -295,6 +307,21 @@ def check_no_raw_clock(root: str) -> List[Finding]:
             "direct std::chrono clock read in src/ outside src/obs/: "
             "mismatched epochs cannot be correlated with the span "
             "tracer; use obs::monotonicNowNs() (src/obs/clock.hpp)")
+    return findings
+
+
+def check_one_fig1_chain(root: str) -> List[Finding]:
+    findings = []
+    for path in _cpp_files(root, ("src",)):
+        rel = _rel(root, path)
+        if (rel == "src/api/pipeline.cpp"
+                or rel.startswith("src/core/impulse_deflation.")):
+            continue  # the stage table and the stage's own definition
+        findings += _line_findings(
+            root, path, "one-fig1-chain", FIG1_CHAIN_RE,
+            "deflateImpulseModes( outside the pipeline stage table is a "
+            "hand-wired copy of the Fig.-1 chain; run api::runPipeline "
+            "and read the PipelineState instead")
     return findings
 
 
@@ -396,6 +423,7 @@ CHECKS = (
     check_rank_tol_literal,
     check_tsan_supp_clean,
     check_no_raw_clock,
+    check_one_fig1_chain,
 )
 
 

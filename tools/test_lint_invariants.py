@@ -131,6 +131,22 @@ auto t = std::chrono::steady_clock::now();  // the sanctioned site
 auto t0 = std::chrono::steady_clock::now();  // bench/ is out of scope
 """)
 
+    # one-fig1-chain: a hand-wired deflateImpulseModes( call fires; the
+    # pipeline stage table, the stage's own definition, and a comment
+    # mention stay clean.
+    planted["one-fig1-chain"] = (write(root, "src/core/bad_chain.cpp", """
+// deflateImpulseModes(phi) in a comment is fine
+void reduce(const Phi& phi) {
+  auto s1 = deflateImpulseModes(phi, -1.0);
+}
+"""), 4)
+    write(root, "src/api/pipeline.cpp", """
+void stage(State& s) { s.d = core::deflateImpulseModes(s.phi, s.tol); }
+""")
+    write(root, "src/core/impulse_deflation.cpp", """
+Result deflateImpulseModes(const Phi& phi, double rankTol) { return {}; }
+""")
+
     # tsan-supp-clean: a project-owned suppression fires; comments and a
     # third-party suppression do not.
     planted["tsan-supp-clean"] = (write(root, "tools/tsan.supp", """\
