@@ -6,7 +6,8 @@
 // staircase deflation-chain health, measures the dense kernels (naive vs
 // blocked gemm, unblocked vs blocked Hessenberg, unblocked vs blocked
 // SVD, unblocked vs multishift-AED Schur, staircase deflation chain vs
-// the SVD-chain oracle) in GFLOP/s, records per-stage peak live bytes from
+// the SVD-chain oracle, windowed vs bubble Schur reordering, blocked vs
+// back-substitution Lyapunov) in GFLOP/s, records per-stage peak live bytes from
 // the memory accountant plus the telemetry-on-vs-dark observer-overhead
 // row (schema v7), and writes everything as BENCH_pipeline.json.
 //
@@ -29,6 +30,7 @@
 // Determinism contract (bench_support.hpp): every model is a pure
 // function of its printed order; wall times are the only nondeterministic
 // values in the file.
+#include <complex>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -42,16 +44,20 @@
 #include "bench_support.hpp"
 #include "circuits/generators.hpp"
 #include "circuits/sweep.hpp"
+#include "control/lyapunov.hpp"
 #include "core/impulse_deflation.hpp"
 #include "core/nondynamic.hpp"
 #include "core/phi_builder.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/hessenberg.hpp"
 #include "linalg/schur.hpp"
+#include "linalg/schur_reorder.hpp"
 #include "linalg/svd.hpp"
 #include "obs/memory.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "shh/stable_subspace.hpp"
+#include "decoupling_oracle.hpp"
 #include "svd_chain_oracle.hpp"
 
 namespace {
@@ -256,6 +262,42 @@ int main(int argc, char** argv) {
             oracle::ImpulseDeflation s1 = oracle::deflateImpulseModes(phi);
             (void)oracle::removeNondynamicModes(s1.reduced);
           }));
+
+      // Eq.-22/23 decoupling kernels vs their oracles
+      // (tests/decoupling_oracle.hpp). `reorder`: the stable/antistable
+      // reordering of the real Schur form of a seeded order-n
+      // Hamiltonian, windowed vs the one-block-at-a-time bubble.
+      // `lyapunov`: Lambda Y + Y Lambda^T + Q = 0 with Lambda the order-n
+      // stable block of a seeded order-2n Hamiltonian, the blocked
+      // quasi-triangular kernel vs the block back-substitution. Flops are
+      // nominal (n^3 and 2n^3, the same for both variants of a row).
+      const auto stableSelect = [](std::complex<double> l) {
+        return l.real() < 0.0;
+      };
+      const linalg::RealSchurResult hs =
+          linalg::realSchur(bench::seededHamiltonian(n / 2, 11 * n + 5));
+      const double reorderFlops = static_cast<double>(n) * n * n;
+      rows.push_back(
+          timeKernel("reorder", n, "windowed", reorderFlops, reps, [&] {
+            linalg::Matrix t = hs.t, q = hs.q;
+            (void)linalg::reorderSchur(t, q, stableSelect);
+          }));
+      rows.push_back(
+          timeKernel("reorder", n, "oracle", reorderFlops, reps, [&] {
+            linalg::Matrix t = hs.t, q = hs.q;
+            (void)oracle::reorderSchurBubble(t, q, stableSelect);
+          }));
+      const shh::HamiltonianDecoupling dec =
+          shh::decoupleHamiltonian(bench::seededHamiltonian(n, 13 * n + 3));
+      linalg::Matrix lyapQ = bench::seededMatrix(n, n, 17 * n + 1);
+      linalg::symmetrize(lyapQ);
+      const double lyapFlops = 2.0 * static_cast<double>(n) * n * n;
+      rows.push_back(timeKernel("lyapunov", n, "blocked", lyapFlops, reps, [&] {
+        (void)control::solveLyapunov(dec.lambda, lyapQ);
+      }));
+      rows.push_back(timeKernel("lyapunov", n, "oracle", lyapFlops, reps, [&] {
+        (void)oracle::solveLyapunovBackSubstitution(dec.lambda, lyapQ);
+      }));
     }
   }
   w.key("kernels").beginArray();

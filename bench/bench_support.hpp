@@ -27,7 +27,9 @@
 #include <functional>
 
 #include "api/shhpass.hpp"
+#include "control/hamiltonian.hpp"
 #include "ds/weierstrass.hpp"
+#include "linalg/blas.hpp"
 #include "lmi/lmi_passivity.hpp"
 
 namespace shhpass::bench {
@@ -50,6 +52,20 @@ inline linalg::Matrix seededMatrix(std::size_t rows, std::size_t cols,
         0.5;
   }
   return m;
+}
+
+/// Seeded order-2np Hamiltonian [A -B B^T; -C^T C -A^T] with A Hurwitz
+/// (-(M^T M) - 0.1 I plus a skew part for complex eigenvalues) and two
+/// ports, so its spectrum splits evenly about the imaginary axis.
+inline linalg::Matrix seededHamiltonian(std::size_t np, std::uint64_t seed) {
+  const linalg::Matrix m = seededMatrix(np, np, seed);
+  const linalg::Matrix k = seededMatrix(np, np, seed + 1);
+  linalg::Matrix a = -1.0 * linalg::atb(m, m) + 0.5 * (k - k.transposed());
+  for (std::size_t i = 0; i < np; ++i) a(i, i) -= 0.1;
+  const linalg::Matrix b = seededMatrix(np, 2, seed + 2);
+  const linalg::Matrix c = seededMatrix(2, np, seed + 3);
+  return control::makeHamiltonian(a, -1.0 * linalg::abt(b, b),
+                                  -1.0 * linalg::atb(c, c));
 }
 
 /// Nominal flop model of a square-n SVD, shared by bench_kernels and

@@ -11,6 +11,13 @@ namespace shhpass::control {
 /// disjoint (e.g. A Hurwitz). If Q is symmetric the solution is symmetric;
 /// this implementation symmetrizes the result when Q is symmetric to purge
 /// round-off.
+///
+/// A quasi-upper-triangular A (a real Schur factor, e.g. the Eq.-(23)
+/// stable block Lambda), or the transpose of one, goes straight to the
+/// blocked quasi-triangular Sylvester kernel (sylvester.hpp), whose
+/// right-hand-side updates are gemm calls; any other A takes the general
+/// Bartels-Stewart path. Results are bit-identical at every gemm thread
+/// count. Traced as the `lyapunov` kernel span (n >= 32).
 linalg::Matrix solveLyapunov(const linalg::Matrix& a, const linalg::Matrix& q);
 
 }  // namespace shhpass::control

@@ -1,6 +1,8 @@
 #include "control/sylvester.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "linalg/blas.hpp"
@@ -13,149 +15,146 @@ using linalg::Matrix;
 
 namespace {
 
+using Range = std::pair<std::size_t, std::size_t>;  // [first, last)
+
 // Diagonal block partition of a quasi-triangular matrix.
-std::vector<std::pair<std::size_t, std::size_t>> blocks(const Matrix& t) {
-  std::vector<std::pair<std::size_t, std::size_t>> out;
+std::vector<Range> diagonalBlocks(const Matrix& t) {
+  std::vector<Range> out;
   std::size_t i = 0;
   while (i < t.rows()) {
     const std::size_t sz = (i + 1 < t.rows() && t(i + 1, i) != 0.0) ? 2 : 1;
-    out.emplace_back(i, sz);
+    out.emplace_back(i, i + sz);
     i += sz;
   }
   return out;
 }
 
-// Solve the small system A X + X B = C with p, q <= 2 via the Kronecker
-// linear system, on stack storage (linalg::solveSmallDense) — the
-// quasi-triangular back-substitutions call this once per block pair,
-// which is tens of thousands of times for the proper-part Lyapunov
-// solve, so the historical Matrix/LU churn dominated their runtime.
-Matrix smallBlockSolve(const Matrix& a, const Matrix& b, const Matrix& c) {
-  const std::size_t p = a.rows(), q = b.rows();
+// Consecutive diagonal blocks merged into ranges of at least
+// kSylvesterPanel rows (the last one may be shorter).
+std::vector<Range> panels(const std::vector<Range>& blocks) {
+  std::vector<Range> out;
+  for (const auto& [first, last] : blocks) {
+    if (out.empty() || out.back().second - out.back().first >= kSylvesterPanel)
+      out.emplace_back(first, last);
+    else
+      out.back().second = last;
+  }
+  return out;
+}
+
+// op(M)(i, j) for op = identity or transpose.
+double opAt(const Matrix& m, bool trans, std::size_t i, std::size_t j) {
+  return trans ? m(j, i) : m(i, j);
+}
+
+// Solve the small system op(A)_ii X + X op(B)_kk = Y(rows, cols) in place
+// (p, q <= 2) via the Kronecker linear system on stack storage.
+void smallBlockSolve(const Matrix& a, bool transA, const Range& rows,
+                     const Matrix& b, bool transB, const Range& cols,
+                     Matrix& y) {
+  const std::size_t i0 = rows.first, p = rows.second - rows.first;
+  const std::size_t k0 = cols.first, q = cols.second - cols.first;
   const std::size_t pq = p * q;
   double k[16] = {0.0};
   double rhs[4];
+  // vec is column-major: x_{i,j} -> index j*p + i.
   for (std::size_t j = 0; j < q; ++j)
     for (std::size_t i = 0; i < p; ++i) {
       const std::size_t row = j * p + i;
-      for (std::size_t l = 0; l < p; ++l) k[row * pq + j * p + l] += a(i, l);
-      for (std::size_t l = 0; l < q; ++l) k[row * pq + l * p + i] += b(l, j);
-      rhs[row] = c(i, j);
+      for (std::size_t l = 0; l < p; ++l)
+        k[row * pq + j * p + l] += opAt(a, transA, i0 + i, i0 + l);
+      for (std::size_t l = 0; l < q; ++l)
+        k[row * pq + l * p + i] += opAt(b, transB, k0 + l, k0 + j);
+      rhs[row] = y(i0 + i, k0 + j);
     }
   if (!linalg::solveSmallDense(k, rhs, pq, 1e-13))
     throw std::runtime_error(
         "solveSylvester: spectra of A and -B intersect; equation singular");
-  Matrix x(p, q);
   for (std::size_t j = 0; j < q; ++j)
-    for (std::size_t i = 0; i < p; ++i) x(i, j) = rhs[j * p + i];
-  return x;
+    for (std::size_t i = 0; i < p; ++i) y(i0 + i, k0 + j) = rhs[j * p + i];
+}
+
+// Solve op(A) X + X op(B) = Y in place for a diagonal tile (A and B are
+// the tile's own quasi-triangular coefficient blocks), one 1x1/2x2 block
+// pair at a time; Y must already carry every contribution of unknowns
+// outside the tile.
+void solveTile(const Matrix& a, bool transA, const Matrix& b, bool transB,
+               Matrix& y) {
+  const std::size_t m = a.rows(), n = b.rows();
+  std::vector<Range> rowBlocks = diagonalBlocks(a);
+  std::vector<Range> colBlocks = diagonalBlocks(b);
+  if (!transA) std::reverse(rowBlocks.begin(), rowBlocks.end());
+  if (transB) std::reverse(colBlocks.begin(), colBlocks.end());
+  for (const Range& kb : colBlocks) {
+    // Columns solved before this block: left of it when op(B) is upper
+    // triangular, right of it when op(B) = B^T.
+    const Range done = transB ? Range{kb.second, n} : Range{0, kb.first};
+    for (std::size_t i = 0; i < m; ++i)
+      for (std::size_t kk = kb.first; kk < kb.second; ++kk) {
+        double s = 0.0;
+        for (std::size_t l = done.first; l < done.second; ++l)
+          s += y(i, l) * opAt(b, transB, l, kk);
+        y(i, kk) -= s;
+      }
+    for (const Range& ib : rowBlocks) {
+      // Rows solved before this block: below it when op(A) is upper
+      // triangular, above it when op(A) = A^T.
+      const Range doneRows = transA ? Range{0, ib.first} : Range{ib.second, m};
+      for (std::size_t i = ib.first; i < ib.second; ++i)
+        for (std::size_t kk = kb.first; kk < kb.second; ++kk) {
+          double s = 0.0;
+          for (std::size_t l = doneRows.first; l < doneRows.second; ++l)
+            s += opAt(a, transA, i, l) * y(l, kk);
+          y(i, kk) -= s;
+        }
+      smallBlockSolve(a, transA, ib, b, transB, kb, y);
+    }
+  }
 }
 
 }  // namespace
 
-Matrix solveSylvesterQuasiTriangular(const Matrix& s, const Matrix& t,
-                                     const Matrix& f) {
-  const std::size_t n = s.rows(), m = t.rows();
-  if (f.rows() != n || f.cols() != m)
+Matrix solveSylvesterQuasiTriangular(const Matrix& a, bool transA,
+                                     const Matrix& b, bool transB,
+                                     const Matrix& c) {
+  const std::size_t m = a.rows(), n = b.rows();
+  if (!a.isSquare() || !b.isSquare() || c.rows() != m || c.cols() != n)
     throw std::invalid_argument("solveSylvesterQuasiTriangular: shape");
-  Matrix y(n, m);
-  const auto sBlocks = blocks(s);
-  const auto tBlocks = blocks(t);
+  Matrix y = c;
+  if (m == 0 || n == 0) return y;
+  std::vector<Range> rowPanels = panels(diagonalBlocks(a));
+  std::vector<Range> colPanels = panels(diagonalBlocks(b));
+  // Row blocks bottom to top when op(A) is upper triangular, top to bottom
+  // when op(A) = A^T; column panels left to right when op(B) is upper
+  // triangular, right to left when op(B) = B^T.
+  if (!transA) std::reverse(rowPanels.begin(), rowPanels.end());
+  if (transB) std::reverse(colPanels.begin(), colPanels.end());
 
-  // Process column blocks of Y left -> right (T upper triangular), and
-  // within each, row blocks bottom -> top (S upper triangular).
-  for (const auto& [kc, qc] : tBlocks) {
-    // rhs_k = F(:,k) - Y(:,previous) * T(previous, k).
-    Matrix rhsCol = f.block(0, kc, n, qc);
-    if (kc > 0) {
-      Matrix yPrev = y.block(0, 0, n, kc);
-      Matrix tCol = t.block(0, kc, kc, qc);
-      rhsCol -= yPrev * tCol;
+  for (const auto& [c0, c1] : colPanels) {
+    const std::size_t nc = c1 - c0;
+    Matrix panel = y.block(0, c0, m, nc);
+    // Y(:, J) -= X(:, solved) op(B)(solved, J): one gemm.
+    if (!transB && c0 > 0)
+      linalg::gemm(-1.0, y.block(0, 0, m, c0), false,
+                   b.block(0, c0, c0, nc), false, 1.0, panel);
+    if (transB && c1 < n)
+      linalg::gemm(-1.0, y.block(0, c1, m, n - c1), false,
+                   b.block(c0, c1, nc, n - c1), true, 1.0, panel);
+    const Matrix bjj = b.block(c0, c0, nc, nc);
+    for (const auto& [r0, r1] : rowPanels) {
+      const std::size_t nr = r1 - r0;
+      Matrix tile = panel.block(r0, 0, nr, nc);
+      // Y(I, J) -= op(A)(I, solved) X(solved, J): one gemm.
+      if (!transA && r1 < m)
+        linalg::gemm(-1.0, a.block(r0, r1, nr, m - r1), false,
+                     panel.block(r1, 0, m - r1, nc), false, 1.0, tile);
+      if (transA && r0 > 0)
+        linalg::gemm(-1.0, a.block(0, r0, r0, nr), true,
+                     panel.block(0, 0, r0, nc), false, 1.0, tile);
+      solveTile(a.block(r0, r0, nr, nr), transA, bjj, transB, tile);
+      panel.setBlock(r0, 0, tile);
     }
-    Matrix tkk = t.block(kc, kc, qc, qc);
-    for (auto it = sBlocks.rbegin(); it != sBlocks.rend(); ++it) {
-      const auto [ir, pr] = *it;
-      Matrix r = rhsCol.block(ir, 0, pr, qc);
-      // Subtract S(i, below) * Y(below, k).
-      const std::size_t below = ir + pr;
-      if (below < n) {
-        Matrix sRow = s.block(ir, below, pr, n - below);
-        Matrix yBelow = y.block(below, kc, n - below, qc);
-        r -= sRow * yBelow;
-      }
-      Matrix sii = s.block(ir, ir, pr, pr);
-      Matrix yik = smallBlockSolve(sii, tkk, r);
-      y.setBlock(ir, kc, yik);
-    }
-  }
-  return y;
-}
-
-Matrix solveSylvesterTransposedRight(const Matrix& s, const Matrix& f) {
-  const std::size_t n = s.rows();
-  if (!s.isSquare() || f.rows() != n || f.cols() != n)
-    throw std::invalid_argument("solveSylvesterTransposedRight: shape");
-  Matrix y(n, n);
-  const auto sBlocks = blocks(s);
-
-  // (Y S^T)(:, k) involves Y columns j >= k, so column blocks go right ->
-  // left; within each, row blocks bottom -> top as in the general solver.
-  for (auto ct = sBlocks.rbegin(); ct != sBlocks.rend(); ++ct) {
-    const auto [kc, qc] = *ct;
-    Matrix rhsCol = f.block(0, kc, n, qc);
-    const std::size_t after = kc + qc;
-    if (after < n) {
-      Matrix yLater = y.block(0, after, n, n - after);
-      Matrix sRow = s.block(kc, after, qc, n - after);
-      rhsCol -= linalg::abt(yLater, sRow);
-    }
-    Matrix tkk = s.block(kc, kc, qc, qc).transposed();
-    for (auto it = sBlocks.rbegin(); it != sBlocks.rend(); ++it) {
-      const auto [ir, pr] = *it;
-      Matrix r = rhsCol.block(ir, 0, pr, qc);
-      const std::size_t below = ir + pr;
-      if (below < n) {
-        Matrix sRow = s.block(ir, below, pr, n - below);
-        Matrix yBelow = y.block(below, kc, n - below, qc);
-        r -= sRow * yBelow;
-      }
-      Matrix sii = s.block(ir, ir, pr, pr);
-      Matrix yik = smallBlockSolve(sii, tkk, r);
-      y.setBlock(ir, kc, yik);
-    }
-  }
-  return y;
-}
-
-Matrix solveSylvesterTransposedLeft(const Matrix& s, const Matrix& f) {
-  const std::size_t n = s.rows();
-  if (!s.isSquare() || f.rows() != n || f.cols() != n)
-    throw std::invalid_argument("solveSylvesterTransposedLeft: shape");
-  Matrix y(n, n);
-  const auto sBlocks = blocks(s);
-
-  // (Y S)(:, k) involves Y columns j <= k, so column blocks go left ->
-  // right; (S^T Y)(i, :) involves Y rows j <= i, so row blocks go top ->
-  // bottom.
-  for (const auto& [kc, qc] : sBlocks) {
-    Matrix rhsCol = f.block(0, kc, n, qc);
-    if (kc > 0) {
-      Matrix yPrev = y.block(0, 0, n, kc);
-      Matrix sCol = s.block(0, kc, kc, qc);
-      rhsCol -= yPrev * sCol;
-    }
-    Matrix tkk = s.block(kc, kc, qc, qc);
-    for (const auto& [ir, pr] : sBlocks) {
-      Matrix r = rhsCol.block(ir, 0, pr, qc);
-      if (ir > 0) {
-        Matrix sColI = s.block(0, ir, ir, pr);
-        Matrix yAbove = y.block(0, kc, ir, qc);
-        r -= linalg::atb(sColI, yAbove);
-      }
-      Matrix sii = s.block(ir, ir, pr, pr).transposed();
-      Matrix yik = smallBlockSolve(sii, tkk, r);
-      y.setBlock(ir, kc, yik);
-    }
+    y.setBlock(0, c0, panel);
   }
   return y;
 }
@@ -180,7 +179,7 @@ Matrix solveSylvester(const Matrix& a, const Matrix& b, const Matrix& c) {
   linalg::RealSchurResult sa = linalg::realSchur(a);
   linalg::RealSchurResult sb = linalg::realSchur(b);
   Matrix f = linalg::multiply(linalg::atb(sa.q, c), false, sb.q, false);
-  Matrix y = solveSylvesterQuasiTriangular(sa.t, sb.t, f);
+  Matrix y = solveSylvesterQuasiTriangular(sa.t, false, sb.t, false, f);
   return sa.q * linalg::abt(y, sb.q);
 }
 

@@ -105,10 +105,13 @@ ProperPartResult extractProperPart(const shh::ShhRealization& s3,
 
   if (!dec.ok) return out;  // imaginary-axis eigenvalues: cannot split
 
-  Matrix c5 = c4 * dec.z2;
+  // C5 = C4 Z2 = (C4 Z1) [I Y; 0 I] = [C41, C41 Y + C42] with
+  // [C41, C42] = C4 Z1.
+  const Matrix c4z1 = c4 * dec.z1;
+  Matrix c51 = c4z1.block(0, 0, m, np);
+  Matrix c52 = c4z1.block(0, np, m, np);
+  linalg::gemm(1.0, c51, false, dec.y, false, 1.0, c52);
   // B5 = J C5^T = [C52^T; -C51^T]: the stable part reads B1 = C52^T.
-  Matrix c51 = c5.block(0, 0, m, np);
-  Matrix c52 = c5.block(0, np, m, np);
   out.lambda = dec.lambda;
   out.c1 = c51;
   out.b1 = c52.transposed();

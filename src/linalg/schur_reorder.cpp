@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "linalg/lu.hpp"
 #include "linalg/schur.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace shhpass::linalg {
 namespace {
@@ -399,9 +401,43 @@ bool standardize2x2(Matrix& t, Matrix& q, std::size_t j) {
 }
 
 namespace {
+
+// Largest |entry| of the whole Schur factor while reorderSchur works on a
+// window copy w of T(lo:hi, lo:hi): the entries outside the window are read
+// from t once, on first use (the off-window parts only change when the
+// window is flushed), those inside from the current w. When the window is
+// all of T this is exactly t.maxAbs().
+class WindowedMaxAbs {
+ public:
+  WindowedMaxAbs(const Matrix& t, std::size_t lo, std::size_t hi)
+      : t_(t), lo_(lo), hi_(hi) {}
+
+  double operator()(const Matrix& w) {
+    if (outside_ < 0.0) {
+      outside_ = 0.0;
+      const std::size_t n = t_.rows();
+      for (std::size_t r = 0; r < n; ++r) {
+        const bool inRows = r >= lo_ && r < hi_;
+        for (std::size_t c = 0; c < n; ++c)
+          if (!inRows || c < lo_ || c >= hi_)
+            outside_ = std::max(outside_, std::abs(t_(r, c)));
+      }
+    }
+    return std::max(outside_, w.maxAbs());
+  }
+
+ private:
+  const Matrix& t_;
+  std::size_t lo_, hi_;
+  double outside_ = -1.0;
+};
+
+// `globalMax` supplies the global ||T|| of the acceptance threshold when t
+// is a window copy (reorderSchur); null means t is the whole matrix.
 bool swapAdjacentBlocksImpl(Matrix& t, Matrix& q, std::size_t j,
                             std::size_t p, std::size_t qsz,
-                            ReorderReport* report, bool qTransposed) {
+                            ReorderReport* report, bool qTransposed,
+                            WindowedMaxAbs* globalMax = nullptr) {
   const std::size_t n = t.rows();
   const std::size_t w = p + qsz;
   if (p == 0 || p > 2 || qsz == 0 || qsz > 2 || j + w > n)
@@ -491,7 +527,8 @@ bool swapAdjacentBlocksImpl(Matrix& t, Matrix& q, std::size_t j,
     // global-scale threshold too — that is the signature of a genuinely
     // ill-posed exchange (nearly shared eigenvalues), where force-zeroing
     // would visibly corrupt the spectrum.
-    const double globalThresh = std::max(20.0 * eps * t.maxAbs(), smlnum);
+    const double tMax = globalMax ? (*globalMax)(t) : t.maxAbs();
+    const double globalThresh = std::max(20.0 * eps * tMax, smlnum);
     if (residual > globalThresh) {
       if (report) ++report->rejectedSwaps;
       obs::counterAdd(obs::Counter::ReorderRejectedSwaps);
@@ -545,12 +582,43 @@ bool swapAdjacentBlocks(Matrix& t, Matrix& q, std::size_t j, std::size_t p,
                                 /*qTransposed=*/false);
 }
 
+namespace {
+
+// Flush a window that accepted a swap: T(lo:hi, lo:hi) <- w, and the
+// accumulated window transform U (held as ut = U^T) applied to the
+// off-window rows and columns of T and to the rows of Q^T, one gemm each.
+void flushWindow(Matrix& t, Matrix& qt, const Matrix& w, const Matrix& ut,
+                 std::size_t lo) {
+  const std::size_t n = t.rows(), nw = w.rows(), hi = lo + nw;
+  t.setBlock(lo, lo, w);
+  if (hi < n) {
+    const Matrix right = t.block(lo, hi, nw, n - hi);
+    Matrix tmp(nw, n - hi);
+    gemm(1.0, ut, false, right, false, 0.0, tmp);
+    t.setBlock(lo, hi, tmp);
+  }
+  if (lo > 0) {
+    const Matrix top = t.block(0, lo, lo, nw);
+    Matrix tmp(lo, nw);
+    gemm(1.0, top, false, ut, true, 0.0, tmp);
+    t.setBlock(0, lo, tmp);
+  }
+  const Matrix rows = qt.block(lo, 0, nw, n);
+  Matrix tmp(nw, n);
+  gemm(1.0, ut, false, rows, false, 0.0, tmp);
+  qt.setBlock(lo, 0, tmp);
+}
+
+}  // namespace
+
 std::size_t reorderSchur(Matrix& t, Matrix& q,
                          const EigenvalueSelector& select,
                          ReorderReport* report) {
   const std::size_t n = t.rows();
   if (q.rows() != n || q.cols() != n)
     throw std::invalid_argument("reorderSchur: shape mismatch");
+  obs::ObsSpan span("schur-reorder", "kernel", n >= 32);
+  span.arg("n", static_cast<std::int64_t>(n));
   ReorderReport local;
   ReorderReport& rep = report ? *report : local;
   rep = ReorderReport{};
@@ -560,12 +628,9 @@ std::size_t reorderSchur(Matrix& t, Matrix& q,
   // that make adjacent 2x2 blocks overlap.
   repairQuasiTriangularStructure(t);
 
-  // The whole reordering works on Q^T: thousands of swaps each rotate a
-  // PAIR of Q columns, and in the transposed layout those become
-  // contiguous row sweeps instead of stride-n column walks. Every update
-  // performs the identical per-element arithmetic (see applyRotation), so
-  // the result is bit-identical to the untransposed formulation; only the
-  // two O(n^2) transposes here are extra.
+  // The reordering accumulates Q^T: the window flush then updates
+  // contiguous rows, and the standardization rotations below stream
+  // through contiguous memory instead of stride-n column walks.
   Matrix qt = q.transposed();
 
   // Standardization pass: every 2x2 block is brought to standard form, and
@@ -573,19 +638,31 @@ std::size_t reorderSchur(Matrix& t, Matrix& q,
   // blocks so the selector classifies each half independently.
   standardizeQuasiTriangularImpl(t, qt, &rep, /*qTransposed=*/true);
 
-  // Bubble selected blocks to the top. `target` is the row where the next
-  // selected block should land; everything above it is finalized. One scan
-  // over the blocks, top to bottom, attempts to move each selected block
-  // exactly once: every accepted swap updates the `starts`/`sizes`
-  // bookkeeping of the two exchanged blocks, so the scan stays consistent
-  // across completed and partial bubbles alike, and a rejected exchange
-  // (tallied in the report) is simply left in place for the rest of the
-  // scan — it is only ever re-attempted when a split forces a rescan, as
-  // the split may have dissolved the offending block. Only a
-  // SPLIT — a swap's internal standardization dissolving a 2x2 block into
-  // two 1x1s whose halves may classify differently — invalidates the
-  // structure and forces a rescan; splits are bounded by n, so this
-  // terminates.
+  // `target` is the row where the next selected block should land;
+  // everything above it is finalized. The blocks are tracked by slot (the
+  // i-th diagonal block from the top): `sizes`/`starts` follow every
+  // accepted swap, and one scan over the slots moves each selected block
+  // once — the historical one-block-at-a-time bubble's contract, with the
+  // same adjacent exchanges, batched:
+  //   * a GROUP of up to kReorderWindowBlocks selected blocks, spanning at
+  //     most one window and at most half a window of their own rows (so
+  //     every window moves the group at least half a window up), is moved
+  //     up together;
+  //   * each WINDOW is a copy of the kReorderWindowRows rows ending at the
+  //     group's last block. Every group block is bubbled to the top of the
+  //     window by swapAdjacentBlocks on the copy, with the small
+  //     orthogonal transform accumulated; the flush then applies that
+  //     transform to the off-window rows and columns of T and to Q^T with
+  //     one gemm each;
+  //   * the next window ends at the group's (now packed) last block, until
+  //     a window starts at `target` and the group is finalized.
+  // A rejected exchange leaves its block in place, out of the group; later
+  // group blocks move past it, and it is only ever re-attempted when a
+  // split forces a rescan, as the split may have dissolved the offending
+  // block. A split — a swap's internal standardization dissolving a 2x2
+  // block into two 1x1s whose halves may classify differently — ends the
+  // window and rescans the block structure; splits are bounded by n, so
+  // this terminates.
   std::size_t target = 0;
   bool rescan = true;
   while (rescan) {
@@ -597,34 +674,79 @@ std::size_t reorderSchur(Matrix& t, Matrix& q,
       starts[b] = pos;
       pos += sizes[b];
     }
-    for (std::size_t b = 0; b < sizes.size() && !rescan; ++b) {
-      if (starts[b] < target) continue;
-      if (!select(blockEigenvalue(t, starts[b], sizes[b]))) continue;
-      // Bubble block b upward until it reaches `target`, a swap is
-      // rejected, or a split forces a rescan.
-      std::size_t cur = b;
-      while (starts[cur] > target) {
-        const std::size_t szAbove = sizes[cur - 1];
-        const std::size_t szMove = sizes[cur];
-        if (!swapAdjacentBlocksImpl(t, qt, starts[cur - 1], szAbove,
-                                    szMove, &rep, /*qTransposed=*/true))
+    std::size_t next = 0;  // first slot the scan has not visited
+    while (!rescan) {
+      std::vector<std::size_t> group;
+      std::size_t groupRows = 0;
+      for (; next < sizes.size() && group.size() < kReorderWindowBlocks;
+           ++next) {
+        if (starts[next] < target) continue;
+        if (!select(blockEigenvalue(t, starts[next], sizes[next]))) continue;
+        if (!group.empty() &&
+            (starts[next] + sizes[next] - starts[group.front()] >
+                 kReorderWindowRows ||
+             groupRows + sizes[next] > kReorderWindowRows / 2))
           break;
-        const std::size_t newPos = starts[cur - 1];
-        const bool movedSplit =
-            szMove == 2 && t(newPos + 1, newPos) == 0.0;
-        const bool aboveSplit =
-            szAbove == 2 &&
-            t(newPos + szMove + 1, newPos + szMove) == 0.0;
-        sizes[cur - 1] = szMove;
-        sizes[cur] = szAbove;
-        starts[cur] = starts[cur - 1] + szMove;
-        --cur;
-        if (movedSplit || aboveSplit) {
-          rescan = true;
-          break;
-        }
+        group.push_back(next);
+        groupRows += sizes[next];
       }
-      if (!rescan && starts[cur] == target) target += sizes[cur];
+      if (group.empty()) break;
+
+      // Move the group up one window at a time.
+      bool finalized = false;
+      while (!finalized && !rescan) {
+        const std::size_t hi = starts[group.back()] + sizes[group.back()];
+        // The window top is the first block start at or below
+        // max(target, hi - kReorderWindowRows), so no 2x2 block straddles
+        // the window edge.
+        const std::size_t lowest =
+            hi > target + kReorderWindowRows ? hi - kReorderWindowRows
+                                             : target;
+        std::size_t topSlot = group.front();
+        while (topSlot > 0 && starts[topSlot - 1] >= lowest) --topSlot;
+        const std::size_t lo = starts[topSlot];
+        finalized = lo == target;
+
+        Matrix w = t.block(lo, lo, hi - lo, hi - lo);
+        Matrix ut = Matrix::identity(hi - lo);
+        WindowedMaxAbs globalMax(t, lo, hi);
+        const std::size_t swapsBefore = rep.swaps;
+        std::size_t windowTarget = lo;
+        std::vector<std::size_t> moving;  // group blocks still moving
+        for (const std::size_t g : group) {
+          std::size_t cur = g;
+          bool stuck = false;
+          while (starts[cur] > windowTarget) {
+            const std::size_t szAbove = sizes[cur - 1];
+            const std::size_t szMove = sizes[cur];
+            const std::size_t j = starts[cur - 1] - lo;
+            if (!swapAdjacentBlocksImpl(w, ut, j, szAbove, szMove, &rep,
+                                        /*qTransposed=*/true, &globalMax)) {
+              stuck = true;
+              break;
+            }
+            const bool movedSplit = szMove == 2 && w(j + 1, j) == 0.0;
+            const bool aboveSplit =
+                szAbove == 2 && w(j + szMove + 1, j + szMove) == 0.0;
+            sizes[cur - 1] = szMove;
+            sizes[cur] = szAbove;
+            starts[cur] = starts[cur - 1] + szMove;
+            --cur;
+            if (movedSplit || aboveSplit) {
+              rescan = true;
+              break;
+            }
+          }
+          if (rescan) break;
+          if (stuck) continue;
+          windowTarget += sizes[cur];
+          moving.push_back(cur);
+        }
+        if (rep.swaps != swapsBefore) flushWindow(t, qt, w, ut, lo);
+        if (finalized) target = windowTarget;
+        group = std::move(moving);
+        if (group.empty()) finalized = true;
+      }
     }
   }
   q = qt.transposed();

@@ -14,33 +14,53 @@
 //
 // ## Kernels, threading, accuracy
 //
-// An accepted swap applies its w x w window transform (w <= 4) in place,
-// restricted to the quasi-triangular profile: the left update touches
-// rows j..j+w-1 from column j rightward, the right update columns
-// j..j+w-1 down to row j+w-1 — entries outside that profile are exact
-// zeros and provably stay zero, so O(swaps * n) work and all temporary
-// block copies are skipped (the historical implementation materialized
-// three n-sized blocks per swap). The rehearsal product and the local
-// Sylvester solve ride the shared gemm/LU kernels (blas.hpp); at window
-// size <= 4 those always take the small-kernel path.
+// reorderSchur is a windowed block reordering (D. Kressner, "Block
+// algorithms for reordering standard and generalized Schur forms", ACM
+// TOMS 32(4), 2006). It takes the next <= kReorderWindowBlocks selected
+// blocks and bubbles them upward through a window of at most
+// kReorderWindowRows rows: the adjacent swaps run on a window copy and
+// accumulate a small orthogonal U, and each finished window updates the
+// off-window rows and columns of T and the rows of Q^T with one gemm each.
+// The swaps are the ones the one-block-at-a-time bubble performs (same
+// pairs of blocks, same count on inputs where no 2x2 block splits), so the
+// O(swaps * n) BLAS-1 row/column updates become O(windows * n * nw^2)
+// gemm work. The one-block-at-a-time bubble survives as the test oracle
+// oracle::reorderSchurBubble (tests/decoupling_oracle.hpp).
 //
-// Threading: reordering is inherently sequential (each swap depends on
-// the previous one); nothing here uses the gemm thread pool, and results
-// are bit-deterministic run-to-run by construction.
+// swapAdjacentBlocks is the one swap kernel, shared with the aggressive
+// early deflation (aed.cpp). An accepted swap applies its w x w window
+// transform (w <= 4) in place, restricted to the quasi-triangular
+// profile: the left update touches rows j..j+w-1 from column j rightward,
+// the right update columns j..j+w-1 down to row j+w-1 — entries outside
+// that profile are exact zeros and provably stay zero. The rehearsal
+// product and the local Sylvester solve run on stack arrays.
+//
+// Threading: the swaps are inherently sequential (each depends on the
+// previous one); only the window flushes call gemm, whose results are
+// bit-identical at every gemm thread count, so a reordering is
+// bit-deterministic run to run and across setGemmThreads settings.
 //
 // Accuracy: each accepted swap commits a backward error of at most
-// max(10 eps ||window||, 20 eps ||T||) (the acceptance thresholds below),
-// so a full reorder of s swaps perturbs T by O(s * eps * ||T||) in the
-// worst case; the per-swap residuals and a matched eigenvalue-drift bound
-// are tallied in ReorderReport rather than assumed.
+// max(10 eps ||window||, 20 eps ||T||) (the acceptance thresholds; ||T||
+// is the largest entry of the whole factor, not of the window copy), so a
+// full reorder of s swaps perturbs T by O(s * eps * ||T||) in the worst
+// case; the per-swap residuals and a matched eigenvalue-drift bound are
+// tallied in ReorderReport rather than assumed.
 #pragma once
 
 #include <complex>
+#include <cstddef>
 #include <functional>
 
 #include "linalg/matrix.hpp"
 
 namespace shhpass::linalg {
+
+/// Most selected blocks reorderSchur moves through one window together.
+inline constexpr std::size_t kReorderWindowBlocks = 24;
+/// Most rows of one reorderSchur window; a group of selected blocks spans
+/// at most this many rows and holds at most half as many of its own.
+inline constexpr std::size_t kReorderWindowRows = 64;
 
 /// Predicate on an eigenvalue deciding whether it should be moved to the
 /// leading (top-left) part of the Schur form.
@@ -87,6 +107,11 @@ struct ReorderReport {
 /// fully selected or not, judged on its first eigenvalue); fused 2x2 blocks
 /// whose eigenvalues are actually real are split first so both halves are
 /// classified independently.
+///
+/// The exchanges run through windows (see the header comment); rejection
+/// and split handling follow the one-block-at-a-time contract: a rejected
+/// block stays where it is and later selected blocks move past it, and a
+/// split rescans the block structure.
 ///
 /// Returns the dimension of the leading invariant subspace actually
 /// realized (the number of selected eigenvalues moved to the top). When no

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 #include "linalg/blas.hpp"
+#include "obs/trace.hpp"
 
 namespace shhpass::shh {
 
@@ -178,6 +180,8 @@ SkewHamiltonianTriangularization skewHamiltonianBlockTriangularize(
     throw std::invalid_argument(
         "skewHamiltonianBlockTriangularize: need even square matrix");
   const std::size_t n = wIn.rows() / 2;
+  obs::ObsSpan span("isotropic-arnoldi", "kernel", 2 * n >= 32);
+  span.arg("n", static_cast<std::int64_t>(2 * n));
   SkewHamiltonianTriangularization out;
   out.w = wIn;
   out.z = Matrix::identity(2 * n);

@@ -14,6 +14,11 @@
 // A rejected swap (ReorderReport::rejectedSwaps > 0) relaxes only (d) to
 // "no more than the truth"; (a)-(c) are unconditional — rejection must
 // never corrupt the factorization.
+//
+// The windowed reorderSchur is also compared against the one-block-at-a-
+// time bubble it replaced (oracle::reorderSchurBubble,
+// decoupling_oracle.hpp) across orders that cross its window edges, and
+// pinned bit-identical across gemm thread counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,10 +26,13 @@
 #include <complex>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "linalg/blas.hpp"
 #include "linalg/schur.hpp"
+#include "control/hamiltonian.hpp"
+#include "decoupling_oracle.hpp"
 #include "linalg/schur_reorder.hpp"
 #include "test_support.hpp"
 
@@ -48,14 +56,15 @@ Spectrum expand(const Spectrum& spec) {
 }
 
 // Quasi-triangular matrix with exactly the spectrum of `spec`, in shuffled
-// block order, with random coupling above the blocks. Complex pairs become
+// block order (or in the given order when `shuffle` is false), with random coupling above the blocks. Complex pairs become
 // standardized 2x2 blocks with randomized off-diagonal balance; adjacent
 // real eigenvalues are sometimes fused into a rotated (non-triangular) 2x2
 // block with real eigenvalues, exercising the dlanv2 split path.
 Matrix buildQuasiTriangular(Spectrum spec, Xorshift& rng,
-                            bool fuseRealPairs) {
-  for (std::size_t i = spec.size(); i > 1; --i)
-    std::swap(spec[i - 1], spec[rng.pick(i)]);
+                            bool fuseRealPairs, bool shuffle = true) {
+  if (shuffle)
+    for (std::size_t i = spec.size(); i > 1; --i)
+      std::swap(spec[i - 1], spec[rng.pick(i)]);
   std::size_t n = 0;
   for (const auto& l : spec) n += l.imag() != 0.0 ? 2 : 1;
   Matrix t(n, n);
@@ -402,6 +411,164 @@ TEST(SchurReorderRandom, ReportAccumulationAbsorb) {
   EXPECT_DOUBLE_EQ(a.eigenvalueDrift, 1e-13);
   EXPECT_EQ(a.standardizations, 4u);
   EXPECT_FALSE(a.clean());
+}
+
+// --- windowed reordering vs the one-block-at-a-time oracle ----------------
+
+std::size_t twoByTwoBlocks(const Matrix& t) {
+  std::size_t count = 0;
+  for (std::size_t i = 0; i + 1 < t.rows(); ++i)
+    if (t(i + 1, i) != 0.0) ++count;
+  return count;
+}
+
+// Reorder (t0, q0) — a real Schur factorization of `a` — with both loops
+// and compare: equal realized dimension and rejection count; equal swap
+// count when no 2x2 block split on either side; the leading eigenvalues
+// agree within the two reports' drift bounds; and the windowed result is a
+// similarity of `a` to c * n * eps * ||A||.
+void expectMatchesOracle(const Matrix& a, const Matrix& t0, const Matrix& q0,
+                         const EigenvalueSelector& select) {
+  const std::size_t n = a.rows();
+  Matrix t = t0, q = q0;
+  ReorderReport rep;
+  const std::size_t k = reorderSchur(t, q, select, &rep);
+  Matrix to = t0, qo = q0;
+  ReorderReport repo;
+  const std::size_t ko = oracle::reorderSchurBubble(to, qo, select, &repo);
+
+  EXPECT_EQ(k, ko);
+  EXPECT_EQ(rep.rejectedSwaps, repo.rejectedSwaps);
+  Matrix tStd = t0, qStd = q0;
+  standardizeQuasiTriangular(tStd, qStd);
+  const std::size_t pairs = twoByTwoBlocks(tStd);
+  if (twoByTwoBlocks(t) == pairs && twoByTwoBlocks(to) == pairs)
+    EXPECT_EQ(rep.swaps, repo.swaps) << "split-free input";
+
+  const double eps = std::numeric_limits<double>::epsilon();
+  const double normA = std::max(1.0, a.normFrobenius());
+  const double roundoff = 10.0 * static_cast<double>(n) * eps * normA;
+  const Matrix res = multiply(atb(q, a), false, q, false) - t;
+  EXPECT_LE(res.maxAbs(), roundoff) << "similarity residual";
+  EXPECT_TRUE(atb(q, q).approxEqual(Matrix::identity(n), roundoff / normA));
+  expectValidQuasiTriangular(t);
+
+  const std::size_t lead = std::min(k, ko);
+  const Spectrum mine = quasiTriangularEigenvalues(t.block(0, 0, lead, lead));
+  const Spectrum theirs =
+      quasiTriangularEigenvalues(to.block(0, 0, lead, lead));
+  EXPECT_LE(multisetDistance(mine, theirs),
+            rep.eigenvalueDrift + repo.eigenvalueDrift + roundoff)
+      << "leading eigenvalues moved beyond the drift bound";
+}
+
+TEST(SchurReorderOracle, RandomSchurFormsAcrossWindowEdges) {
+  constexpr std::size_t nw = kReorderWindowRows;
+  for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                        std::size_t{3}, std::size_t{7}, std::size_t{31},
+                        nw - 1, nw, nw + 1, std::size_t{100}, 2 * nw + 3,
+                        std::size_t{200}, std::size_t{300}}) {
+    SCOPED_TRACE(n);
+    const Matrix a = testing::randomMatrix(n, n, 7100 + static_cast<unsigned>(n));
+    const RealSchurResult rs = realSchur(a);
+    expectMatchesOracle(a, rs.t, rs.q, isStable);
+  }
+}
+
+TEST(SchurReorderOracle, HamiltonianSpectra) {
+  for (std::size_t np : {10u, 33u, 70u, 150u}) {
+    SCOPED_TRACE(np);
+    const unsigned seed = 7300 + static_cast<unsigned>(np);
+    const Matrix b = testing::randomMatrix(np, 2, seed + 1);
+    const Matrix c = testing::randomMatrix(2, np, seed + 2);
+    const Matrix h = control::makeHamiltonian(
+        testing::randomStable(np, seed), -1.0 * abt(b, b), -1.0 * atb(c, c));
+    const RealSchurResult rs = realSchur(h);
+    expectMatchesOracle(h, rs.t, rs.q, isStable);
+    Matrix t = rs.t, q = rs.q;
+    EXPECT_EQ(reorderSchur(t, q, isStable), np);
+  }
+}
+
+TEST(SchurReorderOracle, TwoByTwoBlocksStraddlingWindowEdges) {
+  // Antistable complex pairs on top, stable blocks at the bottom: the
+  // first window's nominal top row (its bottom minus kReorderWindowRows)
+  // lands inside a 2x2 block, so the window must start one row lower.
+  Xorshift rng(0x57AD);
+  for (std::size_t pairs : {31u, 50u, 70u}) {
+    for (std::size_t tail : {1u, 2u, 5u}) {
+      SCOPED_TRACE(pairs * 100 + tail);
+      Spectrum spec;
+      for (std::size_t i = 0; i < pairs; ++i)
+        spec.push_back({rng.uniform(0.1, 3.0), rng.uniform(0.5, 3.0)});
+      for (std::size_t i = 0; i < tail; ++i)
+        spec.push_back(i % 2 == 0
+                           ? std::complex<double>{-rng.uniform(0.1, 3.0), 0.0}
+                           : std::complex<double>{-rng.uniform(0.1, 3.0),
+                                                  rng.uniform(0.5, 3.0)});
+      const Matrix a = buildQuasiTriangular(spec, rng, /*fuseRealPairs=*/false,
+                                            /*shuffle=*/false);
+      expectMatchesOracle(a, a, Matrix::identity(a.rows()), isStable);
+    }
+  }
+}
+
+TEST(SchurReorderOracle, AllOrNoBlocksSelected) {
+  for (std::size_t n : {5u, 64u, 131u}) {
+    SCOPED_TRACE(n);
+    const Matrix a = testing::randomMatrix(n, n, 7500 + static_cast<unsigned>(n));
+    const RealSchurResult rs = realSchur(a);
+    for (bool all : {false, true}) {
+      const EigenvalueSelector select = [all](std::complex<double>) {
+        return all;
+      };
+      expectMatchesOracle(a, rs.t, rs.q, select);
+      Matrix t = rs.t, q = rs.q;
+      ReorderReport rep;
+      EXPECT_EQ(reorderSchur(t, q, select, &rep), all ? n : 0u);
+      EXPECT_EQ(rep.swaps, 0u);
+    }
+  }
+}
+
+TEST(SchurReorderOracle, ClusteredAndNearDegenerateSpectra) {
+  // The generators of the harness above: tight clusters and nearly shared
+  // eigenvalues exercise rejected swaps and 2x2 splits.
+  for (unsigned c = 0; c < 70; ++c) {
+    SCOPED_TRACE(c);
+    Xorshift rng(0xC1u + 977u * c);
+    const Matrix a = buildQuasiTriangular(clusteredSpectrum(rng), rng, true);
+    expectMatchesOracle(a, a, Matrix::identity(a.rows()), isStable);
+    Xorshift rng2(0xD3u + 1409u * c);
+    const Matrix b = buildQuasiTriangular(nearDegenerateSpectrum(rng2), rng2,
+                                          true);
+    expectMatchesOracle(b, b, Matrix::identity(b.rows()), isStable);
+  }
+}
+
+TEST(SchurReorderOracle, BitwiseEqualAcrossGemmThreads) {
+  // Large enough that the window flush's Q^T gemm (64 x 64 x n) fans out
+  // over the gemm pool: eight stable blocks at the bottom travel through
+  // every window to the top.
+  const std::size_t n = 1760;
+  Xorshift rng(0xB17);
+  Matrix t0(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    t0(i, i) = i + 8 < n ? rng.uniform(0.1, 3.0) : -rng.uniform(0.1, 3.0);
+    for (std::size_t j = i + 1; j < n; ++j) t0(i, j) = rng.uniform(-1.0, 1.0);
+  }
+  const std::size_t before = gemmThreads();
+  auto run = [&](std::size_t threads) {
+    setGemmThreads(threads);
+    Matrix t = t0, q = Matrix::identity(n);
+    EXPECT_EQ(reorderSchur(t, q, isStable), 8u);
+    return std::make_pair(t, q);
+  };
+  const auto serial = run(1);
+  const auto threaded = run(3);
+  setGemmThreads(before);
+  EXPECT_TRUE(serial.first.approxEqual(threaded.first, 0.0));
+  EXPECT_TRUE(serial.second.approxEqual(threaded.second, 0.0));
 }
 
 }  // namespace

@@ -130,26 +130,60 @@ TEST(IsotropicArnoldi, RejectsOddSize) {
 }
 
 TEST(HamiltonianDecouplingTest, BlockDiagonalizes) {
-  const std::size_t np = 4;
-  Matrix a = randomStable(np, 630);
-  Matrix b = randomMatrix(np, 2, 631);
-  Matrix c = randomMatrix(2, np, 632);
-  Matrix h = control::makeHamiltonian(a, -1.0 * linalg::abt(b, b),
-                                      -1.0 * linalg::atb(c, c));
-  HamiltonianDecoupling dec = decoupleHamiltonian(h);
-  ASSERT_TRUE(dec.ok);
-  EXPECT_TRUE(isSymplectic(dec.z2, 1e-8));
-  expectMatrixNear(dec.z2inv * dec.z2, Matrix::identity(2 * np), 1e-9);
-  Matrix t = dec.z2inv * h * dec.z2;
-  // Block diagonal diag(Lambda, -Lambda^T).
-  expectMatrixNear(t.block(0, 0, np, np), dec.lambda, 1e-7);
-  expectMatrixNear(t.block(np, np, np, np),
-                   -1.0 * dec.lambda.transposed(), 1e-7);
-  EXPECT_LT(t.block(0, np, np, np).maxAbs(), 1e-7 * std::max(1.0, h.maxAbs()));
-  EXPECT_LT(t.block(np, 0, np, np).maxAbs(), 1e-7 * std::max(1.0, h.maxAbs()));
-  // Lambda stable.
-  for (const auto& l : linalg::eigenvalues(dec.lambda))
-    EXPECT_LT(l.real(), 0.0);
+  // Orders chosen so the congruence, the windowed reordering (64-row
+  // windows over 2np rows) and the blocked Lyapunov solve (64-wide
+  // panels over np) all cross their block boundaries.
+  for (std::size_t np : {1u, 4u, 40u, 70u, 130u}) {
+    SCOPED_TRACE(np);
+    const unsigned seed = 630 + static_cast<unsigned>(np);
+    Matrix a = randomStable(np, seed);
+    Matrix b = randomMatrix(np, 2, seed + 1);
+    Matrix c = randomMatrix(2, np, seed + 2);
+    Matrix h = control::makeHamiltonian(a, -1.0 * linalg::abt(b, b),
+                                        -1.0 * linalg::atb(c, c));
+    HamiltonianDecoupling dec = decoupleHamiltonian(h);
+    ASSERT_TRUE(dec.ok);
+    ASSERT_EQ(dec.z1.rows(), 2 * np);
+    ASSERT_EQ(dec.y.rows(), np);
+    EXPECT_TRUE(isOrthogonalSymplectic(dec.z1, 1e-10));
+
+    // The decoupling transform Z2 = Z1 [I Y; 0 I] and its inverse
+    // [I -Y; 0 I] Z1^T, formed here only.
+    Matrix s = Matrix::identity(2 * np);
+    s.setBlock(0, np, dec.y);
+    Matrix sInv = Matrix::identity(2 * np);
+    sInv.setBlock(0, np, -1.0 * dec.y);
+    const Matrix z2 = dec.z1 * s;
+    const Matrix z2inv = linalg::multiply(sInv, false, dec.z1, true);
+    const double scale = std::max(1.0, h.maxAbs()) *
+                         std::max(1.0, dec.y.maxAbs()) *
+                         static_cast<double>(np);
+    EXPECT_TRUE(isSymplectic(z2, 1e-8 * std::max(1.0, dec.y.maxAbs())));
+    expectMatrixNear(z2inv * z2, Matrix::identity(2 * np),
+                     1e-12 * std::max(1.0, dec.y.maxAbs()) *
+                         static_cast<double>(np));
+    Matrix t = z2inv * h * z2;
+    // Block diagonal diag(Lambda, -Lambda^T).
+    expectMatrixNear(t.block(0, 0, np, np), dec.lambda, 1e-11 * scale);
+    expectMatrixNear(t.block(np, np, np, np), -1.0 * dec.lambda.transposed(),
+                     1e-11 * scale);
+    EXPECT_LT(t.block(0, np, np, np).maxAbs(), 1e-11 * scale);
+    EXPECT_LT(t.block(np, 0, np, np).maxAbs(), 1e-11 * scale);
+
+    // Lambda is exactly quasi-triangular, with the block pattern of the
+    // reordered Schur factor it equals in exact arithmetic.
+    const control::StableSubspace ss = control::stableInvariantSubspace(h);
+    ASSERT_TRUE(ss.ok);
+    for (std::size_t i = 2; i < np; ++i)
+      for (std::size_t j = 0; j + 1 < i; ++j)
+        ASSERT_EQ(dec.lambda(i, j), 0.0) << "(" << i << "," << j << ")";
+    for (std::size_t i = 0; i + 1 < np; ++i)
+      EXPECT_EQ(dec.lambda(i + 1, i) == 0.0, ss.lambda(i + 1, i) == 0.0)
+          << "subdiagonal " << i;
+    // Lambda stable.
+    for (const auto& l : linalg::eigenvalues(dec.lambda))
+      EXPECT_LT(l.real(), 0.0);
+  }
 }
 
 TEST(HamiltonianDecouplingTest, FailsOnAxisSpectrum) {
