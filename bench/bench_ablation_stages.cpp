@@ -8,8 +8,9 @@
 // proper-part stage down further (the Eq.-22 Hamiltonian eigenstructure
 // and the Lyapunov-based split, re-run on the intermediate A4) are ObsSpan
 // scopes read back from the span tracer, kernel effort per order is the
-// delta of the gemm/svd counters in the metrics registry, and the peak
-// column is the per-order memory high-water mark from the accountant.
+// report's rank-decision and staircase-compression counts plus the flops
+// of the gemm spans the run emitted, and the peak column is the per-order
+// memory high-water mark from the accountant.
 //
 //   bench_ablation_stages [--quick] [--trace PATH]
 //     --trace PATH  additionally dump the full span timeline (stages,
@@ -25,8 +26,8 @@
 #include "bench_support.hpp"
 #include "api/pipeline.hpp"
 #include "control/hamiltonian.hpp"
+#include "obs/clock.hpp"
 #include "obs/memory.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "shh/stable_subspace.hpp"
 
@@ -40,6 +41,16 @@ double spanSeconds(const char* name) {
     if (std::string(it->name) == name)
       return static_cast<double>(it->durNs) * 1e-9;
   return 0.0;
+}
+
+// Flops of the gemm spans that started in [t0, t1] (gemm spans are
+// sampled: only products large enough to thread emit one).
+std::int64_t gemmSpanFlops(std::uint64_t t0, std::uint64_t t1) {
+  std::int64_t flops = 0;
+  for (const shhpass::obs::TraceEvent& e : shhpass::obs::snapshotTrace())
+    if (std::string(e.name) == "gemm" && e.startNs >= t0 && e.startNs <= t1)
+      flops += e.argValue;
+  return flops;
 }
 
 }  // namespace
@@ -57,29 +68,29 @@ int main(int argc, char** argv) {
   if (quick) orders = {50, 100};
 
   obs::setTraceEnabled(true);
-  obs::setMetricsEnabled(true);
   obs::setMemoryEnabled(true);
 
   std::printf(
       "# Ablation: per-stage wall time (sec) of the proposed SHH test\n"
       "# (StageTrace records), reorder health of the Eq.-(22) split\n"
       "# (swap count, rejected swaps, max accepted-swap residual), kernel\n"
-      "# effort per order (gemm/svd call deltas from the metrics\n"
-      "# registry), and peak live Matrix bytes (memory accountant).\n");
+      "# effort per order (GFLOP of the sampled gemm spans, the report's\n"
+      "# rank decisions and staircase compressions), and peak live Matrix\n"
+      "# bytes (memory accountant).\n");
   std::printf(
-      "%-8s %-10s %-10s %-10s %-10s %-12s %-10s %-7s %-5s %-10s %-7s "
-      "%-6s %-8s\n",
+      "%-8s %-10s %-10s %-10s %-10s %-12s %-10s %-7s %-5s %-10s %-8s "
+      "%-6s %-6s %-8s\n",
       "order", "deflate", "nondyn", "proper", "eig22", "split", "pr-test",
-      "swaps", "rej", "maxresid", "gemm", "svd", "peakMB");
+      "swaps", "rej", "maxresid", "gemmGF", "rank", "stair", "peakMB");
   for (std::size_t n : orders) {
     ds::DescriptorSystem g = circuits::makeBenchmarkModel(n, true);
 
-    const std::uint64_t gemm0 = obs::counterValue(obs::Counter::GemmCalls);
-    const std::uint64_t svd0 = obs::counterValue(obs::Counter::SvdCalls);
-
     api::PipelineState state;
     state.input = &g;
+    const std::uint64_t t0 = obs::monotonicNowNs();
     const api::Status status = api::runPipeline(state);
+    const double gemmGflop =
+        static_cast<double>(gemmSpanFlops(t0, obs::monotonicNowNs())) * 1e-9;
     if (!status.ok()) {
       std::fprintf(stderr, "unexpected verdict/error at n=%zu: %s\n", n,
                    status.toString().c_str());
@@ -112,14 +123,11 @@ int main(int argc, char** argv) {
     const linalg::ReorderReport& rr = state.report.reorder;
     std::printf(
         "%-8zu %-10.4f %-10.4f %-10.4f %-10.4f %-12.4f %-10.4f %-7zu "
-        "%-5zu %-10.2e %-7llu %-6llu %-8.2f\n",
+        "%-5zu %-10.2e %-8.3f %-6zu %-6zu %-8.2f\n",
         n, t["impulse-deflation"], t["nondynamic-removal"], t["proper-part"],
         tEig22, tSplit, t["pr-test"], rr.swaps, rr.rejectedSwaps,
-        rr.maxResidual,
-        static_cast<unsigned long long>(
-            obs::counterValue(obs::Counter::GemmCalls) - gemm0),
-        static_cast<unsigned long long>(
-            obs::counterValue(obs::Counter::SvdCalls) - svd0),
+        rr.maxResidual, gemmGflop, state.report.rankPolicy.decisions,
+        state.report.staircase.compressions,
         static_cast<double>(peakBytes) / (1024.0 * 1024.0));
     std::fflush(stdout);
   }

@@ -54,7 +54,6 @@
 #include "linalg/schur_reorder.hpp"
 #include "linalg/svd.hpp"
 #include "obs/memory.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "shh/stable_subspace.hpp"
 #include "decoupling_oracle.hpp"
@@ -491,23 +490,21 @@ int main(int argc, char** argv) {
   // ----------------------------------------------- observer overhead (v7)
   // The telemetry contract (src/obs/, docs/ARCHITECTURE.md) is "near-zero
   // when off, bounded when on": this row MEASURES the bound. One analysis
-  // at the top ladder order, best-of-reps, first with every telemetry
-  // surface dark (trace + metrics + memory accounting all off), then with
-  // all of them forced on; validate_bench_json.py enforces
+  // at the top ladder order, best-of-reps, first with both telemetry
+  // surfaces dark (span tracing and memory accounting off), then with
+  // both forced on; validate_bench_json.py enforces
   // overheadPct < 3 at order >= 400 (looser sanity ceiling on the quick
   // smoke ladder, where the run is too short to time a 3% delta).
   {
     const std::size_t order = orders.back();
     const ds::DescriptorSystem g = circuits::makeBenchmarkModel(order, true);
     obs::setTraceEnabled(false);
-    obs::setMetricsEnabled(false);
     obs::setMemoryEnabled(false);
     double offBest = 1e300;
     for (int r0 = 0; r0 < reps; ++r0)
       offBest = std::min(offBest,
                          bench::timeSeconds([&] { (void)analyzer.analyze(g); }));
     obs::setTraceEnabled(true);
-    obs::setMetricsEnabled(true);
     obs::setMemoryEnabled(true);
     double onBest = 1e300;
     for (int r0 = 0; r0 < reps; ++r0) {
@@ -519,7 +516,6 @@ int main(int argc, char** argv) {
                         bench::timeSeconds([&] { (void)analyzer.analyze(g); }));
     }
     obs::setTraceEnabled(false);
-    obs::setMetricsEnabled(false);
     const double overheadPct = (onBest - offBest) / offBest * 100.0;
 
     std::printf(

@@ -1,12 +1,14 @@
 // Telemetry walkthrough: run a mixed batch through the PassivityAnalyzer
-// with the full observability surface enabled (span tracing + metrics
-// registry + memory accounting — src/obs/), then
+// with both observability surfaces enabled (span tracing and memory
+// accounting — src/obs/), then
 //
 //   * write the span timeline as Chrome trace-event JSON (load it at
 //     chrome://tracing or https://ui.perfetto.dev, or validate it with
 //     tools/validate_trace_json.py),
-//   * print the metrics registry in both exposition formats (JSON and
-//     Prometheus text), and
+//   * print batch totals summed from the reports, and the gemm flops
+//     charged to each stage through the span nesting (a gemm span nests
+//     under its stage's span on the same thread, so the attribution holds
+//     with batch workers running concurrently), and
 //   * print the per-stage memory high-water marks the accountant
 //     recorded into each report's StageTraces.
 //
@@ -16,7 +18,9 @@
 // decisionEquals against every telemetry-on report. The same switches
 // can be forced process-wide with SHHPASS_TRACE=path SHHPASS_METRICS=1
 // on ANY binary linked against the library — no code changes needed.
+#include <cstdint>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -38,11 +42,15 @@ int main(int argc, char** argv) {
     req.system = circuits::makeRlcLadder(opt);
     batch.push_back(std::move(req));
   }
+  // One Table-1 model large enough for its gemms to emit spans.
+  api::AnalysisRequest large;
+  large.id = "table1-160";
+  large.system = circuits::makeBenchmarkModel(160, true);
+  batch.push_back(std::move(large));
 
   api::AnalyzerOptions options;
   options.telemetry.trace = true;       // span tracer on
-  options.telemetry.metrics = true;     // counters/gauges/histograms +
-                                        // memory accounting on
+  options.telemetry.metrics = true;     // memory accounting on
   options.threads = 2;
   const api::PassivityAnalyzer analyzer(options);
 
@@ -64,24 +72,36 @@ int main(int argc, char** argv) {
               tracePath.c_str(),
               static_cast<unsigned long long>(obs::traceDroppedEvents()));
 
-  // --- Metrics registry ----------------------------------------------
-  std::printf("\nselected counters:\n");
-  for (obs::Counter c : {obs::Counter::AnalysesCompleted,
-                         obs::Counter::StagesExecuted,
-                         obs::Counter::BatchItems, obs::Counter::GemmCalls, obs::Counter::SvdCalls,
-                         obs::Counter::RankDecisions})
-    std::printf("  %-32s %llu\n", obs::counterName(c),
-                static_cast<unsigned long long>(obs::counterValue(c)));
-  std::printf("\nmetrics (JSON):\n%s\n", obs::metricsJson().c_str());
-  std::printf("metrics (Prometheus exposition, first lines):\n");
-  const std::string prom = obs::metricsPrometheus();
-  std::size_t shown = 0, pos = 0;
-  while (shown < 12 && pos < prom.size()) {
-    const std::size_t nl = prom.find('\n', pos);
-    std::printf("  %s\n", prom.substr(pos, nl - pos).c_str());
-    pos = nl == std::string::npos ? prom.size() : nl + 1;
-    ++shown;
+  // --- Totals from the reports -------------------------------------
+  std::size_t stages = 0, rankDecisions = 0, compressions = 0;
+  for (const auto& r : reports) {
+    stages += r->stages.size();
+    rankDecisions += r->rankPolicy.decisions;
+    compressions += r->staircase.compressions;
   }
+  std::printf("\nbatch totals (from the reports):\n");
+  std::printf("  %-24s %zu\n", "analyses", reports.size());
+  std::printf("  %-24s %zu\n", "stages", stages);
+  std::printf("  %-24s %zu\n", "rank decisions", rankDecisions);
+  std::printf("  %-24s %zu\n", "staircase compressions", compressions);
+
+  // --- Gemm flops per stage, from the span nesting --------------------
+  // Only products large enough to thread emit a gemm span.
+  std::map<std::string, std::int64_t> gemmFlops;
+  for (const obs::TraceEvent& g : spans) {
+    if (std::string(g.name) != "gemm") continue;
+    for (const obs::TraceEvent& s : spans)
+      if (std::string(s.cat) == "stage" && s.tid == g.tid &&
+          s.startNs <= g.startNs &&
+          g.startNs + g.durNs <= s.startNs + s.durNs) {
+        gemmFlops[s.name] += g.argValue;
+        break;
+      }
+  }
+  std::printf("\nsampled gemm flops by stage (from the spans):\n");
+  for (const auto& [stage, flops] : gemmFlops)
+    std::printf("  %-24s %12lld\n", stage.c_str(),
+                static_cast<long long>(flops));
 
   // --- Memory high-water marks ---------------------------------------
   std::printf("\nper-stage peak live bytes (largest item, %s):\n",

@@ -7,7 +7,6 @@
 #include <thread>
 #include <utility>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace shhpass::api {
@@ -70,7 +69,6 @@ std::vector<Result<AnalysisReport>> PassivityAnalyzer::runBatch(
          k = next.fetch_add(1)) {
       const std::size_t item = byOrder[k];
       const AnalysisRequest& request = requests[item];
-      obs::counterAdd(obs::Counter::BatchItems);
       results[item] = analyzeImpl(
           request.system,
           request.options ? *request.options : options_.passivity,
@@ -96,8 +94,6 @@ Result<AnalysisReport> PassivityAnalyzer::analyzeImpl(
     return Result<AnalysisReport>(
         Status::error(ErrorCode::InvalidArgument,
                       "AnalysisRequest::marginTol must be finite and > 0"));
-  obs::counterAdd(obs::Counter::AnalysesStarted);
-  obs::gaugeAdd(obs::Gauge::AnalysesInFlight, 1);
   obs::ObsSpan span("analyze", "api");
   span.arg("order", static_cast<std::int64_t>(system.order()));
 
@@ -125,16 +121,10 @@ Result<AnalysisReport> PassivityAnalyzer::analyzeImpl(
     report.totalSeconds += margin.seconds;
     report.stages.push_back(std::move(margin));
   }
-  if (!status.ok() && !isVerdictCode(status.code())) {
-    obs::counterAdd(obs::Counter::AnalysesFailed);
-    obs::gaugeAdd(obs::Gauge::AnalysesInFlight, -1);
+  if (!status.ok() && !isVerdictCode(status.code()))
     return Result<AnalysisReport>(status);
-  }
 
   report.id = id;
-  obs::counterAdd(obs::Counter::AnalysesCompleted);
-  if (!report.passive) obs::counterAdd(obs::Counter::AnalysesNotPassive);
-  obs::gaugeAdd(obs::Gauge::AnalysesInFlight, -1);
   return Result<AnalysisReport>(std::move(report));
 }
 

@@ -38,8 +38,8 @@ struct AnalyzerOptions {
   core::PassivityOptions passivity;  ///< Default per-analysis options.
   std::size_t threads = 0;  ///< Worker threads for runBatch; 0 = hardware
                             ///< concurrency.
-  /// Telemetry switches (span tracing, metrics registry, memory
-  /// accounting — src/obs/). Applied process-wide at analyzer
+  /// Telemetry switches (span tracing and per-stage memory accounting —
+  /// src/obs/). Applied process-wide at analyzer
   /// construction; the environment forces SHHPASS_TRACE=path and
   /// SHHPASS_METRICS=1 (read once, first analyzer wins) turn telemetry
   /// on regardless of these fields. Telemetry is observation only: it

@@ -10,7 +10,6 @@
 #include "core/phi_builder.hpp"
 #include "obs/clock.hpp"
 #include "obs/memory.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace shhpass::api {
@@ -170,8 +169,6 @@ StageTrace runTimedStage(const char* name,
   trace.seconds = obs::nsToSeconds(t0, t1);
   trace.peakBytes = mem.peakBytes();
   obs::emitSpan(trace.name, "stage", t0, t1, obs::currentThreadTid());
-  obs::observeStageSeconds(trace.name, trace.seconds);
-  obs::counterAdd(obs::Counter::StagesExecuted);
   return trace;
 }
 

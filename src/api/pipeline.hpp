@@ -160,7 +160,7 @@ struct PipelineState {
 using StageObserver = std::function<void(const StageTrace&)>;
 
 /// Run `body` as the stage `name`: time it, record its peak memory, emit
-/// its "stage" span and stage metrics. An exception escaping `body`
+/// its "stage" span. An exception escaping `body`
 /// becomes the trace's Status. runPipeline times every Fig.-1 stage this
 /// way; the analyzer times the margin bisection the same way.
 StageTrace runTimedStage(const char* name,

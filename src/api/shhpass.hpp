@@ -21,11 +21,10 @@
 #include "api/pipeline.hpp"
 #include "api/status.hpp"
 
-// Observability surface (span tracing, metrics registry, memory
-// accounting — enabled per analyzer via AnalyzerOptions::telemetry or
-// process-wide via SHHPASS_TRACE / SHHPASS_METRICS).
+// Observability surface (span tracing and memory accounting — enabled
+// per analyzer via AnalyzerOptions::telemetry or process-wide via
+// SHHPASS_TRACE / SHHPASS_METRICS).
 #include "obs/memory.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 // Modelling front ends.

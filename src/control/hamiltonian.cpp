@@ -28,6 +28,24 @@ Matrix symplecticJTimes(const Matrix& h) {
   return jh;
 }
 
+// True iff an eigenvalue of H lies within the imaginary-axis cut
+// max(tol * max(1, |lambda|), 1e3 * eps * ||H||_F): a per-eigenvalue
+// relative threshold with an eps-level absolute floor tied to the matrix
+// norm (the size of backward error in computed eigenvalues). A
+// norm-proportional *tolerance* would misclassify well-damped eigenvalues
+// of badly scaled systems as imaginary.
+bool anyEigenvalueOnImaginaryAxis(
+    const std::vector<std::complex<double>>& eigenvalues, double tol,
+    const Matrix& h) {
+  const double floor_ =
+      1e3 * std::numeric_limits<double>::epsilon() * h.normFrobenius();
+  for (const auto& l : eigenvalues) {
+    const double cut = std::max(tol * std::max(1.0, std::abs(l)), floor_);
+    if (std::abs(l.real()) <= cut) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 bool isHamiltonian(const Matrix& h, double tol) {
@@ -67,12 +85,8 @@ StableSubspace stableInvariantSubspace(const Matrix& h, double imagTol) {
   linalg::RealSchurResult rs = linalg::realSchur(h);
   out.schur = rs.report;
   // A Hamiltonian spectrum splits evenly unless eigenvalues sit on the axis.
-  const double floor_ =
-      1e3 * std::numeric_limits<double>::epsilon() * h.normFrobenius();
-  for (const auto& l : rs.eigenvalues) {
-    const double cut = std::max(imagTol * std::max(1.0, std::abs(l)), floor_);
-    if (std::abs(l.real()) <= cut) return out;  // ok = false
-  }
+  if (anyEigenvalueOnImaginaryAxis(rs.eigenvalues, imagTol, h))
+    return out;  // ok = false
   const std::size_t k = linalg::reorderSchur(
       rs.t, rs.q, [](std::complex<double> l) { return l.real() < 0.0; },
       &out.reorder);
@@ -85,17 +99,7 @@ StableSubspace stableInvariantSubspace(const Matrix& h, double imagTol) {
 }
 
 bool hasImaginaryAxisEigenvalue(const Matrix& h, double tol) {
-  // Per-eigenvalue relative threshold with an eps-level absolute floor tied
-  // to the matrix norm (the size of backward error in computed eigenvalues).
-  // A norm-proportional *tolerance* would misclassify well-damped
-  // eigenvalues of badly scaled systems as imaginary.
-  const double floor_ =
-      1e3 * std::numeric_limits<double>::epsilon() * h.normFrobenius();
-  for (const auto& l : linalg::eigenvalues(h)) {
-    const double cut = std::max(tol * std::max(1.0, std::abs(l)), floor_);
-    if (std::abs(l.real()) <= cut) return true;
-  }
-  return false;
+  return anyEigenvalueOnImaginaryAxis(linalg::eigenvalues(h), tol, h);
 }
 
 }  // namespace shhpass::control

@@ -9,14 +9,13 @@
 #include <thread>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #include <immintrin.h>
 #endif
 
-#include "api/thread_pool.hpp"
+#include "linalg/thread_pool.hpp"
 
 namespace shhpass::linalg {
 namespace {
@@ -41,7 +40,7 @@ constexpr std::size_t NC = kGemmNc;
 // a use-after-free ThreadSanitizer flags in the setGemmThreads/gemm
 // interleaving test of tests/test_thread_pool_stress.cpp.
 std::mutex gPoolMutex;
-std::shared_ptr<api::ThreadPool> gPool;
+std::shared_ptr<ThreadPool> gPool;
 std::size_t gThreads = 1;
 bool gThreadsConfigured = false;  // setGemmThreads() ran (beats the env)
 std::once_flag gEnvInitFlag;
@@ -57,7 +56,7 @@ void setGemmThreadsLocked(std::size_t t) {
   }
   if (gPool && gThreads == t) return;
   gPool.reset();
-  gPool = std::make_shared<api::ThreadPool>(t);
+  gPool = std::make_shared<ThreadPool>(t);
   gThreads = t;
 }
 
@@ -446,7 +445,7 @@ void gemmBlocked(double alpha, const Matrix& a, bool transA, const Matrix& b,
   if (m == 0 || n == 0) return;
 
   std::size_t threads = 1;
-  std::shared_ptr<api::ThreadPool> pool;
+  std::shared_ptr<ThreadPool> pool;
   if (m * n * k >= kGemmThreadedFlopFloor) {
     ensureEnvThreadInit();
     std::lock_guard<std::mutex> lock(gPoolMutex);
@@ -465,13 +464,14 @@ void gemmBlocked(double alpha, const Matrix& a, bool transA, const Matrix& b,
     return;
   }
   const std::size_t chunk = ((n + threads - 1) / threads + NR - 1) / NR * NR;
+  std::vector<std::function<void()>> panels;
   for (std::size_t j0 = 0; j0 < n; j0 += chunk) {
     const std::size_t nb = std::min(chunk, n - j0);
-    pool->submit([=, &a, &b, &c] {
+    panels.emplace_back([=, &a, &b, &c] {
       gemmBlockedCols(alpha, a, transA, b, transB, beta, c, m, n, k, j0, nb);
     });
   }
-  pool->wait();
+  pool->run(std::move(panels));
 }
 
 void gemm(double alpha, const Matrix& a, bool transA, const Matrix& b,
@@ -479,8 +479,6 @@ void gemm(double alpha, const Matrix& a, bool transA, const Matrix& b,
   std::size_t m, n, k;
   checkGemmShapes(a, transA, b, transB, c, m, n, k);
   const std::size_t flopProducts = m * n * k;
-  obs::counterAdd(obs::Counter::GemmCalls);
-  obs::counterAdd(obs::Counter::GemmFlops, 2 * flopProducts);
   // Spans only for products big enough to thread: per-call tracing of the
   // thousands of tiny products would swamp the buffers and the timeline
   // (the sampling-friendly coarse-granularity contract of obs/trace.hpp).

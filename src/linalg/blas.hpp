@@ -42,7 +42,7 @@
 //
 // setGemmThreads(t) with t > 1 parallelizes the blocked kernel over
 // disjoint column panels of C on a lazily created, process-wide
-// api::ThreadPool. The contract is:
+// linalg::ThreadPool (linalg/thread_pool.hpp). The contract is:
 //
 //   * determinism — each C element is accumulated in the same order
 //     regardless of the thread count (threads partition columns; the
@@ -53,9 +53,9 @@
 //     blocked kernel AND exceed kGemmThreadedFlopFloor; small products
 //     never touch the pool;
 //   * gemm() may be called concurrently from many threads (e.g. from
-//     runBatch workers); the kernel pool is shared and its barrier is
-//     global, so concurrent large gemms serialize their waits but never
-//     deadlock (kernel-pool workers themselves never call gemm);
+//     runBatch workers); the kernel pool is shared, but each gemm waits
+//     only for its own panels and rethrows only their exceptions, and
+//     never deadlocks (kernel-pool workers themselves never call gemm);
 //   * the default is serial (threads == 1): callers who never call
 //     setGemmThreads get no thread pool and no behavioral change;
 //   * setGemmThreads may be called concurrently with in-flight gemm()

@@ -69,8 +69,4 @@ bool isRegularPencil(const Matrix& e, const Matrix& a) {
   return false;
 }
 
-std::size_t finiteModeCount(const Matrix& e, const Matrix& a) {
-  return generalizedEigenvalues(e, a).finite.size();
-}
-
 }  // namespace shhpass::linalg

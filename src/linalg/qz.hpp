@@ -38,7 +38,4 @@ GeneralizedEigenvalues generalizedEigenvalues(const Matrix& e, const Matrix& a,
 /// True if the pencil (E, A) is regular: det(A - s E) != 0 for some s.
 bool isRegularPencil(const Matrix& e, const Matrix& a);
 
-/// deg det(-s E + A): the number of finite dynamic modes (q in the paper).
-std::size_t finiteModeCount(const Matrix& e, const Matrix& a);
-
 }  // namespace shhpass::linalg

@@ -7,7 +7,6 @@
 #include "linalg/hessenberg.hpp"
 #include "linalg/schur_multishift.hpp"
 #include "linalg/schur_reorder.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace shhpass::linalg {
@@ -71,7 +70,6 @@ RealSchurResult schurUnblocked(const Matrix& a) {
 RealSchurResult realSchur(const Matrix& a) {
   if (!a.isSquare()) throw std::invalid_argument("realSchur: not square");
   const std::size_t n = a.rows();
-  obs::counterAdd(obs::Counter::SchurCalls);
   obs::ObsSpan span("schur", "kernel", n >= 32);
   span.arg("n", static_cast<std::int64_t>(n));
   return schurDriver(a, n >= kSchurCrossover, /*wantQ=*/true);

@@ -11,7 +11,6 @@
 #include "linalg/householder.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/schur.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace shhpass::linalg {
@@ -345,17 +344,6 @@ bool standardizeBlockAt(Matrix& t, Matrix& q, std::size_t j,
   return split;
 }
 
-}  // namespace
-
-void ReorderReport::absorb(const ReorderReport& other) {
-  swaps += other.swaps;
-  rejectedSwaps += other.rejectedSwaps;
-  maxResidual = std::max(maxResidual, other.maxResidual);
-  eigenvalueDrift += other.eigenvalueDrift;
-  standardizations += other.standardizations;
-}
-
-namespace {
 void standardizeQuasiTriangularImpl(Matrix& t, Matrix& q,
                                     ReorderReport* report,
                                     bool qTransposed) {
@@ -478,7 +466,6 @@ bool swapAdjacentBlocksImpl(Matrix& t, Matrix& q, std::size_t j,
   double x[4];
   if (!smallSylvester(win, w, p, qsz, x)) {
     if (report) ++report->rejectedSwaps;
-    obs::counterAdd(obs::Counter::ReorderRejectedSwaps);
     return false;
   }
   double stack[8];
@@ -531,7 +518,6 @@ bool swapAdjacentBlocksImpl(Matrix& t, Matrix& q, std::size_t j,
     const double globalThresh = std::max(20.0 * eps * tMax, smlnum);
     if (residual > globalThresh) {
       if (report) ++report->rejectedSwaps;
-      obs::counterAdd(obs::Counter::ReorderRejectedSwaps);
       return false;
     }
   }

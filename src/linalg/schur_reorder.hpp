@@ -95,9 +95,6 @@ struct ReorderReport {
   /// True when the requested ordering was realized exactly (no rejects).
   bool clean() const { return rejectedSwaps == 0; }
 
-  /// Merge another pass's record (for callers that reorder repeatedly).
-  void absorb(const ReorderReport& other);
-
   bool operator==(const ReorderReport&) const = default;
 };
 

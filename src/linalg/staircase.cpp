@@ -8,7 +8,6 @@
 #include "linalg/blas.hpp"
 #include "linalg/householder.hpp"
 #include "linalg/qr.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace shhpass::linalg {
@@ -472,48 +471,22 @@ Matrix Compression::applyPinvTranspose(const Matrix& b) const {
 
 Compression compress(const Matrix& m, const CompressionOptions& opts,
                      RankReport* rankReport, StaircaseReport* stairReport) {
-  CompressionKernel k = opts.kernel;
   const std::size_t rows = m.rows(), cols = m.cols();
-  obs::counterAdd(obs::Counter::StaircaseCompressions);
   obs::ObsSpan span("staircase-compress", "kernel",
                     std::min(rows, cols) >= 64);
   span.arg("minDim",
            static_cast<std::int64_t>(std::min(rows, cols)));
   Compression c;
-  if (rows == 0 || cols == 0) {
+  if (rows == 0 || cols == 0)
     c = compressEmpty(m, opts, rankReport);
-  } else {
-    if (k == CompressionKernel::Auto) {
-      if (isExactlyDiagonal(m))
-        k = CompressionKernel::Diagonal;
-      else if (rows == cols && rows >= 16 && m.isSkewSymmetric(0.0))
-        k = CompressionKernel::SkewTridiagonal;
-      else if (rows >= 2 * cols || cols >= 2 * rows)
-        k = CompressionKernel::QrSvd;
-      else
-        k = CompressionKernel::Svd;
-    } else if (k == CompressionKernel::Diagonal) {
-      if (!isExactlyDiagonal(m))
-        throw std::invalid_argument("compress: matrix not exactly diagonal");
-    } else if (k == CompressionKernel::SkewTridiagonal) {
-      if (rows != cols || !m.isSkewSymmetric(0.0))
-        throw std::invalid_argument("compress: matrix not exactly skew");
-    }
-    switch (k) {
-      case CompressionKernel::Diagonal:
-        c = compressDiagonal(m, opts, rankReport);
-        break;
-      case CompressionKernel::QrSvd:
-        c = compressQrSvd(m, opts, rankReport);
-        break;
-      case CompressionKernel::SkewTridiagonal:
-        c = compressSkewTridiagonal(m, opts, rankReport);
-        break;
-      default:
-        c = compressSvd(m, opts, rankReport);
-        break;
-    }
-  }
+  else if (isExactlyDiagonal(m))
+    c = compressDiagonal(m, opts, rankReport);
+  else if (rows == cols && rows >= 16 && m.isSkewSymmetric(0.0))
+    c = compressSkewTridiagonal(m, opts, rankReport);
+  else if (rows >= 2 * cols || cols >= 2 * rows)
+    c = compressQrSvd(m, opts, rankReport);
+  else
+    c = compressSvd(m, opts, rankReport);
   if (stairReport) {
     ++stairReport->compressions;
     switch (c.kernelUsed) {

@@ -52,8 +52,8 @@
 
 namespace shhpass::linalg {
 
-/// Which compression kernel ran (or, in options, is requested).
-enum class CompressionKernel { Auto, Svd, Diagonal, QrSvd, SkewTridiagonal };
+/// Which compression kernel ran.
+enum class CompressionKernel { Svd, Diagonal, QrSvd, SkewTridiagonal };
 
 /// Per-stage health record of the staircase chain, threaded through the
 /// stage results into AnalysisReport diagnostics (next to RankReport).
@@ -81,7 +81,6 @@ struct StaircaseReport {
 /// a full-Q application).
 struct CompressionOptions {
   double rankTol = -1.0;  ///< Shared rank policy tolerance (< 0: default).
-  CompressionKernel kernel = CompressionKernel::Auto;
   bool wantRange = false;          ///< Orthonormal basis of Im(M), m x r.
   bool wantCorange = false;        ///< Basis of Im(M^T), n x r.
   bool wantNullspace = false;      ///< Basis of Ker(M), n x (n - r).
@@ -116,11 +115,9 @@ struct Compression {
 /// Compute a compression of `m`. The rank decision is recorded into
 /// `rankReport` (when non-null) through rankFromSingularValues, exactly
 /// like a direct SVD rank() call would; kernel/ fallback counters go into
-/// `stairReport` (when non-null). Kernel Auto picks, in order: Diagonal
+/// `stairReport` (when non-null). The kernel is picked, in order: Diagonal
 /// (exact structural test), SkewTridiagonal (square, exactly skew, order
-/// >= 16), QrSvd (aspect ratio >= 2), else the Svd fallback. Requesting a
-/// specific kernel whose structural precondition fails throws
-/// std::invalid_argument.
+/// >= 16), QrSvd (aspect ratio >= 2), else the Svd fallback.
 Compression compress(const Matrix& m, const CompressionOptions& opts,
                      RankReport* rankReport = nullptr,
                      StaircaseReport* stairReport = nullptr);

@@ -8,7 +8,6 @@
 #include "linalg/blas.hpp"
 #include "linalg/householder.hpp"
 #include "linalg/qr.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace shhpass::linalg {
@@ -592,7 +591,6 @@ std::size_t rankFromSingularValues(const std::vector<double>& s,
                                    std::size_t m, std::size_t n, double tol,
                                    RankReport* report) {
   const double cut = resolveRankTol(s, m, n, tol);
-  obs::counterAdd(obs::Counter::RankDecisions);
   std::size_t r = 0;
   for (double sv : s)
     if (sv > cut) ++r;
@@ -608,7 +606,6 @@ std::size_t rankFromSingularValues(const std::vector<double>& s,
 }
 
 SVD::SVD(const Matrix& a, SvdKernel kernel) : m_(a.rows()), n_(a.cols()) {
-  obs::counterAdd(obs::Counter::SvdCalls);
   // Span only at blocked-worthy sizes; the deflation chains factor many
   // tiny blocks that would otherwise flood the trace.
   obs::ObsSpan span("svd", "kernel", std::min(m_, n_) >= 64);

@@ -5,7 +5,6 @@
 #include <mutex>
 
 #include "obs/memory.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace shhpass::obs {
@@ -20,20 +19,15 @@ void initTelemetryFromEnv() {
     }
     const char* metrics = std::getenv("SHHPASS_METRICS");
     if (metrics != nullptr && metrics[0] != '\0' &&
-        std::strcmp(metrics, "0") != 0) {
-      setMetricsEnabled(true);
+        std::strcmp(metrics, "0") != 0)
       setMemoryEnabled(true);
-    }
   });
 }
 
 void applyTelemetryOptions(const TelemetryOptions& options) {
   if (options.trace || !options.tracePath.empty()) setTraceEnabled(true);
   if (!options.tracePath.empty()) setTraceExitPath(options.tracePath);
-  if (options.metrics) {
-    setMetricsEnabled(true);
-    setMemoryEnabled(true);
-  }
+  if (options.metrics) setMemoryEnabled(true);
 }
 
 }  // namespace shhpass::obs

@@ -5,9 +5,9 @@
 //
 //   SHHPASS_TRACE=/tmp/run.trace.json   enable tracing; write Chrome
 //                                       trace JSON to the path at exit
-//   SHHPASS_METRICS=1                   enable the metrics registry and
-//                                       the memory accountant ("0" or
-//                                       unset leaves them off)
+//   SHHPASS_METRICS=1                   enable per-stage memory
+//                                       accounting ("0" or unset leaves
+//                                       it off)
 #pragma once
 
 #include <string>
@@ -18,7 +18,7 @@ namespace shhpass::obs {
 struct TelemetryOptions {
   bool trace = false;      ///< Enable span tracing process-wide.
   std::string tracePath;   ///< If non-empty, write trace JSON at exit.
-  bool metrics = false;    ///< Enable metrics + memory accounting.
+  bool metrics = false;    ///< Enable per-stage memory accounting.
 };
 
 /// Read SHHPASS_TRACE / SHHPASS_METRICS once (std::call_once) and apply

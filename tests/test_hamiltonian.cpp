@@ -2,10 +2,12 @@
 // subspace computation (Eq. 22 of the paper).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <complex>
 
 #include "control/hamiltonian.hpp"
 #include "linalg/blas.hpp"
+#include "linalg/lu.hpp"
 #include "linalg/schur.hpp"
 #include "test_support.hpp"
 
@@ -120,6 +122,53 @@ TEST(ImaginaryAxisDetection, DetectsAndClears) {
   EXPECT_TRUE(hasImaginaryAxisEigenvalue(h));
   Matrix stable = randomStable(4, 312);
   EXPECT_FALSE(hasImaginaryAxisEigenvalue(stable, 1e-10));
+}
+
+// H = S diag(A, -A^T) S^{-1} with the symplectic S = [I 0; K I], so the
+// spectrum of H is that of A and its mirror image: one complex pair whose
+// distance from the imaginary axis is `offset` times the axis cut at
+// `tol`, plus well-damped real modes.
+Matrix hamiltonianWithPairNearAxis(std::size_t np, double offset, double tol,
+                                   unsigned seed) {
+  testing::Xorshift gen(seed);
+  // With |lambda| > 1 and ||H||_F small the cut is tol * |lambda|, so
+  // |sigma| = offset * tol * |sigma + i omega| fixes sigma.
+  const double omega = gen.uniform(1.5, 3.0);
+  const double f = offset * tol;
+  const double sigma = -f * omega / std::sqrt(1.0 - f * f);
+  Matrix d(np, np);
+  d(0, 0) = sigma;
+  d(0, 1) = omega;
+  d(1, 0) = -omega;
+  d(1, 1) = sigma;
+  for (std::size_t i = 2; i < np; ++i) d(i, i) = -gen.uniform(0.5, 3.0);
+  Matrix v = randomMatrix(np, np, seed + 1);
+  v *= 0.3 / std::sqrt(static_cast<double>(np));
+  for (std::size_t i = 0; i < np; ++i) v(i, i) += 1.0;
+  const Matrix a = v * d * linalg::inverse(v);
+  const Matrix k = 0.5 * randomSymmetric(np, seed + 2);
+  return makeHamiltonian(a, Matrix(np, np), k * a + linalg::atb(a, k));
+}
+
+TEST(ImaginaryAxisDetection, AgreesWithStableSubspaceAtTheCut) {
+  // Both decisions apply one cut to bitwise-equal eigenvalues
+  // (eigenvalues(h) == realSchur(h).eigenvalues): a pair at half the cut
+  // is on the axis for both, a pair at twice the cut for neither. The
+  // last orders cross kSchurCrossover, so the multishift path runs too.
+  constexpr double kTol = 1e-6;
+  for (unsigned seed = 0; seed < 12; ++seed) {
+    const std::size_t np = 4 + 6 * seed;
+    for (double offset : {0.5, 2.0}) {
+      const Matrix h =
+          hamiltonianWithPairNearAxis(np, offset, kTol, 900 + seed);
+      const bool onAxis = hasImaginaryAxisEigenvalue(h, kTol);
+      const StableSubspace ss = stableInvariantSubspace(h, kTol);
+      EXPECT_EQ(ss.reorder.rejectedSwaps, 0u)
+          << "np=" << np << " offset=" << offset;
+      EXPECT_EQ(onAxis, !ss.ok) << "np=" << np << " offset=" << offset;
+      EXPECT_EQ(onAxis, offset < 1.0) << "np=" << np << " offset=" << offset;
+    }
+  }
 }
 
 }  // namespace

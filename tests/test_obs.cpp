@@ -1,13 +1,12 @@
 // Tests of the telemetry subsystem (src/obs/): span well-formedness and
-// per-thread monotonicity, metrics-counter exactness under concurrent
-// runBatch workers, bit-parity of decisions with telemetry on vs off (the
-// observation-only contract), exposition-format sanity, and memory
-// accounting.
+// per-thread monotonicity, memory accounting, and bit-parity of decisions
+// with telemetry on vs off under concurrent runBatch workers (the
+// observation-only contract).
 //
 // Telemetry state is process-wide; every test begins by forcing the
-// flags it needs and resetting the registries (gtest runs tests
-// sequentially in one process, so there is no cross-test race — only
-// cross-test residue, which the resets clear).
+// flags it needs and clearing the trace (gtest runs tests sequentially in
+// one process, so there is no cross-test race — only cross-test residue,
+// which the clear removes).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +17,6 @@
 #include "api/shhpass.hpp"
 #include "obs/clock.hpp"
 #include "obs/memory.hpp"
-#include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "test_support.hpp"
@@ -34,15 +32,12 @@ using api::Result;
 
 void telemetryAllOn() {
   obs::setTraceEnabled(true);
-  obs::setMetricsEnabled(true);
   obs::setMemoryEnabled(true);
   obs::clearTrace();
-  obs::resetMetrics();
 }
 
 void telemetryAllOff() {
   obs::setTraceEnabled(false);
-  obs::setMetricsEnabled(false);
   obs::setMemoryEnabled(false);
 }
 
@@ -157,105 +152,6 @@ TEST(ObsTrace, ClearTraceRetiresPublishedSpans) {
   ASSERT_FALSE(obs::snapshotTrace().empty());
   obs::clearTrace();
   EXPECT_TRUE(obs::snapshotTrace().empty());
-  telemetryAllOff();
-}
-
-// ------------------------------------------------------- metrics registry
-
-TEST(ObsMetrics, CountersAreExactUnderConcurrentBatchWorkers) {
-  const std::vector<AnalysisRequest> reqs = goldenBatch();
-
-  for (std::size_t workers : {1u, 2u, 7u}) {
-    telemetryAllOn();
-    AnalyzerOptions opts;
-    opts.threads = workers;
-    PassivityAnalyzer analyzer(opts);
-    std::vector<Result<AnalysisReport>> results = analyzer.runBatch(reqs);
-    ASSERT_EQ(results.size(), reqs.size());
-    for (const auto& r : results) ASSERT_TRUE(r.ok());
-
-    // Expected stage totals come from the reports themselves: the trace
-    // list accounts for every executed stage, so the counters must match
-    // it exactly — that is the exactness claim.
-    std::uint64_t expectStages = 0;
-    for (const auto& r : results) expectStages += r->stages.size();
-
-    using obs::Counter;
-    EXPECT_EQ(obs::counterValue(Counter::AnalysesStarted), reqs.size())
-        << "workers=" << workers;
-    EXPECT_EQ(obs::counterValue(Counter::AnalysesCompleted), reqs.size());
-    EXPECT_EQ(obs::counterValue(Counter::AnalysesFailed), 0u);
-    EXPECT_EQ(obs::counterValue(Counter::AnalysesNotPassive), 2u);
-    EXPECT_EQ(obs::counterValue(Counter::BatchItems), reqs.size())
-        << "workers=" << workers;
-    EXPECT_EQ(obs::counterValue(Counter::StagesExecuted), expectStages)
-        << "workers=" << workers;
-    EXPECT_EQ(obs::gaugeValue(obs::Gauge::AnalysesInFlight), 0);
-    EXPECT_GT(obs::counterValue(Counter::GemmCalls), 0u);
-    EXPECT_GT(obs::counterValue(Counter::GemmFlops),
-              obs::counterValue(Counter::GemmCalls));
-    EXPECT_GT(obs::counterValue(Counter::SvdCalls), 0u);
-    EXPECT_GT(obs::counterValue(Counter::RankDecisions), 0u);
-  }
-  telemetryAllOff();
-}
-
-TEST(ObsMetrics, StageHistogramCoversEveryCanonicalStage) {
-  telemetryAllOn();
-  PassivityAnalyzer analyzer;
-  ASSERT_TRUE(analyzer.analyze(passiveLadder(3, false)).ok());
-  const std::vector<obs::HistogramSnapshot> hists =
-      obs::snapshotStageSeconds();
-  std::vector<std::string> labels;
-  for (const obs::HistogramSnapshot& h : hists) {
-    labels.push_back(h.label);
-    EXPECT_EQ(h.count, 1u);
-    EXPECT_GE(h.sum, 0.0);
-    ASSERT_EQ(h.buckets.size(), obs::kHistogramBuckets + 1);
-    // Cumulative buckets: non-decreasing, final == count.
-    for (std::size_t i = 1; i < h.buckets.size(); ++i)
-      EXPECT_GE(h.buckets[i], h.buckets[i - 1]);
-    EXPECT_EQ(h.buckets.back(), h.count);
-  }
-  for (const char* stage :
-       {"prerequisites", "build-phi", "impulse-deflation",
-        "nondynamic-removal", "m1-extraction", "proper-part", "pr-test"}) {
-    EXPECT_NE(std::find(labels.begin(), labels.end(), stage), labels.end())
-        << "missing stage histogram: " << stage;
-  }
-  telemetryAllOff();
-}
-
-TEST(ObsMetrics, ExpositionFormatsAreSane) {
-  telemetryAllOn();
-  PassivityAnalyzer analyzer;
-  ASSERT_TRUE(analyzer.analyze(passiveLadder(2, true)).ok());
-
-  const std::string json = obs::metricsJson();
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-  EXPECT_NE(json.find("\"counters\":{"), std::string::npos);
-  EXPECT_NE(json.find("\"analyses_started\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\":{"), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\":{\"stage_seconds\":{"),
-            std::string::npos);
-  // Braces balance (cheap structural check; the CI validator does the
-  // real parse via python).
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
-
-  const std::string prom = obs::metricsPrometheus();
-  EXPECT_NE(prom.find("# TYPE shhpass_analyses_started_total counter"),
-            std::string::npos);
-  EXPECT_NE(prom.find("shhpass_analyses_started_total 1\n"),
-            std::string::npos);
-  EXPECT_NE(prom.find("# TYPE shhpass_analyses_in_flight gauge"),
-            std::string::npos);
-  EXPECT_NE(prom.find("# TYPE shhpass_stage_seconds histogram"),
-            std::string::npos);
-  EXPECT_NE(prom.find("shhpass_stage_seconds_bucket{stage=\"pr-test\",le=\""),
-            std::string::npos);
-  EXPECT_NE(prom.find("le=\"+Inf\""), std::string::npos);
   telemetryAllOff();
 }
 

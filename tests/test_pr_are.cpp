@@ -1,17 +1,14 @@
-// Tests for the regular-system positive-realness test and the ARE solvers.
+// Tests for the regular-system positive-realness test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <vector>
 
-#include "control/are.hpp"
 #include "control/pr_test.hpp"
 #include "control/sylvester.hpp"
 #include "ds/descriptor.hpp"
 #include "linalg/blas.hpp"
-#include "linalg/cholesky.hpp"
-#include "linalg/lu.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/schur.hpp"
 #include "test_support.hpp"
@@ -243,57 +240,6 @@ TEST(PrTest, DenseAMatchesItsSchurForm) {
           << "seed=" << seed;
     }
   }
-}
-
-TEST(Care, SolvesKnownScalar) {
-  // a=1? use: A^T X + X A - X G X + Q = 0 with A=-1, G=1, Q=3:
-  // -2x - x^2 + 3 = 0 -> x = 1 (stabilizing).
-  AreResult r = solveCare(Matrix{{-1.0}}, Matrix{{1.0}}, Matrix{{3.0}});
-  ASSERT_TRUE(r.ok);
-  EXPECT_NEAR(r.x(0, 0), 1.0, 1e-10);
-}
-
-TEST(Care, ResidualRandom) {
-  const std::size_t n = 5;
-  Matrix a = randomStable(n, 404);
-  Matrix b = randomMatrix(n, 2, 405);
-  Matrix g = linalg::abt(b, b);
-  Matrix cm = randomMatrix(2, n, 406);
-  Matrix q = linalg::atb(cm, cm);
-  AreResult r = solveCare(a, g, q);
-  ASSERT_TRUE(r.ok);
-  Matrix resid =
-      linalg::atb(a, r.x) + r.x * a - r.x * g * r.x + q;
-  EXPECT_LT(resid.maxAbs(), 1e-7 * std::max(1.0, q.maxAbs()));
-  EXPECT_TRUE(r.x.isSymmetric(1e-9 * std::max(1.0, r.x.maxAbs())));
-}
-
-TEST(PositiveRealAre, ResidualForPassiveSystem) {
-  Rc1 sys;
-  AreResult r = solvePositiveRealAre(sys.a, sys.b, sys.c, sys.d);
-  ASSERT_TRUE(r.ok);
-  // Check Eq. (5) residual directly.
-  Matrix rmat = sys.d + sys.d.transposed();
-  Matrix term = (r.x * sys.b - sys.c.transposed());
-  Matrix resid = linalg::atb(sys.a, r.x) + r.x * sys.a +
-                 term * linalg::solve(rmat, (sys.b.transposed() * r.x -
-                                             sys.c));
-  EXPECT_LT(resid.maxAbs(), 1e-9);
-  // Stabilizing solution of the PR Riccati is PSD for passive systems.
-  EXPECT_TRUE(linalg::isPositiveSemidefinite(r.x));
-}
-
-TEST(PositiveRealAre, FailsForNonPassive) {
-  Rc1 sys;
-  AreResult r =
-      solvePositiveRealAre(sys.a, sys.b, -1.0 * sys.c, Matrix{{0.1}});
-  EXPECT_FALSE(r.ok);
-}
-
-TEST(PositiveRealAre, SingularRThrows) {
-  Rc1 sys;
-  EXPECT_THROW(solvePositiveRealAre(sys.a, sys.b, sys.c, Matrix{{0.0}}),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -395,24 +395,6 @@ TEST(SchurReorderRandom, GenuinelyMalformedInputIsRefused) {
       std::invalid_argument);
 }
 
-TEST(SchurReorderRandom, ReportAccumulationAbsorb) {
-  ReorderReport a, b;
-  a.swaps = 3;
-  a.maxResidual = 1e-14;
-  a.eigenvalueDrift = 1e-13;
-  b.swaps = 2;
-  b.rejectedSwaps = 1;
-  b.maxResidual = 5e-14;
-  b.standardizations = 4;
-  a.absorb(b);
-  EXPECT_EQ(a.swaps, 5u);
-  EXPECT_EQ(a.rejectedSwaps, 1u);
-  EXPECT_DOUBLE_EQ(a.maxResidual, 5e-14);
-  EXPECT_DOUBLE_EQ(a.eigenvalueDrift, 1e-13);
-  EXPECT_EQ(a.standardizations, 4u);
-  EXPECT_FALSE(a.clean());
-}
-
 // --- windowed reordering vs the one-block-at-a-time oracle ----------------
 
 std::size_t twoByTwoBlocks(const Matrix& t) {

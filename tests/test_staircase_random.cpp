@@ -218,16 +218,6 @@ TEST(StaircaseCompression, DegenerateShapes) {
   expectValidCompression(Matrix(6, 4), z, "zero");
 }
 
-TEST(StaircaseCompression, ForcedKernelPreconditionsThrow) {
-  Matrix notDiag = randomMatrix(6, 6, 51);
-  CompressionOptions o;
-  o.kernel = CompressionKernel::Diagonal;
-  EXPECT_THROW(linalg::compress(notDiag, o), std::invalid_argument);
-  o.kernel = CompressionKernel::SkewTridiagonal;
-  EXPECT_THROW(linalg::compress(randomMatrix(6, 6, 52), o),
-               std::invalid_argument);
-}
-
 TEST(StaircaseCompression, RankStableUnderTolWobble) {
   const double eps = std::numeric_limits<double>::epsilon();
   for (unsigned seed : {61u, 62u, 63u}) {

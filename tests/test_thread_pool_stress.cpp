@@ -1,16 +1,17 @@
-// Concurrency stress suite for api::ThreadPool and its two production
+// Concurrency stress suite for linalg::ThreadPool and its two production
 // consumers: the blocked-gemm column-panel path and the batch analyzer.
 // This suite exists primarily to be run under ThreadSanitizer (the `tsan`
 // CI job builds with -DSHHPASS_TSAN=ON and SHHPASS_GEMM_THREADS=3): every
-// test doubles as a race detector target, and several pin the lifecycle
-// contract documented in api/thread_pool.hpp — a throwing task never
-// poisons the pool, destruction drains deterministically, nested
-// submission is legal, and setGemmThreads is safe against in-flight gemms.
+// test doubles as a race detector target, and several pin the contract
+// documented in linalg/thread_pool.hpp — concurrent fan-outs wait for and
+// rethrow only their own jobs, a throwing job never poisons the pool, and
+// setGemmThreads is safe against in-flight gemms.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -18,9 +19,9 @@
 #include <vector>
 
 #include "api/analyzer.hpp"
-#include "api/thread_pool.hpp"
 #include "circuits/generators.hpp"
 #include "linalg/blas.hpp"
+#include "linalg/thread_pool.hpp"
 #include "test_support.hpp"
 
 namespace shhpass {
@@ -31,8 +32,8 @@ using api::AnalysisRequest;
 using api::AnalyzerOptions;
 using api::PassivityAnalyzer;
 using api::Result;
-using api::ThreadPool;
 using linalg::Matrix;
+using linalg::ThreadPool;
 using testing::randomMatrix;
 
 /// Exact bitwise matrix equality (the determinism contract is bitwise,
@@ -58,92 +59,59 @@ struct SerialGemmAtExit {
 
 // ---------------------------------------------------------------- ThreadPool
 
-TEST(ThreadPoolStress, ConcurrentEnqueueAndDrain) {
-  ThreadPool pool(4);
-  std::atomic<std::size_t> ran{0};
-  constexpr std::size_t kProducers = 4;
-  constexpr std::size_t kJobsPerProducer = 500;
-
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (std::size_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&pool, &ran] {
-      for (std::size_t i = 0; i < kJobsPerProducer; ++i)
-        pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-    });
-  }
-  for (std::thread& t : producers) t.join();
-  pool.wait();
-  EXPECT_EQ(ran.load(), kProducers * kJobsPerProducer);
-  EXPECT_GE(pool.jobsExecuted(), kProducers * kJobsPerProducer);
-}
-
-TEST(ThreadPoolStress, ThrowingTaskDoesNotPoisonThePool) {
-  ThreadPool pool(2);
-  std::atomic<std::size_t> ran{0};
-  for (std::size_t i = 0; i < 16; ++i) {
-    if (i % 5 == 0) {
-      pool.submit([] { throw std::runtime_error("task failure"); });
-    } else {
-      pool.submit([&ran] { ran.fetch_add(1); });
-    }
-  }
-  // The first exception surfaces at the barrier...
-  EXPECT_THROW(pool.wait(), std::runtime_error);
-  // ...but every non-throwing task still ran (4 of the 16 threw), and the
-  // pool is fully usable afterwards: same workers, clean wait.
-  EXPECT_EQ(ran.load(), 12u);
-  for (std::size_t i = 0; i < 32; ++i)
-    pool.submit([&ran] { ran.fetch_add(1); });
-  EXPECT_NO_THROW(pool.wait());
-  EXPECT_EQ(ran.load(), 44u);
-  EXPECT_EQ(pool.jobsExecuted(), 48u);  // throwing tasks count as executed
-}
-
-TEST(ThreadPoolStress, DestructionDrainsQueuedWorkDeterministically) {
-  std::atomic<std::size_t> ran{0};
-  constexpr std::size_t kJobs = 200;
-  {
-    ThreadPool pool(2);
-    // Head jobs sleep so a real backlog is queued when the destructor
-    // runs; drain semantics require every one of them to execute anyway.
-    for (std::size_t i = 0; i < kJobs; ++i) {
-      pool.submit([&ran, i] {
-        if (i < 4)
-          std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        ran.fetch_add(1, std::memory_order_relaxed);
-      });
-    }
-    // No wait(): destruction itself must drain.
-  }
-  EXPECT_EQ(ran.load(), kJobs);
-}
-
-TEST(ThreadPoolStress, DestructionWithPendingExceptionIsSafe) {
-  // An exception that was never observed via wait() is dropped at
-  // destruction — not rethrown, not std::terminate.
-  ThreadPool pool(1);
-  pool.submit([] { throw std::runtime_error("never observed"); });
-}
-
-TEST(ThreadPoolStress, NestedSubmitFromWorker) {
+TEST(ThreadPoolStress, ConcurrentFanOutsWaitForAndRethrowOnlyTheirOwnJobs) {
+  // Two callers share one pool, as runBatch workers share the kernel pool.
+  // One job of the thrower's fan-out throws while the other caller's slow
+  // jobs are still queued. Only the thrower's run() may rethrow, and each
+  // run() returns only after every one of its own jobs has run.
   ThreadPool pool(3);
-  std::atomic<std::size_t> parents{0};
-  std::atomic<std::size_t> children{0};
-  constexpr std::size_t kParents = 24;
-  constexpr std::size_t kChildrenPerParent = 5;
-  for (std::size_t p = 0; p < kParents; ++p) {
-    pool.submit([&pool, &parents, &children] {
-      for (std::size_t c = 0; c < kChildrenPerParent; ++c)
-        pool.submit(
-            [&children] { children.fetch_add(1, std::memory_order_relaxed); });
-      parents.fetch_add(1, std::memory_order_relaxed);
+  static constexpr std::size_t kJobs = 48;
+  constexpr std::size_t kRounds = 40;
+  std::size_t throwerRethrew = 0, throwerIncomplete = 0;
+  std::size_t otherRethrew = 0, otherIncomplete = 0;
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    std::atomic<std::size_t> ranThrower{0}, ranOther{0};
+    std::thread thrower([&] {
+      std::vector<std::function<void()>> jobs;
+      for (std::size_t i = 0; i < kJobs; ++i)
+        jobs.emplace_back([&ranThrower, i] {
+          ranThrower.fetch_add(1);
+          if (i == kJobs / 4) throw std::runtime_error("panel failure");
+        });
+      try {
+        pool.run(std::move(jobs));
+      } catch (const std::runtime_error&) {
+        ++throwerRethrew;
+      }
+      if (ranThrower.load() != kJobs) ++throwerIncomplete;
     });
+    std::thread other([&] {
+      std::vector<std::function<void()>> jobs;
+      for (std::size_t i = 0; i < kJobs; ++i)
+        jobs.emplace_back([&ranOther] {
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+          ranOther.fetch_add(1);
+        });
+      try {
+        pool.run(std::move(jobs));
+      } catch (...) {
+        ++otherRethrew;
+      }
+      if (ranOther.load() != kJobs) ++otherIncomplete;
+    });
+    thrower.join();
+    other.join();
   }
-  // wait() must account for work enqueued by the workers themselves.
-  pool.wait();
-  EXPECT_EQ(parents.load(), kParents);
-  EXPECT_EQ(children.load(), kParents * kChildrenPerParent);
+  EXPECT_EQ(throwerRethrew, kRounds);
+  EXPECT_EQ(throwerIncomplete, 0u);
+  EXPECT_EQ(otherRethrew, 0u);
+  EXPECT_EQ(otherIncomplete, 0u);
+
+  // A throwing job never poisons the pool: the next fan-out runs clean.
+  std::atomic<std::size_t> ran{0};
+  std::vector<std::function<void()>> jobs(kJobs, [&ran] { ran.fetch_add(1); });
+  EXPECT_NO_THROW(pool.run(std::move(jobs)));
+  EXPECT_EQ(ran.load(), kJobs);
 }
 
 // ------------------------------------------------------- gemm kernel pool

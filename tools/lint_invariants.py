@@ -84,6 +84,14 @@ one-fig1-chain
     Extensions that need the proper part or M1 run the pipeline and read
     its PipelineState.
 
+kernel-layering
+    A project `#include "..."` in src/linalg/ or src/obs/ may only name a
+    linalg/ or obs/ header. The kernels and the telemetry layer sit at the
+    bottom of the stack; an include of api/, core/, control/ or any other
+    upper layer turns the layering into a cycle (the gemm thread pool
+    once lived in src/api/ and blas.cpp reached up for it). Waivable
+    with `lint-ok: kernel-layering`.
+
 Waivers: append `lint-ok: <rule-id>` in a comment on the offending line
 to waive a line-based rule (use sparingly; the waiver itself is visible
 in review).
@@ -113,6 +121,7 @@ RULE_IDS = (
     "tsan-supp-clean",
     "no-raw-clock",
     "one-fig1-chain",
+    "kernel-layering",
 )
 
 
@@ -243,6 +252,7 @@ RANK_TOL_LITERAL_RE = re.compile(
 RAW_CLOCK_RE = re.compile(
     r"\bstd\s*::\s*chrono\s*::\s*\w*_clock\s*::\s*now\s*\(")
 FIG1_CHAIN_RE = re.compile(r"\bdeflateImpulseModes\s*\(")
+PROJECT_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 KERNEL_DECL_RE = re.compile(
     r"^[A-Za-z_][\w:<>,&*\s]*?\b([A-Za-z_]\w*?)(Blocked|Unblocked|Reference)"
     r"\s*\(",
@@ -322,6 +332,23 @@ def check_one_fig1_chain(root: str) -> List[Finding]:
             "deflateImpulseModes( outside the pipeline stage table is a "
             "hand-wired copy of the Fig.-1 chain; run api::runPipeline "
             "and read the PipelineState instead")
+    return findings
+
+
+def check_kernel_layering(root: str) -> List[Finding]:
+    findings = []
+    subdirs = (os.path.join("src", "linalg"), os.path.join("src", "obs"))
+    for path in _cpp_files(root, subdirs):
+        for lineno, line in enumerate(_read(path).splitlines(), start=1):
+            m = PROJECT_INCLUDE_RE.match(line)
+            if (m is None or m.group(1).startswith(("linalg/", "obs/"))
+                    or _waived(line, "kernel-layering")):
+                continue
+            findings.append(Finding(
+                "kernel-layering", _rel(root, path), lineno,
+                f'#include "{m.group(1)}" in the kernel/telemetry layer: '
+                "src/linalg and src/obs may only include linalg/ or obs/ "
+                "headers"))
     return findings
 
 
@@ -424,6 +451,7 @@ CHECKS = (
     check_tsan_supp_clean,
     check_no_raw_clock,
     check_one_fig1_chain,
+    check_kernel_layering,
 )
 
 

@@ -152,8 +152,27 @@ Result deflateImpulseModes(const Phi& phi, double rankTol) { return {}; }
     planted["tsan-supp-clean"] = (write(root, "tools/tsan.supp", """\
 # comment mentioning src/ is fine
 race:third_party_lib_frame
-race:shhpass::api::ThreadPool::workerLoop
+race:shhpass::linalg::ThreadPool::workerLoop
 """), 3)
+
+    # kernel-layering: a src/linalg include of an upper layer fires; the
+    # linalg/ and obs/ includes, a system header, a commented-out include,
+    # a waived line, and the same include outside the kernel layer stay
+    # clean.
+    planted["kernel-layering"] = (write(root, "src/linalg/bad_layer.cpp", """
+#include <vector>
+#include "linalg/matrix.hpp"
+#include "obs/trace.hpp"
+// #include "api/thread_pool.hpp" in a comment is fine
+#include "core/waived.hpp"  // lint-ok: kernel-layering
+#include "api/thread_pool.hpp"
+"""), 7)
+    write(root, "src/obs/good_obs.cpp", """
+#include "obs/clock.hpp"
+""")
+    write(root, "src/core/uses_api.cpp", """
+#include "api/status.hpp"
+""")
 
     return planted
 

@@ -279,7 +279,7 @@ def main():
             "observerOverhead: missing numeric 'overheadPct'")
     overhead = oo["overheadPct"]
     # The ISSUE-10 acceptance ceiling: full telemetry (span tracing +
-    # metrics + memory accounting) must cost < 3% of an order-400+
+    # memory accounting) must cost < 3% of an order-400+
     # analysis. Short smoke runs (order 100 takes ~10 ms) cannot resolve
     # a 3% delta above timer noise, so they only get a sanity ceiling
     # that still catches a pathological observer.
