@@ -1,4 +1,4 @@
-#include "lmi/lmi_passivity.hpp"
+#include "baselines/lmi_passivity.hpp"
 
 #include <stdexcept>
 

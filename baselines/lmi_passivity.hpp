@@ -6,9 +6,9 @@
 // O(n^5)-O(n^6) baseline of Table 1.
 #pragma once
 
+#include "baselines/sdp_solver.hpp"
 #include "ds/descriptor.hpp"
 #include "linalg/svd.hpp"
-#include "lmi/sdp_solver.hpp"
 
 namespace shhpass::lmi {
 

@@ -1,4 +1,4 @@
-#include "lmi/sdp_solver.hpp"
+#include "baselines/sdp_solver.hpp"
 
 #include <algorithm>
 #include <cmath>

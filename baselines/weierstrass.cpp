@@ -1,7 +1,6 @@
-#include "ds/weierstrass.hpp"
+#include "baselines/weierstrass.hpp"
 
 #include "ds/balance.hpp"
-#include "ds/impulse_tests.hpp"
 
 #include <cmath>
 #include <limits>
@@ -9,6 +8,7 @@
 
 #include "control/pr_test.hpp"
 #include "control/sylvester.hpp"
+#include "core/markov.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/lu.hpp"
@@ -172,7 +172,7 @@ WeierstrassPassivityResult testPassivityWeierstrass(
   // question "Mk = 0 for k >= 2" is therefore decided by the robust
   // first-order rank test on the original pencil instead.
   std::vector<Matrix> mk = wf.markovParameters(2);
-  res.higherMarkovZero = !hasGradeThreeChains(sys);
+  res.higherMarkovZero = !core::hasHigherOrderImpulses(sys);
   Matrix m1 = mk[1];
   // The residue matrix at infinity must be symmetric PSD: a significant
   // skew part already violates positive realness. Tolerance scaled by the

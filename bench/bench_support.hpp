@@ -27,10 +27,10 @@
 #include <functional>
 
 #include "api/shhpass.hpp"
+#include "baselines/lmi_passivity.hpp"
+#include "baselines/weierstrass.hpp"
 #include "control/hamiltonian.hpp"
-#include "ds/weierstrass.hpp"
 #include "linalg/blas.hpp"
-#include "lmi/lmi_passivity.hpp"
 
 namespace shhpass::bench {
 

@@ -11,8 +11,8 @@
 #include <cstdlib>
 
 #include "api/shhpass.hpp"
-#include "ds/weierstrass.hpp"
-#include "lmi/lmi_passivity.hpp"
+#include "baselines/lmi_passivity.hpp"
+#include "baselines/weierstrass.hpp"
 
 namespace {
 

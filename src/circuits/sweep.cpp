@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -66,7 +67,11 @@ std::vector<std::vector<double>> expandSweep(const Netlist& net,
     axes.push_back(axisValues(net.components()[p.component].value, p));
   }
   std::size_t total = 1;
-  for (const auto& axis : axes) total *= axis.size();
+  for (const auto& axis : axes) {
+    if (total > std::numeric_limits<std::size_t>::max() / axis.size())
+      throw std::invalid_argument("expandSweep: point count overflows");
+    total *= axis.size();
+  }
   std::vector<std::vector<double>> points;
   points.reserve(total);
   // Row-major cross product: the LAST parameter varies fastest.

@@ -46,8 +46,8 @@ struct SweepSpec {
 
 /// Absolute component values for every sweep point, row-major over the
 /// parameter axes. Throws std::invalid_argument for an empty spec, zero
-/// points on an axis, an out-of-range component index, or a duplicate
-/// component across parameters.
+/// points on an axis, an out-of-range component index, a duplicate
+/// component across parameters, or a point count that overflows size_t.
 std::vector<std::vector<double>> expandSweep(const Netlist& net,
                                              const SweepSpec& spec);
 

@@ -140,27 +140,7 @@ void PopovEvaluator::transfer(double omega, Matrix& re, Matrix& im) const {
 double PopovEvaluator::minEigenvalue(double omega) const {
   Matrix gre, gim;
   transfer(omega, gre, gim);
-  const std::size_t m = gre.rows();
-  // H = G + G^* is Hermitian: real part S = Gre + Gre^T (symmetric),
-  // imaginary part K = Gim - Gim^T (skew). Embed as [[S,-K],[K,S]]; its
-  // (doubled) spectrum equals that of H.
-  Matrix emb(2 * m, 2 * m);
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < m; ++j) {
-      const double s = gre(i, j) + gre(j, i);
-      const double k = gim(i, j) - gim(j, i);
-      emb(i, j) = s;
-      emb(m + i, m + j) = s;
-      emb(i, m + j) = -k;
-      emb(m + i, j) = k;
-    }
-  linalg::SymmetricEig eig(emb, /*wantVectors=*/false);
-  return eig.eigenvalues().front();
-}
-
-double popovMinEigenvalue(const Matrix& a, const Matrix& b, const Matrix& c,
-                          const Matrix& d, double omega) {
-  return PopovEvaluator(a, b, c, d).minEigenvalue(omega);
+  return linalg::hermitianPartMinEigenvalue(gre, gim);
 }
 
 PrTestResult testPositiveRealProper(const Matrix& a, const Matrix& b,

@@ -74,11 +74,4 @@ PrTestResult testPositiveRealProper(const linalg::Matrix& a,
                                     const linalg::Matrix& d,
                                     double imagTol = 1e-8);
 
-/// lambda_min of the Hermitian matrix G(jw) + G(jw)^* for the proper system
-/// (A, B, C, D) at real frequency w: a one-frequency PopovEvaluator.
-/// Exposed for diagnostics and tests.
-double popovMinEigenvalue(const linalg::Matrix& a, const linalg::Matrix& b,
-                          const linalg::Matrix& c, const linalg::Matrix& d,
-                          double omega);
-
 }  // namespace shhpass::control

@@ -1,8 +1,8 @@
 #include "core/markov.hpp"
 
 #include <algorithm>
+#include <limits>
 
-#include "ds/impulse_tests.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/lu.hpp"
@@ -119,7 +119,76 @@ bool hasHigherOrderImpulses(const ds::DescriptorSystem& g, double rankTol,
                             linalg::RankReport* report,
                             linalg::StaircaseReport* stair,
                             const linalg::Compression* eCompression) {
-  return ds::hasGradeThreeChains(g, rankTol, report, stair, eCompression);
+  // A grade-3 chain exists iff some grade-2 starter v1 (v1 in Ker E with
+  // A v1 in Im E) admits v2 with E v2 = A v1 and A v2 in Im E. The general
+  // solution is v2 = E^+ A v1 + K alpha (K = Ker E), so extendability
+  // reduces to P A E^+ A v1 in Im(P A K) with P = I - R R^T, R = range(E).
+  //
+  // One code path for every size: all rank decisions go through the
+  // compression policy (structure-picked kernels, shared tolerance rule,
+  // RankReport recording), plus ONE derived cutoff for the final test.
+  g.validate();
+  const Matrix& a = g.a;
+  const std::size_t n = g.order();
+
+  // ONE compression of E serves Ker E, Im E and E^+ (reused from the
+  // caller when it already compressed the same E).
+  linalg::Compression local;
+  const linalg::Compression* ce = nullptr;
+  if (eCompression != nullptr && eCompression->rows == n &&
+      eCompression->cols == n &&
+      eCompression->range.cols() == eCompression->rank &&
+      eCompression->corange.cols() == eCompression->rank &&
+      eCompression->nullspace.cols() == eCompression->nullity()) {
+    ce = eCompression;
+    if (stair != nullptr) ++stair->reusedCompressions;
+  } else {
+    linalg::CompressionOptions full;
+    full.rankTol = rankTol;
+    full.wantRange = full.wantCorange = full.wantNullspace = true;
+    local = linalg::compress(g.e, full, report, stair);
+    ce = &local;
+  }
+  if (ce->nullity() == 0) return false;  // index 0
+  const Matrix& k = ce->nullspace;
+  const Matrix& range = ce->range;
+
+  // Grade-2 starters: Ker of P A K. The SAME compression of P A K also
+  // provides the orthonormal basis of Im(P A K) needed for the final
+  // containment test.
+  Matrix ak = a * k;
+  Matrix outside = linalg::projectOutTwice(range, ak);
+  linalg::CompressionOptions both;
+  both.rankTol = rankTol;
+  both.wantRange = both.wantNullspace = true;
+  linalg::Compression cc = linalg::compress(outside, both, report, stair);
+  if (stair != nullptr) ++stair->reusedCompressions;
+  if (cc.nullity() == 0) return false;  // index <= 1
+  Matrix v2 = k * cc.nullspace;
+
+  // Extendability: P A E^+ A v2 must lie in Im(P A K). t2 is the residual
+  // outside that span; a grade-3 chain exists iff t2 is column-rank
+  // deficient (some combination of starters has zero residual).
+  Matrix t = linalg::projectOutTwice(range,
+                                     a * ce->applyPinv(a * v2));
+  Matrix t2 = linalg::projectOutTwice(cc.range, t);
+
+  // Derived cutoff for the final rank decision: t2 is assembled from
+  // A E^+ A products, so its entries carry roundoff amplified by up to
+  // |A|^2 / sigma_minKept(E) on top of the usual dim * eps * |t2| term.
+  // Columns below that amplification floor are numerically zero residuals.
+  const double eps = std::numeric_limits<double>::epsilon();
+  const double anorm = a.maxAbs();
+  const double sigMin =
+      ce->rank > 0 ? std::max(ce->sigma[ce->rank - 1], 1e-300) : 1.0;
+  const double dim =
+      static_cast<double>(std::max(t2.rows(), t2.cols()));
+  double cut = dim * eps * (anorm * anorm / sigMin + t2.maxAbs());
+  if (rankTol >= 0.0) cut = std::max(cut, rankTol);
+  linalg::CompressionOptions tOpts;
+  tOpts.rankTol = cut;
+  linalg::Compression ct = linalg::compress(t2, tOpts, report, stair);
+  return ct.rank < v2.cols();
 }
 
 }  // namespace shhpass::core

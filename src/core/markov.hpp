@@ -53,8 +53,13 @@ M1Extraction extractM1(const ds::DescriptorSystem& g, double rankTol = -1.0,
 /// is equivalent to some Markov parameter Mk, k >= 2, being nonzero —
 /// forbidden by Eq. (3). (This replaces the paper's mode-counting
 /// heuristic with a direct structural check; see DESIGN.md.)
-/// Rank decisions are recorded into `report` / `stair` when non-null; a
-/// non-null `eCompression` of g.e is reused for the grade-1 split.
+/// Decided by first-order rank tests (no powers of shifted inverses), so it
+/// is robust on large balanced pencils. Every rank decision goes through
+/// the shared compression policy and is recorded into `report` / `stair`
+/// when non-null; the final extendability decision uses a derived
+/// amplification-aware cutoff (documented at the call). A non-null
+/// `eCompression` of g.e (with range/corange/nullspace bases) is reused
+/// instead of recompressing E.
 bool hasHigherOrderImpulses(const ds::DescriptorSystem& g,
                             double rankTol = -1.0,
                             linalg::RankReport* report = nullptr,

@@ -111,17 +111,8 @@ bool hasStableFiniteModes(const DescriptorSystem& sys) {
 }
 
 double popovMinEigenvalueDs(const DescriptorSystem& sys, double omega) {
-  TransferValue g = evalTransfer(sys, 0.0, omega);
-  const std::size_t m = g.re.rows();
-  Matrix s = g.re + g.re.transposed();
-  Matrix k = g.im - g.im.transposed();
-  Matrix emb(2 * m, 2 * m);
-  emb.setBlock(0, 0, s);
-  emb.setBlock(m, m, s);
-  emb.setBlock(0, m, -1.0 * k);
-  emb.setBlock(m, 0, k);
-  linalg::SymmetricEig eig(emb, /*wantVectors=*/false);
-  return eig.eigenvalues().front();
+  const TransferValue g = evalTransfer(sys, 0.0, omega);
+  return linalg::hermitianPartMinEigenvalue(g.re, g.im);
 }
 
 }  // namespace shhpass::ds

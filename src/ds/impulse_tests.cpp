@@ -1,14 +1,8 @@
 #include "ds/impulse_tests.hpp"
 
-#include <algorithm>
-#include <limits>
-#include <stdexcept>
-
 #include "linalg/blas.hpp"
 #include "linalg/lu.hpp"
-#include "linalg/qr.hpp"
 #include "linalg/qz.hpp"
-#include "linalg/staircase.hpp"
 #include "linalg/svd.hpp"
 
 namespace shhpass::ds {
@@ -50,87 +44,6 @@ bool isImpulseControllable(const DescriptorSystem& sys, double rankTol) {
   if (k == 0) return true;
   Matrix stack = linalg::hcat(sc.a22(), sc.b2());
   return linalg::SVD(stack).rank(rankTol) == k;  // full row rank
-}
-
-bool hasGradeThreeChains(const DescriptorSystem& sys, double rankTol,
-                         linalg::RankReport* report,
-                         linalg::StaircaseReport* stair,
-                         const linalg::Compression* eCompression) {
-  // A grade-3 chain exists iff some grade-2 starter v1 (v1 in Ker E with
-  // A v1 in Im E) admits v2 with E v2 = A v1 and A v2 in Im E. The general
-  // solution is v2 = E^+ A v1 + K alpha (K = Ker E), so extendability
-  // reduces to P A E^+ A v1 in Im(P A K) with P = I - R R^T, R = range(E).
-  //
-  // One code path for every size: all rank decisions go through the
-  // compression policy (structure-picked kernels, shared tolerance rule,
-  // RankReport recording). Historically this function carried three
-  // hand-rolled cutoffs (orthonormalRange at 1e-10, a 1e-10*|A| zero
-  // guard, and a 1e-8-relative nullspace test); they are unified below
-  // into compression calls plus ONE derived cutoff for the final test.
-  sys.validate();
-  const Matrix& a = sys.a;
-  const std::size_t n = sys.order();
-
-  // ONE compression of E serves Ker E, Im E and E^+ (reused from the
-  // caller when it already compressed the same E).
-  linalg::Compression local;
-  const linalg::Compression* ce = nullptr;
-  if (eCompression != nullptr && eCompression->rows == n &&
-      eCompression->cols == n &&
-      eCompression->range.cols() == eCompression->rank &&
-      eCompression->corange.cols() == eCompression->rank &&
-      eCompression->nullspace.cols() == eCompression->nullity()) {
-    ce = eCompression;
-    if (stair != nullptr) ++stair->reusedCompressions;
-  } else {
-    linalg::CompressionOptions full;
-    full.rankTol = rankTol;
-    full.wantRange = full.wantCorange = full.wantNullspace = true;
-    local = linalg::compress(sys.e, full, report, stair);
-    ce = &local;
-  }
-  if (ce->nullity() == 0) return false;  // index 0
-  const Matrix& k = ce->nullspace;
-  const Matrix& range = ce->range;
-
-  // Grade-2 starters: Ker of P A K. The SAME compression of P A K also
-  // provides the orthonormal basis of Im(P A K) needed for the final
-  // containment test (the legacy chain recomputed it via a second
-  // factorization at its own cutoff).
-  Matrix ak = a * k;
-  Matrix outside = linalg::projectOutTwice(range, ak);
-  linalg::CompressionOptions both;
-  both.rankTol = rankTol;
-  both.wantRange = both.wantNullspace = true;
-  linalg::Compression cc = linalg::compress(outside, both, report, stair);
-  if (stair != nullptr) ++stair->reusedCompressions;
-  if (cc.nullity() == 0) return false;  // index <= 1
-  Matrix v2 = k * cc.nullspace;
-
-  // Extendability: P A E^+ A v2 must lie in Im(P A K). t2 is the residual
-  // outside that span; a grade-3 chain exists iff t2 is column-rank
-  // deficient (some combination of starters has zero residual).
-  Matrix t = linalg::projectOutTwice(range,
-                                     a * ce->applyPinv(a * v2));
-  Matrix t2 = linalg::projectOutTwice(cc.range, t);
-
-  // Derived cutoff for the final rank decision: t2 is assembled from
-  // A E^+ A products, so its entries carry roundoff amplified by up to
-  // |A|^2 / sigma_minKept(E) on top of the usual dim * eps * |t2| term.
-  // Columns below that amplification floor are numerically zero residuals
-  // (the legacy 1e-10*|A| guard approximated exactly this floor).
-  const double eps = std::numeric_limits<double>::epsilon();
-  const double anorm = a.maxAbs();
-  const double sigMin =
-      ce->rank > 0 ? std::max(ce->sigma[ce->rank - 1], 1e-300) : 1.0;
-  const double dim =
-      static_cast<double>(std::max(t2.rows(), t2.cols()));
-  double cut = dim * eps * (anorm * anorm / sigMin + t2.maxAbs());
-  if (rankTol >= 0.0) cut = std::max(cut, rankTol);
-  linalg::CompressionOptions tOpts;
-  tOpts.rankTol = cut;
-  linalg::Compression ct = linalg::compress(t2, tOpts, report, stair);
-  return ct.rank < v2.cols();
 }
 
 std::size_t pencilIndex(const DescriptorSystem& sys, double rankTol) {

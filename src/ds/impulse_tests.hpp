@@ -5,8 +5,6 @@
 
 #include "ds/descriptor.hpp"
 #include "ds/svd_coords.hpp"
-#include "linalg/staircase.hpp"
-#include "linalg/svd.hpp"
 
 namespace shhpass::ds {
 
@@ -39,20 +37,5 @@ bool isImpulseControllable(const DescriptorSystem& sys, double rankTol = -1.0);
 /// singular E, and k >= 2 when grade-k infinite eigenvectors exist.
 /// Computed from the nilpotency degree of the infinite part.
 std::size_t pencilIndex(const DescriptorSystem& sys, double rankTol = -1.0);
-
-/// True iff the pencil carries generalized eigenvector chains of grade >= 3
-/// (index > 2). For a minimal G this is equivalent to some Markov parameter
-/// Mk, k >= 2, being nonzero — forbidden for passive systems by Eq. (3).
-/// Decided by first-order rank tests (no powers of shifted inverses), so it
-/// is robust on large balanced pencils. Every rank decision goes through
-/// the shared compression policy (linalg/staircase.hpp) and is recorded
-/// into `report` / `stair` when non-null; the final extendability decision
-/// uses a derived amplification-aware cutoff (documented at the call).
-/// A non-null `eCompression` of sys.e (with range/corange/nullspace bases)
-/// is reused instead of recompressing E.
-bool hasGradeThreeChains(const DescriptorSystem& sys, double rankTol = -1.0,
-                         linalg::RankReport* report = nullptr,
-                         linalg::StaircaseReport* stair = nullptr,
-                         const linalg::Compression* eCompression = nullptr);
 
 }  // namespace shhpass::ds

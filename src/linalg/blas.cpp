@@ -524,14 +524,6 @@ Matrix abt(const Matrix& a, const Matrix& b) {
   return multiply(a, false, b, true);
 }
 
-double colDot(const Matrix& a, std::size_t ja, const Matrix& b,
-              std::size_t jb) {
-  if (a.rows() != b.rows()) throw std::invalid_argument("colDot: row mismatch");
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.rows(); ++i) s += a(i, ja) * b(i, jb);
-  return s;
-}
-
 double colNorm(const Matrix& a, std::size_t j) {
   // Two-pass scaled norm to avoid overflow/underflow.
   double scale = 0.0;

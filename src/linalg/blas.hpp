@@ -165,10 +165,6 @@ void axpy(double alpha, const double* x, std::size_t len, double* y);
 /// the same per-machine AVX2 dispatch as dotQuad.
 void planeRot(double cs, double sn, double* x, double* y, std::size_t len);
 
-/// Dot product of columns ja of A and jb of B (rows must match).
-double colDot(const Matrix& a, std::size_t ja, const Matrix& b,
-              std::size_t jb);
-
 /// Euclidean norm of column j of A computed with overflow guarding.
 double colNorm(const Matrix& a, std::size_t j);
 

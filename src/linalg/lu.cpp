@@ -28,7 +28,6 @@ LU::LU(const Matrix& a) : lu_(a), p_(a.rows()) {
     if (piv != k) {
       for (std::size_t j = 0; j < n; ++j) std::swap(lu_(k, j), lu_(piv, j));
       std::swap(p_[k], p_[piv]);
-      permSign_ = -permSign_;
     }
     const double pivot = lu_(k, k);
     minPivot_ = std::min(minPivot_, std::abs(pivot));
@@ -140,33 +139,6 @@ Matrix LU::solveTransposed(const Matrix& b) const {
   return x;
 }
 
-double LU::determinant() const {
-  double d = permSign_;
-  for (std::size_t i = 0; i < lu_.rows(); ++i) d *= lu_(i, i);
-  return d;
-}
-
 Matrix LU::inverse() const { return solve(Matrix::identity(lu_.rows())); }
-
-double LU::rcond(double anorm1) const {
-  if (isSingular() || anorm1 == 0.0) return 0.0;
-  // One-step Hager estimate of ||A^{-1}||_1 using the all-ones probe.
-  const std::size_t n = lu_.rows();
-  Matrix e(n, 1, 1.0 / static_cast<double>(n));
-  Matrix x = solve(e);
-  double xi = 0.0;
-  for (std::size_t i = 0; i < n; ++i) xi = std::max(xi, std::abs(x(i, 0)));
-  Matrix s(n, 1);
-  for (std::size_t i = 0; i < n; ++i) s(i, 0) = x(i, 0) >= 0 ? 1.0 : -1.0;
-  Matrix z = solveTransposed(s);
-  double zn = 0.0;
-  for (std::size_t i = 0; i < n; ++i) zn = std::max(zn, std::abs(z(i, 0)));
-  const double ainv = std::max(zn, xi * static_cast<double>(n));
-  return 1.0 / (anorm1 * ainv);
-}
-
-Matrix solve(const Matrix& a, const Matrix& b) { return LU(a).solve(b); }
-
-Matrix inverse(const Matrix& a) { return LU(a).inverse(); }
 
 }  // namespace shhpass::linalg

@@ -31,27 +31,14 @@ class LU {
   /// Solve A^T X = B.
   Matrix solveTransposed(const Matrix& b) const;
 
-  /// det(A) via product of pivots and permutation sign.
-  double determinant() const;
-
   /// A^{-1} (throws if singular).
   Matrix inverse() const;
-
-  /// Reciprocal condition estimate in the 1-norm (cheap Hager-style bound).
-  double rcond(double anorm1) const;
 
  private:
   Matrix lu_;                    // packed L (unit lower) and U
   std::vector<std::size_t> p_;   // row permutation
-  int permSign_ = 1;
   double minPivot_ = 0.0;
   double maxPivot_ = 0.0;
 };
-
-/// Convenience: solve A X = B with a fresh LU; throws on singular A.
-Matrix solve(const Matrix& a, const Matrix& b);
-
-/// Convenience: A^{-1}; throws on singular A.
-Matrix inverse(const Matrix& a);
 
 }  // namespace shhpass::linalg

@@ -32,7 +32,6 @@ Matrix Matrix::identity(std::size_t n) {
 
 Matrix Matrix::zeros(std::size_t r, std::size_t c) { return Matrix(r, c); }
 
-Matrix Matrix::ones(std::size_t r, std::size_t c) { return Matrix(r, c, 1.0); }
 
 Matrix Matrix::diag(const std::vector<double>& d) {
   Matrix m(d.size(), d.size());
@@ -114,26 +113,6 @@ double Matrix::normFrobenius() const {
 double Matrix::maxAbs() const {
   double m = 0.0;
   for (double v : data_) m = std::max(m, std::abs(v));
-  return m;
-}
-
-double Matrix::norm1() const {
-  double m = 0.0;
-  for (std::size_t j = 0; j < cols_; ++j) {
-    double s = 0.0;
-    for (std::size_t i = 0; i < rows_; ++i) s += std::abs((*this)(i, j));
-    m = std::max(m, s);
-  }
-  return m;
-}
-
-double Matrix::normInf() const {
-  double m = 0.0;
-  for (std::size_t i = 0; i < rows_; ++i) {
-    double s = 0.0;
-    for (std::size_t j = 0; j < cols_; ++j) s += std::abs((*this)(i, j));
-    m = std::max(m, s);
-  }
   return m;
 }
 

@@ -33,8 +33,6 @@ class Matrix {
   static Matrix identity(std::size_t n);
   /// r x c all-zero matrix.
   static Matrix zeros(std::size_t r, std::size_t c);
-  /// r x c all-one matrix.
-  static Matrix ones(std::size_t r, std::size_t c);
   /// Square matrix with `d` on the diagonal.
   static Matrix diag(const std::vector<double>& d);
   /// The 2n x 2n symplectic unit J = [0 I; -I 0].
@@ -86,10 +84,6 @@ class Matrix {
   double normFrobenius() const;
   /// Largest absolute entry (max norm); 0 for empty matrices.
   double maxAbs() const;
-  /// Induced 1-norm (max absolute column sum).
-  double norm1() const;
-  /// Induced infinity-norm (max absolute row sum).
-  double normInf() const;
   /// Sum of diagonal entries (square only).
   double trace() const;
 

@@ -1,21 +1,17 @@
 #include "linalg/qr.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
-#include "linalg/blas.hpp"
 #include "linalg/householder.hpp"
 
 namespace shhpass::linalg {
 
-QR::QR(const Matrix& a, bool columnPivoting)
+QR::QR(const Matrix& a)
     : qr_(a),
       tau_(std::min(a.rows(), a.cols()), 0.0),
-      perm_(a.cols()),
-      pivoted_(columnPivoting) {
-  std::iota(perm_.begin(), perm_.end(), 0);
-  blocked_ = !pivoted_ && a.rows() >= kQrWyMinRows;
+      blocked_(a.rows() >= kQrWyMinRows) {
   if (blocked_)
     factorBlocked();
   else
@@ -47,27 +43,8 @@ void QR::generateReflector(std::size_t k) {
 
 void QR::factorUnblocked() {
   const std::size_t m = qr_.rows(), n = qr_.cols();
-  std::vector<double> colNorms(n);
-  if (pivoted_)
-    for (std::size_t j = 0; j < n; ++j) colNorms[j] = colNorm(qr_, j);
-
   const std::size_t kmax = std::min(m, n);
   for (std::size_t k = 0; k < kmax; ++k) {
-    if (pivoted_) {
-      // Select the remaining column with the largest trailing norm.
-      std::size_t best = k;
-      double bestNorm = colNorms[k];
-      for (std::size_t j = k + 1; j < n; ++j)
-        if (colNorms[j] > bestNorm) {
-          bestNorm = colNorms[j];
-          best = j;
-        }
-      if (best != k) {
-        for (std::size_t i = 0; i < m; ++i) std::swap(qr_(i, k), qr_(i, best));
-        std::swap(perm_[k], perm_[best]);
-        std::swap(colNorms[k], colNorms[best]);
-      }
-    }
     generateReflector(k);
     if (tau_[k] == 0.0) continue;
     // Apply H to the trailing columns.
@@ -77,21 +54,6 @@ void QR::factorUnblocked() {
       s *= tau_[k];
       qr_(k, j) -= s;
       for (std::size_t i = k + 1; i < m; ++i) qr_(i, j) -= s * qr_(i, k);
-    }
-    if (pivoted_) {
-      // Downdate trailing column norms (recompute when cancellation bites).
-      for (std::size_t j = k + 1; j < n; ++j) {
-        if (colNorms[j] == 0.0) continue;
-        const double t = std::abs(qr_(k, j)) / colNorms[j];
-        const double f = std::max(0.0, (1.0 - t) * (1.0 + t));
-        colNorms[j] *= std::sqrt(f);
-        if (f < 1e-10) {
-          // Recompute from scratch over rows k+1..m-1.
-          double s = 0.0;
-          for (std::size_t i = k + 1; i < m; ++i) s += qr_(i, j) * qr_(i, j);
-          colNorms[j] = std::sqrt(s);
-        }
-      }
     }
   }
 }
@@ -217,60 +179,13 @@ Matrix QR::r() const {
   return rr;
 }
 
-std::size_t QR::rank(double tol) const {
-  if (!pivoted_)
-    throw std::logic_error("QR::rank requires column pivoting");
-  const std::size_t k = std::min(qr_.rows(), qr_.cols());
-  if (k == 0) return 0;
-  const double r00 = std::abs(qr_(0, 0));
-  if (r00 == 0.0) return 0;
-  std::size_t rank = 0;
-  for (std::size_t i = 0; i < k; ++i)
-    if (std::abs(qr_(i, i)) > tol * r00) ++rank;
-  return rank;
-}
-
-Matrix QR::solve(const Matrix& b) const {
-  const std::size_t n = qr_.cols();
-  const std::size_t k = std::min(qr_.rows(), n);
-  if (k < n) throw std::runtime_error("QR::solve: underdetermined system");
-  Matrix y = applyQt(b);
-  Matrix x(n, b.cols());
-  for (std::size_t ii = n; ii-- > 0;) {
-    const double d = qr_(ii, ii);
-    if (d == 0.0) throw std::runtime_error("QR::solve: rank deficient");
-    for (std::size_t j = 0; j < b.cols(); ++j) {
-      double s = y(ii, j);
-      for (std::size_t p = ii + 1; p < n; ++p) s -= qr_(ii, p) * x(p, j);
-      x(ii, j) = s / d;
-    }
-  }
-  // Undo pivoting: x_original(perm_[i]) = x(i).
-  if (pivoted_) {
-    Matrix xp(n, b.cols());
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < b.cols(); ++j) xp(perm_[i], j) = x(i, j);
-    return xp;
-  }
-  return x;
-}
-
-Matrix orthonormalRange(const Matrix& a, double tol) {
-  if (a.empty()) return Matrix(a.rows(), 0);
-  QR qr(a, /*columnPivoting=*/true);
-  const std::size_t r = qr.rank(tol);
-  Matrix q = qr.thinQ();
-  return q.block(0, 0, q.rows(), r);
-}
-
 Matrix orthonormalComplement(const Matrix& v) {
   const std::size_t m = v.rows();
   const std::size_t k = v.cols();
   if (k > m)
     throw std::invalid_argument("orthonormalComplement: more cols than rows");
   if (k == 0) return Matrix::identity(m);
-  QR qr(v, /*columnPivoting=*/false);
-  Matrix q = qr.fullQ();
+  Matrix q = QR(v).fullQ();
   return q.block(0, k, m, m - k);
 }
 

@@ -1,17 +1,14 @@
-// Householder QR factorization (optionally column-pivoted) and helpers for
-// building orthonormal bases, used pervasively by the deflation steps of the
-// SHH passivity pipeline.
+// Householder QR factorization and the orthonormal-completion helper used
+// by the deflation steps of the SHH passivity pipeline. Rank decisions are
+// not made here: they go through the shared SVD policy (svd.hpp).
 //
-// The non-pivoted factorization is blocked: panels of kQrBlock columns are
-// factored with the classical rank-1 kernel, then the panel's reflectors
-// are aggregated into a compact-WY factor (householder.hpp) and the
-// trailing columns are updated with three gemm calls (BLAS-3). applyQ /
-// applyQt use the same stored per-panel T factors. The pivoted path stays
-// unblocked — greedy column selection needs every trailing norm after each
-// reflector, which defeats update deferral — and small problems (rows
-// below kQrWyMinRows) also take the unblocked path, where the rank-1
-// kernel is both faster and bit-identical to the pre-blocking
-// implementation.
+// The factorization is blocked: panels of kQrBlock columns are factored
+// with the classical rank-1 kernel, then the panel's reflectors are
+// aggregated into a compact-WY factor (householder.hpp) and the trailing
+// columns are updated with three gemm calls (BLAS-3). applyQ / applyQt use
+// the same stored per-panel T factors. Small problems (rows below
+// kQrWyMinRows) take the unblocked path, where the rank-1 kernel is both
+// faster and bit-identical to the pre-blocking implementation.
 //
 // Accuracy: blocked and unblocked paths are both backward stable and
 // agree to O(n * eps * ||A||) (different summation order, not bitwise);
@@ -27,37 +24,24 @@
 
 namespace shhpass::linalg {
 
-/// Panel width of the blocked (non-pivoted) QR factorization.
+/// Panel width of the blocked QR factorization.
 inline constexpr std::size_t kQrBlock = 32;
-/// Smallest row count for which the non-pivoted path blocks; below it the
+/// Smallest row count for which the factorization blocks; below it the
 /// factorization and applications are bit-identical to the historical
 /// unblocked implementation.
 inline constexpr std::size_t kQrWyMinRows = 48;
 
-/// A P = Q R with Householder reflectors; P is identity unless pivoting is
-/// requested. Works for any m x n shape.
+/// A = Q R with Householder reflectors. Works for any m x n shape.
 class QR {
  public:
-  /// Factor `a`. With `columnPivoting`, columns are greedily permuted by
-  /// remaining norm, which makes the diagonal of R a rank-revealing sequence.
-  explicit QR(const Matrix& a, bool columnPivoting = false);
+  explicit QR(const Matrix& a);
 
   /// Thin orthogonal factor, m x min(m,n).
   Matrix thinQ() const;
   /// Full orthogonal factor, m x m.
   Matrix fullQ() const;
-  /// Upper-trapezoidal R, min(m,n) x n (in permuted column order if pivoted).
+  /// Upper-trapezoidal R, min(m,n) x n.
   Matrix r() const;
-  /// Column permutation p such that A(:, p[j]) is column j of the factored
-  /// matrix; identity when pivoting was off.
-  const std::vector<std::size_t>& permutation() const { return perm_; }
-
-  /// Numerical rank from the pivoted R diagonal: number of |r_ii| above
-  /// tol * |r_00| (requires columnPivoting; throws otherwise).
-  std::size_t rank(double tol) const;
-
-  /// Least-squares solve min ||A x - b||_2 for full-column-rank A.
-  Matrix solve(const Matrix& b) const;
 
   /// Apply Q^T to a matrix without forming Q (m-row input).
   Matrix applyQt(const Matrix& b) const;
@@ -78,18 +62,9 @@ class QR {
 
   Matrix qr_;                   // reflectors below diagonal, R at/above
   std::vector<double> tau_;     // reflector scalars
-  std::vector<std::size_t> perm_;
-  bool pivoted_;
-  bool blocked_ = false;        // WY path enabled (non-pivoted, large)
+  bool blocked_ = false;        // WY path enabled (large problems)
   std::vector<Matrix> tFactors_;  // one compact-WY T per panel
 };
-
-/// Orthonormal basis for the range (column space) of A, determined to
-/// relative tolerance `tol` via column-pivoted QR. Returns m x rank.
-/// The 1e-12 default predates the shared SVD rank policy and is kept for
-/// the QR fallback path only; new callers should thread a resolved
-/// tolerance through.  lint-ok: rank-tol-literal
-Matrix orthonormalRange(const Matrix& a, double tol = 1e-12);
 
 /// Orthonormal completion: given m x k V with orthonormal columns, returns
 /// m x (m-k) W such that [V W] is orthogonal.

@@ -270,13 +270,13 @@ Compression compressQrSvd(const Matrix& m, const CompressionOptions& o,
   return c;
 }
 
-// Square, exactly skew-symmetric input. Hessenberg reduction of a skew
-// matrix tridiagonalizes it: M = Q T Q^T with T skew tridiagonal,
-// subdiagonal c_i (we take c_i from the computed H and treat T as exactly
-// skew, which is a backward-stable O(eps ||M||) rewrite because M itself
-// is exactly skew). Permuting to even-then-odd index blocks turns T into
-// [[0, C], [-C^T, 0]] with C lower bidiagonal of size p x q,
-// p = ceil(n/2), q = floor(n/2):
+// Square, exactly skew-symmetric input. skewTridiagonalize (the
+// dsytrd-style reduction above) returns Q and the subdiagonal c_i of
+// M = Q T Q^T; T is taken as exactly skew tridiagonal, a backward-stable
+// O(eps ||M||) reading because every update of the reduction is a rank-2
+// skew update of an exactly skew M. Permuting to even-then-odd index
+// blocks turns T into [[0, C], [-C^T, 0]] with C lower bidiagonal of
+// size p x q, p = ceil(n/2), q = floor(n/2):
 //   C(a, a) = -c_{2a},  C(a+1, a) = c_{2a+1}.
 // A Givens-QR chain (rotating adjacent ROWS) makes C upper bidiagonal,
 // and the SVD kernel's own bidiagonal sweep finishes: every sigma of M is
@@ -359,7 +359,7 @@ Compression compressSkewTridiagonal(const Matrix& m,
   // T_perm pair as: sigma_i -> left [u_i; 0] with right [0; v_i], and
   // left [0; v_i] with right [-u_i; 0]. Even block entries sit at the
   // original indices 2a, odd block entries at 2b + 1; multiplying by the
-  // Hessenberg Q maps everything back to M's coordinates.
+  // tridiagonalization's Q maps everything back to M's coordinates.
   if (wantAnyKeep) {
     Matrix pre(n, r);
     for (std::size_t i = 0; i < rh; ++i) {

@@ -20,17 +20,18 @@
 //                       strong as a full SVD at a fraction of the cost;
 //                       range/left-null bases come from applyQ.
 //   * SkewTridiagonal — M square and exactly skew-symmetric (E1 after
-//                       skewSymmetrize): Hessenberg reduction of a skew
-//                       matrix is a skew tridiagonalization; the odd/even
-//                       permutation turns the tridiagonal into
-//                       [[0, C], [-C^T, 0]] with C lower bidiagonal of
-//                       half size, whose Givens-QR + bidiagonal sweep
-//                       (the SVD kernel's own rotation engine) delivers
-//                       every sigma of M (each sigma(C) twice, plus a
-//                       structural zero when the order is odd) and exactly
-//                       orthonormal range/kernel bases. One BLAS-3
-//                       Hessenberg + half-size O(n^2) work instead of a
-//                       full-size SVD.
+//                       skewSymmetrize): a dsytrd-style blocked skew
+//                       tridiagonalization M = Q T Q^T (skewTridiagonalize;
+//                       rank-2 skew updates, deferred within a panel, the
+//                       trailing block updated by gemm); the odd/even
+//                       permutation turns T into [[0, C], [-C^T, 0]] with
+//                       C lower bidiagonal of half size, whose Givens-QR +
+//                       bidiagonal sweep (the SVD kernel's own rotation
+//                       engine) delivers every sigma of M (each sigma(C)
+//                       twice, plus a structural zero when the order is
+//                       odd) and exactly orthonormal range/kernel bases.
+//                       One skew tridiagonalization + half-size O(n^2)
+//                       work instead of a full-size SVD.
 //   * Svd             — certified fallback: a full SVD(M). Always valid;
 //                       counted in StaircaseReport::svdFallbacks so the
 //                       diagnostics show when the structured paths did
@@ -38,8 +39,8 @@
 //
 // Every kernel feeds the SAME rank policy with the SAME (full-accuracy)
 // singular values; the kernels differ only in how the bases are
-// assembled. Bit-determinism: all building blocks (gemm, blocked QR,
-// blocked Hessenberg, blocked SVD, the bidiagonal sweep) are
+// assembled. Bit-determinism: all building blocks (gemm, blocked QR, the
+// blocked skew tridiagonalization, blocked SVD, the bidiagonal sweep) are
 // bit-deterministic for every setGemmThreads() setting, so a Compression
 // — and the whole staircase chain above it — is too.
 #pragma once

@@ -723,12 +723,4 @@ std::vector<double> singularValues(const Matrix& a) {
   return sv;
 }
 
-std::size_t rank(const Matrix& a, double tol) { return SVD(a).rank(tol); }
-
-Matrix kernel(const Matrix& a, double tol) { return SVD(a).nullspace(tol); }
-
-Matrix pseudoInverse(const Matrix& a, double tol) {
-  return SVD(a).pseudoInverse(tol);
-}
-
 }  // namespace shhpass::linalg

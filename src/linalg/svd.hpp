@@ -171,15 +171,6 @@ inline SVD svdBlocked(const Matrix& a) { return SVD(a, SvdKernel::Blocked); }
 /// check), where the bases are never consumed.
 std::vector<double> singularValues(const Matrix& a);
 
-/// Convenience: numerical rank of A at the SVD default tolerance.
-std::size_t rank(const Matrix& a, double tol = -1.0);
-
-/// Convenience: orthonormal kernel basis of A (n x nullity).
-Matrix kernel(const Matrix& a, double tol = -1.0);
-
-/// Convenience: Moore-Penrose pseudoinverse.
-Matrix pseudoInverse(const Matrix& a, double tol = -1.0);
-
 namespace detail {
 
 /// Implicit-shift QR diagonalization of an upper-bidiagonal core:

@@ -202,4 +202,21 @@ SymmetricEig::SymmetricEig(const Matrix& a, bool wantVectors) {
   if (wantVectors) v_ = std::move(vs);
 }
 
+double hermitianPartMinEigenvalue(const Matrix& re, const Matrix& im) {
+  const std::size_t m = re.rows();
+  if (m == 0 || !re.isSquare() || im.rows() != m || im.cols() != m)
+    throw std::invalid_argument("hermitianPartMinEigenvalue: shape mismatch");
+  Matrix emb(2 * m, 2 * m);
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < m; ++j) {
+      const double s = re(i, j) + re(j, i);
+      const double k = im(i, j) - im(j, i);
+      emb(i, j) = s;
+      emb(m + i, m + j) = s;
+      emb(i, m + j) = -k;
+      emb(m + i, j) = k;
+    }
+  return SymmetricEig(emb, /*wantVectors=*/false).eigenvalues().front();
+}
+
 }  // namespace shhpass::linalg

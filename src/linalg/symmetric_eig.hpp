@@ -27,4 +27,11 @@ class SymmetricEig {
   Matrix v_;
 };
 
+/// lambda_min of the Hermitian matrix G + G^* for a square complex G given
+/// as re + j im: the passivity probe lambda_min(G(jw) + G(jw)^*). Its real
+/// part S = re + re^T is symmetric and its imaginary part K = im - im^T
+/// skew; the real symmetric embedding [[S, -K], [K, S]] has the spectrum
+/// of G + G^* with every eigenvalue doubled.
+double hermitianPartMinEigenvalue(const Matrix& re, const Matrix& im);
+
 }  // namespace shhpass::linalg

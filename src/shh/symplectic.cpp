@@ -21,8 +21,6 @@ Matrix applyJ(const Matrix& x) {
   return y;
 }
 
-Matrix applyJt(const Matrix& x) { return -1.0 * applyJ(x); }
-
 bool isOrthogonalSymplectic(const Matrix& s, double tol) {
   if (!s.isSquare() || s.rows() % 2 != 0) return false;
   const std::size_t n2 = s.rows();

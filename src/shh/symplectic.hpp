@@ -11,9 +11,6 @@ namespace shhpass::shh {
 /// row permutation + sign flips, no matrix product.
 linalg::Matrix applyJ(const linalg::Matrix& x);
 
-/// y = J^T x = -J x.
-linalg::Matrix applyJt(const linalg::Matrix& x);
-
 /// True iff S^T S = I and S^T J S = J within tol (S square, even size).
 bool isOrthogonalSymplectic(const linalg::Matrix& s, double tol = 1e-10);
 

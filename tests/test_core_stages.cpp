@@ -85,7 +85,7 @@ TEST(Stage1Deflation, JDualityOfSubspaces) {
   ds::DescriptorSystem g = impulsiveLadder(2);
   shh::ShhRealization phi = buildPhi(g);
   // Checked on the staircase chain's V_o and on the SVD-chain oracle's.
-  Matrix kerE = linalg::kernel(phi.e);
+  Matrix kerE = linalg::SVD(phi.e).nullspace();
   for (const Matrix& vo : {deflateImpulseModes(phi).impulseUnobservable,
                            oracle::impulseUnobservableSubspace(phi)}) {
     ASSERT_GT(vo.cols(), 0u);
@@ -106,7 +106,7 @@ TEST(Stage2Nondynamic, ImpulseFreeLadderPasses) {
   EXPECT_GT(s2.removed, 0u);  // ladder midnodes are nondynamic
   EXPECT_TRUE(s2.shh.checkStructure());
   // E3 nonsingular.
-  EXPECT_EQ(linalg::rank(s2.shh.e), s2.shh.order());
+  EXPECT_EQ(linalg::SVD(s2.shh.e).rank(), s2.shh.order());
 }
 
 TEST(Stage2Nondynamic, TransferPreserved) {

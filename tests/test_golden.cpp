@@ -66,7 +66,7 @@ TEST(Golden, ModeCensus) {
   EXPECT_EQ(mc.nondynamic, 2u);
   EXPECT_FALSE(ds::isImpulseFree(g));
   EXPECT_EQ(ds::pencilIndex(g), 2u);
-  EXPECT_FALSE(ds::hasGradeThreeChains(g));
+  EXPECT_FALSE(core::hasHigherOrderImpulses(g));
 }
 
 TEST(Golden, M1IsTheInductance) {

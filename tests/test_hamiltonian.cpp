@@ -145,7 +145,7 @@ Matrix hamiltonianWithPairNearAxis(std::size_t np, double offset, double tol,
   Matrix v = randomMatrix(np, np, seed + 1);
   v *= 0.3 / std::sqrt(static_cast<double>(np));
   for (std::size_t i = 0; i < np; ++i) v(i, i) += 1.0;
-  const Matrix a = v * d * linalg::inverse(v);
+  const Matrix a = v * d * linalg::LU(v).inverse();
   const Matrix k = 0.5 * randomSymmetric(np, seed + 2);
   return makeHamiltonian(a, Matrix(np, np), k * a + linalg::atb(a, k));
 }

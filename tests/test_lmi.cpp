@@ -2,9 +2,9 @@
 // LMI passivity baseline.
 #include <gtest/gtest.h>
 
+#include "baselines/lmi_passivity.hpp"
+#include "baselines/sdp_solver.hpp"
 #include "circuits/generators.hpp"
-#include "lmi/lmi_passivity.hpp"
-#include "lmi/sdp_solver.hpp"
 #include "test_support.hpp"
 
 namespace shhpass::lmi {

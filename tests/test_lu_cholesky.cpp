@@ -18,7 +18,7 @@ using testing::randomSymmetric;
 TEST(LU, SolvesKnownSystem) {
   Matrix a{{4, 3}, {6, 3}};
   Matrix b{{10}, {12}};
-  Matrix x = solve(a, b);
+  Matrix x = LU(a).solve(b);
   expectMatrixNear(a * x, b, 1e-12);
 }
 
@@ -41,19 +41,9 @@ TEST(LU, SolveTransposed) {
 TEST(LU, InverseRoundTrip) {
   Matrix a = randomMatrix(7, 7, 25);
   for (std::size_t i = 0; i < 7; ++i) a(i, i) += 5.0;
-  expectMatrixNear(a * inverse(a), Matrix::identity(7), 1e-10);
-  expectMatrixNear(inverse(a) * a, Matrix::identity(7), 1e-10);
-}
-
-TEST(LU, DeterminantOfTriangular) {
-  Matrix a{{2, 1, 0}, {0, 3, 5}, {0, 0, 4}};
-  EXPECT_NEAR(LU(a).determinant(), 24.0, 1e-12);
-}
-
-TEST(LU, DeterminantSignWithPivoting) {
-  // Permutation matrix has determinant -1.
-  Matrix p{{0, 1}, {1, 0}};
-  EXPECT_NEAR(LU(p).determinant(), -1.0, 1e-15);
+  const Matrix inv = LU(a).inverse();
+  expectMatrixNear(a * inv, Matrix::identity(7), 1e-10);
+  expectMatrixNear(inv * a, Matrix::identity(7), 1e-10);
 }
 
 TEST(LU, SingularDetection) {
@@ -65,14 +55,6 @@ TEST(LU, SingularDetection) {
 
 TEST(LU, NonSquareThrows) {
   EXPECT_THROW(LU(Matrix(2, 3)), std::invalid_argument);
-}
-
-TEST(LU, RcondReasonableForWellConditioned) {
-  Matrix a = Matrix::identity(5);
-  LU lu(a);
-  const double rc = lu.rcond(a.norm1());
-  EXPECT_GT(rc, 0.1);
-  EXPECT_LE(rc, 1.0 + 1e-12);
 }
 
 TEST(Cholesky, FactorsSpd) {

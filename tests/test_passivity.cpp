@@ -3,8 +3,8 @@
 // baseline.
 #include <gtest/gtest.h>
 
+#include "baselines/weierstrass.hpp"
 #include "circuits/generators.hpp"
-#include "ds/weierstrass.hpp"
 #include "test_support.hpp"
 
 namespace shhpass::core {

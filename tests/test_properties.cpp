@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "baselines/weierstrass.hpp"
 #include "circuits/generators.hpp"
 #include "core/impulse_deflation.hpp"
 #include "core/markov.hpp"
@@ -13,7 +14,6 @@
 #include "core/phi_builder.hpp"
 #include "ds/balance.hpp"
 #include "ds/impulse_tests.hpp"
-#include "ds/weierstrass.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/svd.hpp"
 #include "test_support.hpp"
@@ -159,7 +159,7 @@ TEST(StructuralInvariants, PhiRealizationStructurePreservedByStages) {
   ASSERT_TRUE(s2.impulseFree);
   EXPECT_TRUE(s2.shh.checkStructure());
   // E3 nonsingular, as required for the Eq.-21 normalization.
-  EXPECT_EQ(linalg::rank(s2.shh.e), s2.shh.order());
+  EXPECT_EQ(linalg::SVD(s2.shh.e).rank(), s2.shh.order());
 }
 
 TEST(NonPassiveMutants, AllDetectedAcrossSizes) {

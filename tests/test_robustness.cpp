@@ -6,11 +6,11 @@
 #include <cmath>
 
 #include "api/analyzer.hpp"
+#include "baselines/lmi_passivity.hpp"
 #include "circuits/generators.hpp"
 #include "circuits/mna.hpp"
 #include "ds/balance.hpp"
 #include "ds/descriptor.hpp"
-#include "lmi/lmi_passivity.hpp"
 #include "test_support.hpp"
 
 namespace shhpass {

@@ -315,21 +315,21 @@ TEST(StaircaseChainParity, RandomRlcNetworks) {
 }
 
 TEST(StaircaseChainParity, GradeThreeScreenAgreesWithVerdicts) {
-  // The unified hasGradeThreeChains must keep the known verdicts, with and
+  // The unified hasHigherOrderImpulses must keep the known verdicts, with and
   // without a reused E compression.
   ds::DescriptorSystem bad = circuits::makeNonPassiveHigherOrderImpulse();
-  EXPECT_TRUE(ds::hasGradeThreeChains(bad));
+  EXPECT_TRUE(core::hasHigherOrderImpulses(bad));
   circuits::LadderOptions opt;
   opt.sections = 3;
   opt.capAtPort = false;  // impulsive but only grade 2
   ds::DescriptorSystem good = circuits::makeRlcLadder(opt);
   linalg::RankReport rr;
   StaircaseReport sr;
-  EXPECT_FALSE(ds::hasGradeThreeChains(good, -1.0, &rr, &sr));
+  EXPECT_FALSE(core::hasHigherOrderImpulses(good, -1.0, &rr, &sr));
   EXPECT_GT(rr.decisions, 0u);
   Compression ce = linalg::compress(good.e, wantAll());
   StaircaseReport sr2;
-  EXPECT_FALSE(ds::hasGradeThreeChains(good, -1.0, nullptr, &sr2, &ce));
+  EXPECT_FALSE(core::hasHigherOrderImpulses(good, -1.0, nullptr, &sr2, &ce));
   EXPECT_GT(sr2.reusedCompressions, 0u);
 }
 

@@ -104,6 +104,20 @@ TEST(SweepRandom, ExpandSweepIsRowMajorLogSpaced) {
   EXPECT_THROW(circuits::expandSweep(net, bad), std::invalid_argument);
 }
 
+TEST(SweepRandom, ExpandSweepRejectsPointCountOverflow) {
+  // 4 axes of 2^16 points: the product 2^64 wraps a 64-bit size_t to 0,
+  // so an unchecked count would return an empty sweep, not an error.
+  Netlist net(2);
+  net.addResistor(1, 2, 10.0).addInductor(1, 2, 1e-9);
+  net.addCapacitor(2, 0, 1e-12).addResistor(2, 0, 50.0).addPort(1);
+  SweepSpec spec;
+  for (std::size_t c = 0; c < 4; ++c)
+    spec.parameters.push_back({c, 1.0, 1.0, std::size_t{1} << 16});
+  EXPECT_THROW(circuits::expandSweep(net, spec), std::invalid_argument);
+  EXPECT_THROW(circuits::buildSweepRequests(net, spec),
+               std::invalid_argument);
+}
+
 TEST(SweepRandom, RequestsCarryRestampedSystemsAndStableIds) {
   Xorshift gen(0x5eed);
   const Netlist net = testing::randomConnectedNetlist(gen);

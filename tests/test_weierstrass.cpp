@@ -4,9 +4,9 @@
 
 #include <cmath>
 
+#include "baselines/weierstrass.hpp"
 #include "circuits/generators.hpp"
 #include "ds/impulse_tests.hpp"
-#include "ds/weierstrass.hpp"
 #include "test_support.hpp"
 
 namespace shhpass::ds {

@@ -9,8 +9,13 @@ unit-tested by tools/test_lint_invariants.py (one fixture per rule).
 
 Rules
 -----
+Library scope means src/ plus baselines/ (the Weierstrass and LMI
+comparison tests, built as their own target): the moved code keeps every
+check that src/ has.
+
 no-unordered-iteration
-    std::unordered_map / std::unordered_set are banned in src/. Their
+    std::unordered_map / std::unordered_set are banned in library code
+    (src/, baselines/). Their
     iteration order is implementation-defined, so any use can silently
     feed hash-order into numeric results or JSON serialization order and
     break the bit-determinism contract (serial == N-thread, bitwise).
@@ -18,8 +23,8 @@ no-unordered-iteration
 
 no-std-distribution
     std::uniform_*_distribution / std::normal_distribution (any
-    std::*_distribution) are banned everywhere (src, tests, bench,
-    examples). The standard pins the engines (mt19937) but NOT the
+    std::*_distribution) are banned everywhere (src, baselines, tests,
+    bench, examples). The standard pins the engines (mt19937) but NOT the
     distributions, so distribution-sampled streams differ across
     standard libraries. Seeded test cases and benchmark models must map
     raw engine output by hand (tests/test_support.hpp Xorshift, or the
@@ -51,9 +56,9 @@ no-reinterpret-cast
 
 rank-tol-literal
     A positive floating-point literal passed as a tolerance to a
-    rank-decision call (`rank(`, `nullspace(`, `kernel(`,
-    `orthonormalRange(`) is banned in src/ outside src/linalg/svd.cpp
-    (the shared-policy implementation itself). Hard-coded cutoffs are
+    rank-decision call (`rank(`, `nullspace(`, `kernel(`) is banned in
+    library code (src/, baselines/) outside src/linalg/svd.cpp (the
+    shared-policy implementation itself). Hard-coded cutoffs are
     how the three deflation stages historically drifted apart; every
     rank decision must flow through resolveRankTol (svd.hpp) — thread a
     rankTol parameter or pass the -1.0 policy sentinel. Waive with
@@ -67,8 +72,9 @@ tsan-supp-clean
     race instead of a third-party false positive.
 
 no-raw-clock
-    Direct std::chrono::*_clock::now() calls are banned in src/ outside
-    src/obs/ (the telemetry layer owns the clock). Scattered clock reads
+    Direct std::chrono::*_clock::now() calls are banned in library code
+    (src/, baselines/) outside src/obs/ (the telemetry layer owns the
+    clock). Scattered clock reads
     produce timelines with mismatched epochs that cannot be correlated
     with the span tracer; route every measurement through
     obs::monotonicNowNs() (src/obs/clock.hpp). bench/, tests/, and
@@ -77,8 +83,9 @@ no-raw-clock
 one-fig1-chain
     The Fig.-1 chain has one implementation: the stage table of
     src/api/pipeline.cpp, run by api::runPipeline. A call to
-    `deflateImpulseModes(` anywhere else in src/ (outside the stage's
-    own src/core/impulse_deflation.*) is a hand-wired copy of the chain:
+    `deflateImpulseModes(` anywhere else in library code (src/,
+    baselines/; outside the stage's own src/core/impulse_deflation.*) is
+    a hand-wired copy of the chain:
     it skips whichever screens and gates its author forgot (model
     reduction once skipped the prerequisites and the M1 >= 0 check).
     Extensions that need the proper part or M1 run the pipeline and read
@@ -109,6 +116,9 @@ import sys
 from typing import Dict, List, NamedTuple, Tuple
 
 CPP_EXTENSIONS = (".cpp", ".hpp", ".h", ".cc", ".cxx")
+
+# Library code: every rule scoped to src/ as a whole also scans baselines/.
+LIBRARY_DIRS = ("src", "baselines")
 
 RULE_IDS = (
     "no-unordered-iteration",
@@ -243,7 +253,7 @@ REINTERPRET_RE = re.compile(r"\breinterpret_cast\b")
 # policy sentinel is excluded by the leading-minus lookbehind; pure
 # integer arguments (e.g. index accessors) never match.
 RANK_TOL_LITERAL_RE = re.compile(
-    r"\b(?:rank|nullspace|kernel|orthonormalRange)\s*\([^)]*?"
+    r"\b(?:rank|nullspace|kernel)\s*\([^)]*?"
     r"(?<![\w.])(?<!-)(?:\d+\.\d*(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|\.\d+)"
 )
 # Namespace-scope kernel declarations: an unindented declarator line whose
@@ -262,10 +272,10 @@ KERNEL_DECL_RE = re.compile(
 
 def check_no_unordered_iteration(root: str) -> List[Finding]:
     findings = []
-    for path in _cpp_files(root, ("src",)):
+    for path in _cpp_files(root, LIBRARY_DIRS):
         findings += _line_findings(
             root, path, "no-unordered-iteration", UNORDERED_RE,
-            "std::unordered_* banned in src/: implementation-defined "
+            "std::unordered_* banned in library code: implementation-defined "
             "iteration order can leak into numeric results or JSON key "
             "order and break bit-determinism; use std::map/std::set or a "
             "sorted vector")
@@ -274,7 +284,8 @@ def check_no_unordered_iteration(root: str) -> List[Finding]:
 
 def check_no_std_distribution(root: str) -> List[Finding]:
     findings = []
-    for path in _cpp_files(root, ("src", "tests", "bench", "examples")):
+    for path in _cpp_files(root,
+                           LIBRARY_DIRS + ("tests", "bench", "examples")):
         findings += _line_findings(
             root, path, "no-std-distribution", DISTRIBUTION_RE,
             "std::*_distribution sampling is not pinned across standard "
@@ -308,13 +319,13 @@ def check_no_reinterpret_cast(root: str) -> List[Finding]:
 
 def check_no_raw_clock(root: str) -> List[Finding]:
     findings = []
-    for path in _cpp_files(root, ("src",)):
+    for path in _cpp_files(root, LIBRARY_DIRS):
         rel = _rel(root, path)
         if rel.startswith("src/obs/"):
             continue  # the telemetry layer owns the sanctioned clock site
         findings += _line_findings(
             root, path, "no-raw-clock", RAW_CLOCK_RE,
-            "direct std::chrono clock read in src/ outside src/obs/: "
+            "direct std::chrono clock read in library code outside src/obs/: "
             "mismatched epochs cannot be correlated with the span "
             "tracer; use obs::monotonicNowNs() (src/obs/clock.hpp)")
     return findings
@@ -322,7 +333,7 @@ def check_no_raw_clock(root: str) -> List[Finding]:
 
 def check_one_fig1_chain(root: str) -> List[Finding]:
     findings = []
-    for path in _cpp_files(root, ("src",)):
+    for path in _cpp_files(root, LIBRARY_DIRS):
         rel = _rel(root, path)
         if (rel == "src/api/pipeline.cpp"
                 or rel.startswith("src/core/impulse_deflation.")):
@@ -354,7 +365,7 @@ def check_kernel_layering(root: str) -> List[Finding]:
 
 def check_rank_tol_literal(root: str) -> List[Finding]:
     findings = []
-    for path in _cpp_files(root, ("src",)):
+    for path in _cpp_files(root, LIBRARY_DIRS):
         rel = _rel(root, path)
         if rel == "src/linalg/svd.cpp":
             continue  # the shared-policy implementation defines the default

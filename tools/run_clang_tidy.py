@@ -42,7 +42,7 @@ BASELINE = os.path.join(REPO_ROOT, "tools", "clang_tidy_baseline.txt")
 
 # Own code only: dependencies fetched into the build tree (gtest,
 # google-benchmark) are not ours to lint.
-PROJECT_DIRS = ("src", "tests", "bench", "examples")
+PROJECT_DIRS = ("src", "baselines", "tests", "bench", "examples")
 
 # Prefer an unsuffixed binary, else the newest versioned one on PATH.
 CANDIDATE_NAMES = ["clang-tidy"] + [f"clang-tidy-{v}" for v in range(25, 11, -1)]

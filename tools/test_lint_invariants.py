@@ -198,6 +198,32 @@ def test_fixture_tree():
     print("PASS: each rule fires exactly once, at the planted line")
 
 
+def test_library_rules_scan_baselines():
+    """Every rule scoped to src/ as a whole fires in baselines/ too."""
+    with tempfile.TemporaryDirectory() as root:
+        path = write(root, "baselines/bad_baseline.cpp", """
+#include <chrono>
+#include <random>
+#include <unordered_map>
+std::unordered_map<int, int> gBad;
+std::normal_distribution<double> gBadDist;
+auto bad = std::chrono::steady_clock::now();
+int r = S().rank(1e-10);
+void reduce(const Phi& phi) { auto s1 = deflateImpulseModes(phi, -1.0); }
+""")
+        findings = lint_invariants.run(root)
+        got = sorted((f.rule, f.path, f.line) for f in findings)
+        want = sorted([
+            ("no-unordered-iteration", path, 5),
+            ("no-std-distribution", path, 6),
+            ("no-raw-clock", path, 7),
+            ("rank-tol-literal", path, 8),
+            ("one-fig1-chain", path, 9),
+        ])
+        assert got == want, f"expected {want}, got {got}"
+    print("PASS: src-wide rules also scan baselines/")
+
+
 def test_stripper():
     strip = lint_invariants.strip_comments_and_strings
     assert "throw" not in strip("// may throw\nint x;")
@@ -221,6 +247,7 @@ def test_clean_tree_has_no_findings():
 def main():
     test_stripper()
     test_fixture_tree()
+    test_library_rules_scan_baselines()
     test_clean_tree_has_no_findings()
     print("lint_invariants self-test: OK")
     return 0
