@@ -4,7 +4,6 @@
 //            Weierstrass decomposition up to order 400.
 // Emits both series as whitespace-separated columns ready for plotting.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -12,12 +11,10 @@
 
 int main(int argc, char** argv) {
   using namespace shhpass;
-  std::size_t lmiMax = 20;
-  if (const char* env = std::getenv("SHHPASS_LMI_MAX"))
-    lmiMax = static_cast<std::size_t>(std::atoi(env));
   bool quick = false;
   for (int i = 1; i < argc; ++i)
     if (std::string(argv[i]) == "--quick") quick = true;
+  const std::size_t lmiMax = bench::lmiOrderCap(quick, /*fullCap=*/20);
 
   std::vector<std::size_t> orders = {20, 40, 60, 80, 100, 150, 200, 300, 400};
   if (quick) orders = {20, 40, 60, 80, 100};

@@ -5,11 +5,12 @@
 // pipeline's StageTrace records plus reorder, Schur-eigensolver, and
 // staircase deflation-chain health, measures the dense kernels (naive vs
 // blocked gemm, unblocked vs blocked Hessenberg, unblocked vs blocked
-// SVD, unblocked vs multishift-AED Schur, staircase deflation chain vs
-// the SVD-chain oracle, windowed vs bubble Schur reordering, blocked vs
-// back-substitution Lyapunov) in GFLOP/s, records per-stage peak live bytes from
-// the memory accountant plus the telemetry-on-vs-dark observer-overhead
-// row (schema v7), and writes everything as BENCH_pipeline.json.
+// SVD, unblocked vs multishift-AED Schur, the isotropic Arnoldi,
+// staircase deflation chain vs the SVD-chain oracle, windowed vs bubble
+// Schur reordering, blocked vs back-substitution Lyapunov) in GFLOP/s,
+// records per-stage peak live bytes from the memory accountant plus the
+// telemetry-on-vs-dark observer-overhead row (schema v7), and writes
+// everything as BENCH_pipeline.json.
 //
 // The JSON schema is documented in docs/BENCHMARKS.md; the committed
 // BENCH_pipeline.json at the repository root is one trajectory point per
@@ -55,6 +56,7 @@
 #include "linalg/svd.hpp"
 #include "obs/memory.hpp"
 #include "obs/trace.hpp"
+#include "shh/isotropic_arnoldi.hpp"
 #include "shh/stable_subspace.hpp"
 #include "decoupling_oracle.hpp"
 #include "svd_chain_oracle.hpp"
@@ -240,6 +242,16 @@ int main(int argc, char** argv) {
                               [&] { linalg::schurUnblocked(a); }));
     rows.push_back(timeKernel("schur", n, "multishift", schurFlops, reps,
                               [&] { linalg::realSchur(a); }));
+    // The Sec.-3.3 isotropic Arnoldi on a seeded order-n skew-Hamiltonian
+    // (half size h = n/2). Flops are the nominal PVL-decomposition count
+    // (Benner, Kressner and Mehrmann, 2005): 40/3 h^3 for the reduction
+    // + 16/3 h^3 for the orthogonal symplectic Z.
+    const std::size_t h = n / 2;
+    const linalg::Matrix skewW = bench::seededSkewHamiltonian(h, 7 * n + 45);
+    const double arnoldiFlops = 56.0 / 3.0 * static_cast<double>(h) * h * h;
+    rows.push_back(
+        timeKernel("isotropic-arnoldi", n, "unblocked", arnoldiFlops, reps,
+                   [&] { shh::skewHamiltonianBlockTriangularize(skewW); }));
     if (n == 256) {
       // Deflation chain (impulse deflation + nondynamic removal) on the
       // Phi pencil of the order-256 benchmark model: the staircase chain

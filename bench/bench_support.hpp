@@ -24,6 +24,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 
 #include "api/shhpass.hpp"
@@ -68,22 +69,36 @@ inline linalg::Matrix seededHamiltonian(std::size_t np, std::uint64_t seed) {
                                   -1.0 * linalg::atb(c, c));
 }
 
-/// Nominal flop model of a square-n SVD, shared by bench_kernels and
-/// bench_pipeline so their GFLOP/s columns stay comparable: 8/3 n^3
-/// bidiagonalization + 10/3 n^3 U/V generation + ~8 n^3 for the
-/// implicit-QR rotation sweep = 14 n^3. The sweep count is
-/// input-dependent, so SVD GFLOP/s is a comparable index, not a
-/// hardware-utilization figure (docs/BENCHMARKS.md).
+/// Seeded order-2h skew-Hamiltonian [A G; Q A^T] with G and Q
+/// skew-symmetric: the input of the isotropic-Arnoldi kernel row.
+inline linalg::Matrix seededSkewHamiltonian(std::size_t half,
+                                            std::uint64_t seed) {
+  const linalg::Matrix a = seededMatrix(half, half, seed);
+  const linalg::Matrix g = seededMatrix(half, half, seed + 1);
+  const linalg::Matrix q = seededMatrix(half, half, seed + 2);
+  linalg::Matrix w(2 * half, 2 * half);
+  w.setBlock(0, 0, a);
+  w.setBlock(0, half, g - g.transposed());
+  w.setBlock(half, 0, q - q.transposed());
+  w.setBlock(half, half, a.transposed());
+  return w;
+}
+
+/// Nominal flop model of a square-n SVD: 8/3 n^3 bidiagonalization +
+/// 10/3 n^3 U/V generation + ~8 n^3 for the implicit-QR rotation
+/// sweep = 14 n^3. The sweep count is input-dependent, so SVD GFLOP/s
+/// is a comparable index, not a hardware-utilization figure
+/// (docs/BENCHMARKS.md).
 inline double svdNominalFlops(std::size_t n) {
   return 14.0 * static_cast<double>(n) * n * n;
 }
 
 /// Nominal flop model of a square-n real Schur decomposition with full
-/// Q accumulation, shared by bench_kernels and bench_pipeline: 10/3 n^3
-/// Hessenberg reduction + 4/3 n^3 Q accumulation + ~20 n^3 for the QR
-/// iteration (the classical ~2-iterations-per-eigenvalue estimate). The
-/// iteration count is input-dependent, so Schur GFLOP/s is a comparable
-/// index across variants and PRs, not a hardware-utilization figure.
+/// Q accumulation: 10/3 n^3 Hessenberg reduction + 4/3 n^3 Q
+/// accumulation + ~20 n^3 for the QR iteration (the classical
+/// ~2-iterations-per-eigenvalue estimate). The iteration count is
+/// input-dependent, so Schur GFLOP/s is a comparable index across
+/// variants and PRs, not a hardware-utilization figure.
 inline double schurNominalFlops(std::size_t n) {
   return 25.0 * static_cast<double>(n) * n * n;
 }
@@ -96,11 +111,13 @@ inline double timeSeconds(const std::function<void()>& fn) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
-/// Median-of-k timing (k small; these are macro benchmarks).
-inline double timeMedian(const std::function<void()>& fn, int reps = 3) {
-  double best = 1e300;
-  for (int i = 0; i < reps; ++i) best = std::min(best, timeSeconds(fn));
-  return best;
+/// Largest model order the LMI baseline is timed at in the Table-1 and
+/// Fig.-2 reproductions: SHHPASS_LMI_MAX when set, else 20 under
+/// --quick (the order-40 LMI alone takes minutes), else `fullCap`.
+inline std::size_t lmiOrderCap(bool quick, std::size_t fullCap) {
+  if (const char* env = std::getenv("SHHPASS_LMI_MAX"))
+    return static_cast<std::size_t>(std::atoi(env));
+  return quick ? 20 : fullCap;
 }
 
 /// The three tests of Table 1 on one model. The proposed test runs through

@@ -7,25 +7,23 @@
 // The LMI test column reports NIL beyond a size cap, mirroring the paper
 // (there the 2006 solver ran out of physical memory at order 70; here the
 // O(n^5)-O(n^6) interior-point cost exceeds the benchmark's time budget —
-// set SHHPASS_LMI_MAX to raise the cap and measure larger orders).
+// set SHHPASS_LMI_MAX to raise the cap and measure larger orders). The
+// cap is order 40, or 20 under --quick.
 //
 // Absolute numbers differ from the paper's 2.8 GHz PC + Matlab 7 setup;
 // the shape to verify is: LMI >> both O(n^3) tests and infeasible early;
 // proposed and Weierstrass comparable, proposed ahead at large order.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "bench_support.hpp"
 
 int main(int argc, char** argv) {
   using namespace shhpass;
-  std::size_t lmiMax = 40;
-  if (const char* env = std::getenv("SHHPASS_LMI_MAX"))
-    lmiMax = static_cast<std::size_t>(std::atoi(env));
   bool quick = false;
   for (int i = 1; i < argc; ++i)
     if (std::string(argv[i]) == "--quick") quick = true;
+  const std::size_t lmiMax = bench::lmiOrderCap(quick, /*fullCap=*/40);
 
   const std::size_t orders[] = {20, 40, 60, 80, 100, 200, 400};
   std::printf("# Table 1: CPU times (sec) for different passivity tests\n");

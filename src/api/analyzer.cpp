@@ -20,22 +20,17 @@ PassivityAnalyzer::PassivityAnalyzer(AnalyzerOptions options)
   obs::applyTelemetryOptions(options_.telemetry);
 }
 
-void PassivityAnalyzer::setStageObserver(StageObserver observer) {
-  std::lock_guard<std::mutex> lock(observerMu_);
-  observer_ = std::move(observer);
-}
-
 Result<AnalysisReport> PassivityAnalyzer::analyze(
     const ds::DescriptorSystem& system) const {
   return analyzeImpl(system, options_.passivity, std::string(),
-                     /*marginTol=*/std::nullopt, /*notifyObserver=*/true);
+                     /*marginTol=*/std::nullopt);
 }
 
 Result<AnalysisReport> PassivityAnalyzer::analyze(
     const AnalysisRequest& request) const {
   return analyzeImpl(request.system,
                      request.options ? *request.options : options_.passivity,
-                     request.id, request.marginTol, /*notifyObserver=*/true);
+                     request.id, request.marginTol);
 }
 
 std::vector<Result<AnalysisReport>> PassivityAnalyzer::runBatch(
@@ -61,8 +56,7 @@ std::vector<Result<AnalysisReport>> PassivityAnalyzer::runBatch(
                    });
 
   // analyzeImpl is exception-free (Status-based), so a worker cannot
-  // throw. The observer is skipped: per-stage traces land in the report
-  // instead. Each item writes only its own results[item] slot.
+  // throw. Each item writes only its own results[item] slot.
   std::atomic<std::size_t> next{0};
   auto worker = [&] {
     for (std::size_t k = next.fetch_add(1); k < byOrder.size();
@@ -72,7 +66,7 @@ std::vector<Result<AnalysisReport>> PassivityAnalyzer::runBatch(
       results[item] = analyzeImpl(
           request.system,
           request.options ? *request.options : options_.passivity,
-          request.id, request.marginTol, /*notifyObserver=*/false);
+          request.id, request.marginTol);
     }
   };
   {
@@ -88,8 +82,7 @@ std::vector<Result<AnalysisReport>> PassivityAnalyzer::runBatch(
 
 Result<AnalysisReport> PassivityAnalyzer::analyzeImpl(
     const ds::DescriptorSystem& system, const core::PassivityOptions& opts,
-    const std::string& id, std::optional<double> marginTol,
-    bool notifyObserver) const {
+    const std::string& id, std::optional<double> marginTol) const {
   if (marginTol && !(std::isfinite(*marginTol) && *marginTol > 0.0))
     return Result<AnalysisReport>(
         Status::error(ErrorCode::InvalidArgument,
@@ -100,15 +93,7 @@ Result<AnalysisReport> PassivityAnalyzer::analyzeImpl(
   PipelineState state;
   state.input = &system;
   state.options = opts;
-
-  // Snapshot the observer once per analysis under its lock; the copy
-  // keeps notifying even if setStageObserver swaps the slot mid-run.
-  StageObserver observer;
-  if (notifyObserver) {
-    std::lock_guard<std::mutex> lock(observerMu_);
-    observer = observer_;
-  }
-  Status status = runPipeline(state, observer);
+  Status status = runPipeline(state);
   AnalysisReport& report = state.report;
   if (marginTol && (status.ok() || isVerdictCode(status.code()))) {
     // On this thread, from the proper part the pipeline just extracted.

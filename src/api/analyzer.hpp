@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstddef>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -47,26 +46,16 @@ struct AnalyzerOptions {
   obs::TelemetryOptions telemetry;
 };
 
-/// The engine facade. Thread-compatible: one analyzer may serve concurrent
-/// analyze() calls; runBatch parallelizes internally.
+/// The engine facade. Immutable after construction, so one analyzer may
+/// serve concurrent analyze() calls without locking; runBatch
+/// parallelizes internally. Each report carries its own per-stage
+/// record (AnalysisReport::stages).
 class PassivityAnalyzer {
  public:
   PassivityAnalyzer() : PassivityAnalyzer(AnalyzerOptions{}) {}
   explicit PassivityAnalyzer(AnalyzerOptions options);
 
   const AnalyzerOptions& options() const { return options_; }
-
-  /// Per-stage diagnostic hook, invoked after each stage of single-shot
-  /// analyze() calls (NOT during runBatch, where reports carry the same
-  /// traces without cross-thread observer reentrancy).
-  ///
-  /// Thread-safe: may be called while analyze() runs on other threads —
-  /// the observer slot is mutex-guarded and each analysis snapshots it
-  /// once at entry (in-flight analyses keep notifying the observer they
-  /// started with). Regression note: before PR 6 the slot was a bare
-  /// std::function read concurrently with the setter — a data race
-  /// ThreadSanitizer flags on the test_thread_pool_stress observer test.
-  void setStageObserver(StageObserver observer);
 
   /// Analyze one system with the analyzer-default options.
   Result<AnalysisReport> analyze(const ds::DescriptorSystem& system) const;
@@ -90,12 +79,9 @@ class PassivityAnalyzer {
   Result<AnalysisReport> analyzeImpl(const ds::DescriptorSystem& system,
                                      const core::PassivityOptions& opts,
                                      const std::string& id,
-                                     std::optional<double> marginTol,
-                                     bool notifyObserver) const;
+                                     std::optional<double> marginTol) const;
 
   AnalyzerOptions options_;
-  mutable std::mutex observerMu_;  ///< Guards observer_ (set vs snapshot).
-  StageObserver observer_;
 };
 
 }  // namespace shhpass::api

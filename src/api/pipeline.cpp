@@ -172,7 +172,7 @@ StageTrace runTimedStage(const char* name,
   return trace;
 }
 
-Status runPipeline(PipelineState& state, const StageObserver& observer) {
+Status runPipeline(PipelineState& state) {
   state.properPart = core::ProperPartResult{};
   state.report = AnalysisReport{};
   if (state.input == nullptr)
@@ -185,14 +185,6 @@ Status runPipeline(PipelineState& state, const StageObserver& observer) {
         runTimedStage(stage.name, [&] { return stage.run(state); }));
     const StageTrace& trace = report.stages.back();
     report.totalSeconds += trace.seconds;
-    if (observer) {
-      try {
-        observer(trace);
-      } catch (...) {
-        // Diagnostic hooks must not break the no-exceptions-cross-the-API
-        // contract; a throwing observer loses its own notification only.
-      }
-    }
     if (!trace.status.ok()) {
       status = trace.status;
       break;

@@ -2,8 +2,8 @@
 // paper's flowchart is one stage function
 //     Status stage(PipelineState&)
 // in a fixed table; runPipeline runs them in order with per-stage
-// wall-clock timing and an optional diagnostic observer, and records the
-// outcome in the one result type, AnalysisReport.
+// wall-clock timing and records the outcome, stage traces included, in
+// the one result type, AnalysisReport.
 //
 // Status semantics inside the pipeline:
 //   * ok            -> continue to the next stage;
@@ -156,9 +156,6 @@ struct PipelineState {
   AnalysisReport report;
 };
 
-/// Per-stage diagnostic hook (see runPipeline for its threading contract).
-using StageObserver = std::function<void(const StageTrace&)>;
-
 /// Run `body` as the stage `name`: time it, record its peak memory, emit
 /// its "stage" span. An exception escaping `body`
 /// becomes the trace's Status. runPipeline times every Fig.-1 stage this
@@ -171,21 +168,14 @@ StageTrace runTimedStage(const char* name,
 /// check, proper-part extraction, positive-realness test. Exceptions
 /// escaping a stage are translated to operational-error Statuses (no
 /// exceptions cross this boundary). Each completed stage is appended to
-/// `state.report.stages` and handed to `observer` (if set).
-///
-/// Observer threading contract: the observer is invoked synchronously on
-/// the thread calling runPipeline, once per completed stage, never after
-/// it returns. The analyzer snapshots its installed observer under a
-/// mutex before each analysis (see PassivityAnalyzer::setStageObserver),
-/// so swapping observers concurrently with a running analysis is safe; a
-/// callable shared across concurrent analyses must itself be
-/// thread-safe, because two runs may invoke it concurrently.
+/// `state.report.stages`, the one per-stage record of a run. The run
+/// touches only `state` (and the process-wide telemetry sinks), so
+/// concurrent runs on distinct states are safe.
 /// Returns:
 ///   * ok       — all stages passed; state.report.passive == true;
 ///   * verdict  — a stage declared non-passivity; state.report.failure
 ///                names the stage;
 ///   * error    — the analysis failed; state.report is meaningless.
-Status runPipeline(PipelineState& state,
-                   const StageObserver& observer = nullptr);
+Status runPipeline(PipelineState& state);
 
 }  // namespace shhpass::api

@@ -141,19 +141,7 @@ ds::DescriptorSystem makeRandomRlcNetwork(std::size_t nodes, unsigned seed,
     if (k % 2 == 0) ++lCount;
   Netlist full(static_cast<int>(nodes + lCount));
   full.addPort(1);
-  for (const auto& comp : net.components()) {
-    switch (comp.kind) {
-      case Component::Kind::Resistor:
-        full.addResistor(comp.n1, comp.n2, comp.value);
-        break;
-      case Component::Kind::Inductor:
-        full.addInductor(comp.n1, comp.n2, comp.value);
-        break;
-      case Component::Kind::Capacitor:
-        full.addCapacitor(comp.n1, comp.n2, comp.value);
-        break;
-    }
-  }
+  for (const Component& comp : net.components()) full.addComponent(comp);
   int nextNode = static_cast<int>(nodes) + 1;
   for (std::size_t k = 0; k < links.size(); ++k) {
     const auto [a, b] = links[k];
@@ -173,32 +161,14 @@ ds::DescriptorSystem makeNonPassiveNegativeResistor(std::size_t sections) {
   opt.sections = sections;
   opt.capAtPort = true;
   Netlist net = makeRlcLadderNetlist(opt);
-  // Rebuild with the shunt leak resistor negated (an active element that
-  // makes Re Z(0) < 0 at the port, since it dominates the series path).
-  Netlist bad(net.numNodes());
-  for (int p : net.ports()) bad.addPort(p);
-  std::size_t rSeen = 0;
-  std::size_t rCount = 0;
-  for (const auto& comp : net.components())
-    if (comp.kind == Component::Kind::Resistor) ++rCount;
-  const std::size_t rFlip = rCount - 1;  // the leak resistor is stamped last
-  for (const auto& comp : net.components()) {
-    Component c = comp;
-    if (c.kind == Component::Kind::Resistor && rSeen++ == rFlip)
-      c.value = -c.value;
-    switch (c.kind) {
-      case Component::Kind::Resistor:
-        bad.addResistor(c.n1, c.n2, c.value);
-        break;
-      case Component::Kind::Inductor:
-        bad.addInductor(c.n1, c.n2, c.value);
-        break;
-      case Component::Kind::Capacitor:
-        bad.addCapacitor(c.n1, c.n2, c.value);
-        break;
-    }
-  }
-  return stampMna(bad);
+  // Negate the shunt leak resistor, the last resistor added (an active
+  // element that makes Re Z(0) < 0 at the port, since it dominates the
+  // series path).
+  const std::vector<Component>& comps = net.components();
+  std::size_t leak = comps.size() - 1;
+  while (comps[leak].kind != Component::Kind::Resistor) --leak;
+  net.setComponentValue(leak, -comps[leak].value);
+  return stampMna(net);
 }
 
 ds::DescriptorSystem makeNonPassiveNegativeFeedthrough(std::size_t sections) {

@@ -30,6 +30,10 @@ class Netlist {
   const std::vector<Component>& components() const { return comps_; }
   const std::vector<int>& ports() const { return ports_; }
 
+  /// Validates node indices and rejects shorted, zero-valued or
+  /// non-finite elements (throws std::invalid_argument); negative values
+  /// are allowed, to build non-passive mutants.
+  Netlist& addComponent(Component c);
   Netlist& addResistor(int n1, int n2, double ohms) {
     return addComponent({Component::Kind::Resistor, n1, n2, ohms});
   }
@@ -47,15 +51,12 @@ class Netlist {
   /// Change the value of components()[index] in place (parametric
   /// sweeps). Throws std::invalid_argument for an out-of-range index or
   /// a zero, NaN or infinite value; negative values are allowed, as in
-  /// addComponent, to build non-passive mutants.
+  /// addComponent.
   Netlist& setComponentValue(std::size_t index, double value);
 
   std::size_t numInductors() const;
 
  private:
-  /// Validates node indices and rejects shorted, zero-valued or
-  /// non-finite elements (throws std::invalid_argument).
-  Netlist& addComponent(Component c);
   static void checkValue(double value);
   void checkNode(int n) const;
 

@@ -325,7 +325,7 @@ class Parser {
                         "' (active elements need allowActiveElements)");
         continue;
       }
-      resolved_.push_back({e.line, e.kind, n1, n2, value});
+      resolved_.push_back({e.kind, n1, n2, value});
       connected.insert(n1);
       connected.insert(n2);
     }
@@ -375,17 +375,7 @@ class Parser {
     // Every precondition of the Netlist builder was checked above, so
     // the builder cannot throw here.
     Netlist net(static_cast<int>(numNodes_));
-    for (const Resolved& r : resolved_) {
-      switch (r.kind) {
-        case Component::Kind::Resistor: net.addResistor(r.n1, r.n2, r.value);
-          break;
-        case Component::Kind::Inductor: net.addInductor(r.n1, r.n2, r.value);
-          break;
-        case Component::Kind::Capacitor:
-          net.addCapacitor(r.n1, r.n2, r.value);
-          break;
-      }
-    }
+    for (const Component& c : resolved_) net.addComponent(c);
     for (int port : resolvedPorts_) net.addPort(port);
     result_.netlist = std::move(net);
     result_.nodeNames.assign(numNodes_ + 1, std::string());
@@ -399,13 +389,6 @@ class Parser {
     return std::move(result_);
   }
 
-  struct Resolved {
-    std::size_t line;
-    Component::Kind kind;
-    int n1, n2;
-    double value;
-  };
-
   SpiceParseOptions options_;
   ParsedNetlist result_;
   std::vector<Card> cards_;
@@ -416,7 +399,7 @@ class Parser {
   std::vector<std::string> symbolicNames_;            // order -> spelling
   std::map<std::string, int> symbolicIndex_;          // lower -> dense index
   std::size_t numNodes_ = 0;
-  std::vector<Resolved> resolved_;
+  std::vector<Component> resolved_;
   std::vector<int> resolvedPorts_;
 };
 

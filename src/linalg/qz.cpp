@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "linalg/lu.hpp"
 #include "linalg/schur.hpp"
@@ -20,6 +22,24 @@ std::vector<double> trialShifts(const Matrix& e, const Matrix& a) {
           -0.5 * scale, 2.718 * scale, -3.141 * scale, 7.389 * scale};
 }
 
+/// A trial shift sigma with A - sigma E comfortably nonsingular (not a
+/// barely invertible one), and that matrix's LU factors.
+struct RegularShift {
+  double sigma;
+  LU lu;
+};
+
+/// The first trial shift whose LU passes the 1e-10 pivot test, or
+/// nullopt when every trial fails (a (near-)singular pencil).
+std::optional<RegularShift> findRegularShift(const Matrix& e,
+                                             const Matrix& a) {
+  for (double sigma : trialShifts(e, a)) {
+    LU lu(a - sigma * e);
+    if (!lu.isSingular(1e-10)) return RegularShift{sigma, std::move(lu)};
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 GeneralizedEigenvalues generalizedEigenvalues(const Matrix& e, const Matrix& a,
@@ -30,43 +50,34 @@ GeneralizedEigenvalues generalizedEigenvalues(const Matrix& e, const Matrix& a,
   GeneralizedEigenvalues out;
   if (n == 0) return out;
 
-  for (double sigma : trialShifts(e, a)) {
-    Matrix shifted = a - sigma * e;
-    LU lu(shifted);
-    // Demand a comfortably nonsingular shift, not a barely invertible one.
-    if (lu.isSingular(1e-10)) continue;
-    Matrix m = lu.solve(e);
-    std::vector<std::complex<double>> mu = eigenvalues(m);
-    double muMax = 0.0;
-    for (const auto& v : mu) muMax = std::max(muMax, std::abs(v));
-    const double cut = infTol * std::max(muMax, 1e-300);
-    out.shiftUsed = sigma;
-    for (const auto& v : mu) {
-      if (std::abs(v) <= cut) {
-        ++out.infiniteCount;
-      } else {
-        out.finite.push_back(sigma + 1.0 / v);
-      }
+  const std::optional<RegularShift> shift = findRegularShift(e, a);
+  if (!shift)
+    throw std::runtime_error(
+        "generalizedEigenvalues: pencil is singular (no regular shift found)");
+  const double sigma = shift->sigma;
+  std::vector<std::complex<double>> mu = eigenvalues(shift->lu.solve(e));
+  double muMax = 0.0;
+  for (const auto& v : mu) muMax = std::max(muMax, std::abs(v));
+  const double cut = infTol * std::max(muMax, 1e-300);
+  out.shiftUsed = sigma;
+  for (const auto& v : mu) {
+    if (std::abs(v) <= cut) {
+      ++out.infiniteCount;
+    } else {
+      out.finite.push_back(sigma + 1.0 / v);
     }
-    // Real pencil: force conjugate symmetry lost to round-off.
-    for (auto& lam : out.finite)
-      if (std::abs(lam.imag()) <
-          1e-10 * std::max(1.0, std::abs(lam.real())))
-        lam = {lam.real(), 0.0};
-    return out;
   }
-  throw std::runtime_error(
-      "generalizedEigenvalues: pencil is singular (no regular shift found)");
+  // Real pencil: force conjugate symmetry lost to round-off.
+  for (auto& lam : out.finite)
+    if (std::abs(lam.imag()) < 1e-10 * std::max(1.0, std::abs(lam.real())))
+      lam = {lam.real(), 0.0};
+  return out;
 }
 
 bool isRegularPencil(const Matrix& e, const Matrix& a) {
   if (!e.isSquare() || !a.isSquare() || e.rows() != a.rows()) return false;
   if (e.rows() == 0) return true;
-  for (double sigma : trialShifts(e, a)) {
-    LU lu(a - sigma * e);
-    if (!lu.isSingular(1e-10)) return true;
-  }
-  return false;
+  return findRegularShift(e, a).has_value();
 }
 
 }  // namespace shhpass::linalg

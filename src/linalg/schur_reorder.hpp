@@ -69,7 +69,7 @@ using EigenvalueSelector = std::function<bool(std::complex<double>)>;
 /// Health record of one reordering pass: how many adjacent swaps ran, how
 /// many were rejected by the residual check, the largest accepted-swap
 /// residual, and an accumulated bound on eigenvalue drift. Serialized into
-/// the api::AnalysisReport JSON so pipeline observers can audit reorder
+/// the api::AnalysisReport JSON so readers of a report can audit reorder
 /// accuracy.
 struct ReorderReport {
   /// Accepted adjacent-block swaps.

@@ -25,8 +25,7 @@ void initTelemetryFromEnv() {
 }
 
 void applyTelemetryOptions(const TelemetryOptions& options) {
-  if (options.trace || !options.tracePath.empty()) setTraceEnabled(true);
-  if (!options.tracePath.empty()) setTraceExitPath(options.tracePath);
+  if (options.trace) setTraceEnabled(true);
   if (options.metrics) setMemoryEnabled(true);
 }
 

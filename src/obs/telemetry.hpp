@@ -8,17 +8,18 @@
 //   SHHPASS_METRICS=1                   enable per-stage memory
 //                                       accounting ("0" or unset leaves
 //                                       it off)
+//
+// SHHPASS_TRACE is the one way to name an at-exit trace file; a program
+// that wants the timeline at a point of its choosing calls
+// obs::writeTraceJson (obs/trace.hpp).
 #pragma once
-
-#include <string>
 
 namespace shhpass::obs {
 
 /// Per-analyzer telemetry knobs (api::AnalyzerOptions::telemetry).
 struct TelemetryOptions {
-  bool trace = false;      ///< Enable span tracing process-wide.
-  std::string tracePath;   ///< If non-empty, write trace JSON at exit.
-  bool metrics = false;    ///< Enable per-stage memory accounting.
+  bool trace = false;    ///< Enable span tracing process-wide.
+  bool metrics = false;  ///< Enable per-stage memory accounting.
 };
 
 /// Read SHHPASS_TRACE / SHHPASS_METRICS once (std::call_once) and apply

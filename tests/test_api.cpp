@@ -554,9 +554,7 @@ TEST(ApiPipeline, TracesCoverAllStagesOnAPassiveRun) {
 
   PipelineState state;
   state.input = &g;
-  std::size_t observed = 0;
-  Status status =
-      runPipeline(state, [&](const StageTrace&) { ++observed; });
+  Status status = runPipeline(state);
   EXPECT_TRUE(status.ok()) << status.toString();
   const AnalysisReport& report = state.report;
   EXPECT_TRUE(report.passive);
@@ -564,7 +562,6 @@ TEST(ApiPipeline, TracesCoverAllStagesOnAPassiveRun) {
   EXPECT_EQ(report.order, g.order());
   EXPECT_EQ(report.properOrder, state.properPart.lambda.rows());
   ASSERT_EQ(report.stages.size(), 7u);
-  EXPECT_EQ(observed, 7u);
   const char* expected[] = {"prerequisites",      "build-phi",
                             "impulse-deflation",  "nondynamic-removal",
                             "m1-extraction",      "proper-part",

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "linalg/qz.hpp"
 #include "test_support.hpp"
@@ -96,6 +97,27 @@ TEST(GeneralizedEig, RegularityDetection) {
   // Shared kernel direction makes the pencil singular.
   Matrix a2 = Matrix::diag({1.0, 0.0});
   EXPECT_FALSE(isRegularPencil(e, a2));
+}
+
+TEST(GeneralizedEig, RegularAwayFromTheZeroShift) {
+  // A - 0*E = diag(0, -1) is singular, so the first trial shift is
+  // rejected and a scaled fallback shift must be taken.
+  Matrix e = Matrix::identity(2);
+  Matrix a = Matrix::diag({0.0, -1.0});
+  EXPECT_TRUE(isRegularPencil(e, a));
+  GeneralizedEigenvalues ge = generalizedEigenvalues(e, a);
+  EXPECT_NE(ge.shiftUsed, 0.0);
+  EXPECT_EQ(ge.infiniteCount, 0u);
+  ASSERT_EQ(ge.finite.size(), 2u);
+  std::vector<double> re;
+  for (const auto& l : ge.finite) {
+    EXPECT_TRUE(std::isfinite(l.real()));
+    EXPECT_EQ(l.imag(), 0.0);
+    re.push_back(l.real());
+  }
+  std::sort(re.begin(), re.end());
+  EXPECT_NEAR(re[0], -1.0, 1e-12);
+  EXPECT_NEAR(re[1], 0.0, 1e-12);
 }
 
 TEST(GeneralizedEig, FiniteModeCountMatchesDegree) {

@@ -223,52 +223,5 @@ TEST(ThreadPoolStress, RunBatchUnderOversubscription) {
   }
 }
 
-TEST(ThreadPoolStress, ObserverSwapDuringConcurrentAnalyses) {
-  // setStageObserver while analyses run on other threads: the slot is
-  // mutex-guarded and snapshotted per analysis, so this is race-free and
-  // every stage notification lands on whichever observer the analysis
-  // started with.
-  PassivityAnalyzer analyzer;
-  const ds::DescriptorSystem sys = circuits::makeBenchmarkModel(15, true);
-
-  std::atomic<std::size_t> notifications{0};
-  std::atomic<bool> stop{false};
-  std::thread swapper([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      analyzer.setStageObserver([&notifications](const api::StageTrace&) {
-        notifications.fetch_add(1, std::memory_order_relaxed);
-      });
-      analyzer.setStageObserver(nullptr);
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-    // Leave a live observer installed for the tail assertions below.
-    analyzer.setStageObserver([&notifications](const api::StageTrace&) {
-      notifications.fetch_add(1, std::memory_order_relaxed);
-    });
-  });
-
-  std::vector<std::thread> analysts;
-  std::atomic<std::size_t> failures{0};
-  for (std::size_t t = 0; t < 2; ++t) {
-    analysts.emplace_back([&] {
-      for (std::size_t rep = 0; rep < 10; ++rep) {
-        Result<AnalysisReport> r = analyzer.analyze(sys);
-        if (!r.ok()) failures.fetch_add(1);
-      }
-    });
-  }
-  for (std::thread& t : analysts) t.join();
-  stop.store(true);
-  swapper.join();
-  EXPECT_EQ(failures.load(), 0u);
-
-  // With the post-race observer pinned, one analysis notifies once per
-  // executed stage.
-  const std::size_t before = notifications.load();
-  Result<AnalysisReport> r = analyzer.analyze(sys);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(notifications.load() - before, r->stages.size());
-}
-
 }  // namespace
 }  // namespace shhpass

@@ -40,8 +40,8 @@ from typing import List, Optional
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BASELINE = os.path.join(REPO_ROOT, "tools", "clang_tidy_baseline.txt")
 
-# Own code only: dependencies fetched into the build tree (gtest,
-# google-benchmark) are not ours to lint.
+# Own code only: dependencies fetched into the build tree (gtest) are
+# not ours to lint.
 PROJECT_DIRS = ("src", "baselines", "tests", "bench", "examples")
 
 # Prefer an unsuffixed binary, else the newest versioned one on PATH.
