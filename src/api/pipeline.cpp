@@ -58,25 +58,24 @@ Status buildPhi(PipelineState& s) {
 
 // Stage 2: deflate impulse-unobservable/-uncontrollable modes (Eqs. 11-17).
 Status impulseDeflation(PipelineState& s) {
-  s.deflation = core::deflateImpulseModes(s.phi, s.options.rankTol);
+  s.deflation = core::deflateImpulseModes(s.phi, s.options.rankTol,
+                                          &s.report.rankPolicy,
+                                          &s.report.staircase);
   // Last reader of Phi; no stage reads the deflation's bases.
   s.phi = shh::ShhRealization{};
   s.deflation.vKeep = linalg::Matrix();
   s.deflation.impulseUnobservable = linalg::Matrix();
   s.report.removedImpulsive = s.deflation.removed;
-  s.report.rankPolicy.merge(s.deflation.rankReport);
-  s.report.staircase.merge(s.deflation.staircase);
   return Status::okStatus();
 }
 
 // Stage 3: impulse-freeness certificate + nondynamic removal (Eqs. 18-20).
 Status nondynamicRemoval(PipelineState& s) {
-  s.nondynamic =
-      core::removeNondynamicModes(s.deflation.reduced, s.options.rankTol);
+  s.nondynamic = core::removeNondynamicModes(
+      s.deflation.reduced, s.options.rankTol, &s.report.rankPolicy,
+      &s.report.staircase);
   s.deflation.reduced = shh::SkewSymRealization{};  // last reader
   s.report.removedNondynamic = s.nondynamic.removed;
-  s.report.rankPolicy.merge(s.nondynamic.rankReport);
-  s.report.staircase.merge(s.nondynamic.staircase);
   if (!s.nondynamic.impulseFree)
     return verdict(core::FailureStage::ResidualImpulses);
   return Status::okStatus();
@@ -92,20 +91,17 @@ Status m1Extraction(PipelineState& s) {
       s.deflation.hasHalfECompression ? &s.deflation.halfECompression
                                       : nullptr;
   // Skew-symmetric Mk cancel inside Phi, so the grade >= 3 screen only
-  // needs to run when the stage-2 deflation was non-trivial. Rank and
-  // staircase records only accumulate (sums, min/max), so they can go
-  // straight into the report.
+  // needs to run when the stage-2 deflation was non-trivial.
   if (s.deflation.removed > 0 &&
       core::hasHigherOrderImpulses(s.balanced.sys, s.options.rankTol,
                                    &s.report.rankPolicy,
                                    &s.report.staircase, eComp))
     return verdict(core::FailureStage::HigherOrderImpulse);
   const core::M1Extraction m1 =
-      core::extractM1(s.balanced.sys, s.options.rankTol, {}, eComp);
+      core::extractM1(s.balanced.sys, s.options.rankTol, {}, eComp,
+                      &s.report.rankPolicy, &s.report.staircase);
   s.deflation.halfECompression = linalg::Compression{};  // last reader
   s.deflation.hasHalfECompression = false;
-  s.report.rankPolicy.merge(m1.rankReport);
-  s.report.staircase.merge(m1.staircase);
   // The balanced system is G_b(s) = G(tau * s) with residue tau * M1 at
   // infinity; undo the frequency scaling for reporting.
   s.report.m1 = (1.0 / s.balanced.freqScale) * m1.m1;
@@ -119,11 +115,10 @@ Status m1Extraction(PipelineState& s) {
 Status properPart(PipelineState& s) {
   core::ProperPartResult& pp = s.properPart;
   pp = core::extractProperPart(s.nondynamic.shh, s.options.imagTol,
-                               s.options.rankTol);
+                               s.options.rankTol, &s.report.rankPolicy);
   s.nondynamic.shh = shh::ShhRealization{};  // last reader
   s.report.reorder = pp.reorder;
   s.report.schur = pp.schur;
-  s.report.rankPolicy.merge(pp.rankReport);
   if (!pp.ok) return verdict(core::FailureStage::LosslessAxisModes);
   return Status::okStatus();
 }
@@ -234,6 +229,41 @@ bool AnalysisReport::decisionEquals(const AnalysisReport& other) const {
   return true;
 }
 
+void writeHealthJson(json::Writer& w, const AnalysisReport& r) {
+  w.key("reorder").beginObject();
+  w.key("swaps").value(r.reorder.swaps);
+  w.key("rejectedSwaps").value(r.reorder.rejectedSwaps);
+  w.key("maxResidual").value(r.reorder.maxResidual);
+  w.key("eigenvalueDrift").value(r.reorder.eigenvalueDrift);
+  w.key("standardizations").value(r.reorder.standardizations);
+  w.endObject();
+  w.key("schur").beginObject();
+  w.key("multishift").value(r.schur.multishift);
+  w.key("sweeps").value(r.schur.sweeps);
+  w.key("aedWindows").value(r.schur.aedWindows);
+  w.key("aedDeflations").value(r.schur.aedDeflations);
+  w.key("shiftsApplied").value(r.schur.shiftsApplied);
+  w.key("iterations").value(r.schur.iterations);
+  w.key("structureRepairs").value(r.schur.structureRepairs);
+  w.endObject();
+  w.key("rankPolicy").beginObject();
+  w.key("decisions").value(r.rankPolicy.decisions);
+  w.key("minKeptMargin").value(r.rankPolicy.minKeptMargin);
+  w.key("maxDroppedMargin").value(r.rankPolicy.maxDroppedMargin);
+  w.endObject();
+  const linalg::StaircaseReport& st = r.staircase;
+  w.key("staircase").beginObject();
+  w.key("compressions").value(st.compressions);
+  w.key("svdFallbacks").value(st.svdFallbacks);
+  w.key("diagonalFastPaths").value(st.diagonalFastPaths);
+  w.key("qrCompressions").value(st.qrCompressions);
+  w.key("skewTridiagonalizations").value(st.skewTridiagonalizations);
+  w.key("reusedCompressions").value(st.reusedCompressions);
+  w.key("chainLength").value(st.chainLength);
+  w.key("truncatedSteps").value(st.truncatedSteps);
+  w.endObject();
+}
+
 std::string AnalysisReport::toJson() const {
   json::Writer w;
   w.beginObject();
@@ -256,37 +286,7 @@ std::string AnalysisReport::toJson() const {
     w.key("peakBytes").value(peak);
   }
   w.key("m1").value(m1);
-  w.key("reorder").beginObject();
-  w.key("swaps").value(reorder.swaps);
-  w.key("rejectedSwaps").value(reorder.rejectedSwaps);
-  w.key("maxResidual").value(reorder.maxResidual);
-  w.key("eigenvalueDrift").value(reorder.eigenvalueDrift);
-  w.key("standardizations").value(reorder.standardizations);
-  w.endObject();
-  w.key("schur").beginObject();
-  w.key("multishift").value(schur.multishift);
-  w.key("sweeps").value(schur.sweeps);
-  w.key("aedWindows").value(schur.aedWindows);
-  w.key("aedDeflations").value(schur.aedDeflations);
-  w.key("shiftsApplied").value(schur.shiftsApplied);
-  w.key("iterations").value(schur.iterations);
-  w.key("structureRepairs").value(schur.structureRepairs);
-  w.endObject();
-  w.key("rankPolicy").beginObject();
-  w.key("decisions").value(rankPolicy.decisions);
-  w.key("minKeptMargin").value(rankPolicy.minKeptMargin);
-  w.key("maxDroppedMargin").value(rankPolicy.maxDroppedMargin);
-  w.endObject();
-  w.key("staircase").beginObject();
-  w.key("compressions").value(staircase.compressions);
-  w.key("svdFallbacks").value(staircase.svdFallbacks);
-  w.key("diagonalFastPaths").value(staircase.diagonalFastPaths);
-  w.key("qrCompressions").value(staircase.qrCompressions);
-  w.key("skewTridiagonalizations").value(staircase.skewTridiagonalizations);
-  w.key("reusedCompressions").value(staircase.reusedCompressions);
-  w.key("chainLength").value(staircase.chainLength);
-  w.key("truncatedSteps").value(staircase.truncatedSteps);
-  w.endObject();
+  writeHealthJson(w, *this);
   if (margin) {
     w.key("margin").beginObject();
     w.key("defined").value(margin->defined);

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "api/json.hpp"
 #include "api/status.hpp"
 #include "core/impulse_deflation.hpp"
 #include "core/margin.hpp"
@@ -84,13 +85,15 @@ struct AnalysisReport {
   /// under diagnostics.schur.
   linalg::SchurReport schur;
   /// Health of the shared-policy SVD rank decisions behind every
-  /// deflation step (decision count + worst kept/dropped margins,
-  /// linalg/svd.hpp; empty when the run stopped before the deflation
-  /// stages). Serialized under diagnostics.rankPolicy.
+  /// deflation step and the proper-part normalizer (decision count +
+  /// worst kept/dropped margins, linalg/svd.hpp; empty when the run
+  /// stopped before the deflation stages). Each stage passes this record
+  /// down and every decision writes into it. Serialized under
+  /// diagnostics.rankPolicy.
   linalg::RankReport rankPolicy;
   /// Health of the one-pass staircase deflation chain (kernel mix,
-  /// compression reuse, chain truncation — linalg/staircase.hpp), merged
-  /// across the impulse-deflation, nondynamic-removal, and m1-extraction
+  /// compression reuse, chain truncation — linalg/staircase.hpp), written
+  /// by the impulse-deflation, nondynamic-removal, and m1-extraction
   /// stages. Serialized under diagnostics.staircase.
   linalg::StaircaseReport staircase;
   /// Non-fatal diagnostic flags (e.g. Warning::ReorderSwapRejected).
@@ -155,6 +158,12 @@ struct PipelineState {
   /// `id` and `margin` are left to the caller.
   AnalysisReport report;
 };
+
+/// Write the four health records of `report` (reorder, schur, rankPolicy,
+/// staircase) as members of the JSON object that `w` has open.
+/// AnalysisReport::toJson writes its diagnostics through it, and
+/// bench_pipeline its per-order rows, so the two carry one schema.
+void writeHealthJson(json::Writer& w, const AnalysisReport& report);
 
 /// Run `body` as the stage `name`: time it, record its peak memory, emit
 /// its "stage" span. An exception escaping `body`

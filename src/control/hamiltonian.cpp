@@ -6,7 +6,6 @@
 
 #include "linalg/blas.hpp"
 #include "linalg/schur.hpp"
-#include "linalg/schur_reorder.hpp"
 
 namespace shhpass::control {
 
@@ -28,12 +27,8 @@ Matrix symplecticJTimes(const Matrix& h) {
   return jh;
 }
 
-// True iff an eigenvalue of H lies within the imaginary-axis cut
-// max(tol * max(1, |lambda|), 1e3 * eps * ||H||_F): a per-eigenvalue
-// relative threshold with an eps-level absolute floor tied to the matrix
-// norm (the size of backward error in computed eigenvalues). A
-// norm-proportional *tolerance* would misclassify well-damped eigenvalues
-// of badly scaled systems as imaginary.
+}  // namespace
+
 bool anyEigenvalueOnImaginaryAxis(
     const std::vector<std::complex<double>>& eigenvalues, double tol,
     const Matrix& h) {
@@ -45,8 +40,6 @@ bool anyEigenvalueOnImaginaryAxis(
   }
   return false;
 }
-
-}  // namespace
 
 bool isHamiltonian(const Matrix& h, double tol) {
   if (!h.isSquare() || h.rows() % 2 != 0) return false;
@@ -71,31 +64,6 @@ Matrix makeHamiltonian(const Matrix& a, const Matrix& r, const Matrix& q) {
   h.setBlock(n, 0, q);
   h.setBlock(n, n, -1.0 * a.transposed());
   return h;
-}
-
-StableSubspace stableInvariantSubspace(const Matrix& h, double imagTol) {
-  StableSubspace out;
-  if (!h.isSquare() || h.rows() % 2 != 0)
-    throw std::invalid_argument("stableInvariantSubspace: need even size");
-  const std::size_t np = h.rows() / 2;
-  if (np == 0) {
-    out.ok = true;
-    return out;
-  }
-  linalg::RealSchurResult rs = linalg::realSchur(h);
-  out.schur = rs.report;
-  // A Hamiltonian spectrum splits evenly unless eigenvalues sit on the axis.
-  if (anyEigenvalueOnImaginaryAxis(rs.eigenvalues, imagTol, h))
-    return out;  // ok = false
-  const std::size_t k = linalg::reorderSchur(
-      rs.t, rs.q, [](std::complex<double> l) { return l.real() < 0.0; },
-      &out.reorder);
-  if (k != np) return out;  // uneven split: not a clean Hamiltonian spectrum
-  out.x1 = rs.q.block(0, 0, np, np);
-  out.x2 = rs.q.block(np, 0, np, np);
-  out.lambda = rs.t.block(0, 0, np, np);
-  out.ok = true;
-  return out;
 }
 
 bool hasImaginaryAxisEigenvalue(const Matrix& h, double tol) {

@@ -1,13 +1,12 @@
-// Hamiltonian / skew-Hamiltonian structure predicates and the stable
-// invariant subspace computation used in Eq. (22) of the paper.
+// Hamiltonian / skew-Hamiltonian structure predicates and the
+// imaginary-axis cut shared by the Eq.-(22) split (shh/stable_subspace)
+// and the positive-realness certificate.
 #pragma once
 
 #include <complex>
 #include <vector>
 
 #include "linalg/matrix.hpp"
-#include "linalg/schur_multishift.hpp"
-#include "linalg/schur_reorder.hpp"
 
 namespace shhpass::control {
 
@@ -21,31 +20,18 @@ bool isSkewHamiltonian(const linalg::Matrix& w, double tol = 1e-10);
 linalg::Matrix makeHamiltonian(const linalg::Matrix& a, const linalg::Matrix& r,
                                const linalg::Matrix& q);
 
-/// Result of a stable invariant subspace computation on a Hamiltonian
-/// matrix H (size 2np): H [X1; X2] = [X1; X2] Lambda with spec(Lambda) in
-/// the open left half plane.
-struct StableSubspace {
-  linalg::Matrix x1;      ///< Top block, np x np.
-  linalg::Matrix x2;      ///< Bottom block, np x np.
-  linalg::Matrix lambda;  ///< Quasi-triangular np x np stable block.
-  bool ok = false;        ///< False if eigenvalues lie on/near the imaginary
-                          ///< axis and the spectrum cannot be split in half.
-  /// Health record of the Schur reordering that separated the spectrum
-  /// (swap/reject counts, max residual, drift bound).
-  linalg::ReorderReport reorder;
-  /// Health record of the real Schur factorization underneath (which
-  /// kernel path ran, sweep / AED / shift / iteration counters).
-  linalg::SchurReport schur;
-};
+/// The imaginary-axis cut: true iff one of `eigenvalues` (those of `h`)
+/// lies within max(tol * max(1, |lambda|), 1e3 * eps * ||h||_F) of the
+/// axis — a per-eigenvalue relative threshold with an eps-level absolute
+/// floor tied to the matrix norm (the size of backward error in computed
+/// eigenvalues). A norm-proportional *tolerance* would misclassify
+/// well-damped eigenvalues of badly scaled systems as imaginary.
+bool anyEigenvalueOnImaginaryAxis(
+    const std::vector<std::complex<double>>& eigenvalues, double tol,
+    const linalg::Matrix& h);
 
-/// Compute the stable invariant subspace of a Hamiltonian matrix via ordered
-/// real Schur. `imagTol` is the relative margin within which an eigenvalue is
-/// treated as lying on the imaginary axis (making the split impossible).
-StableSubspace stableInvariantSubspace(const linalg::Matrix& h,
-                                       double imagTol = 1e-8);
-
-/// True iff the matrix has an eigenvalue within `tol * max(1, |lambda|)` of
-/// the imaginary axis (used as the core positive-realness certificate).
+/// True iff the matrix has an eigenvalue within the imaginary-axis cut
+/// (used as the core positive-realness certificate).
 bool hasImaginaryAxisEigenvalue(const linalg::Matrix& h, double tol = 1e-8);
 
 }  // namespace shhpass::control

@@ -48,9 +48,12 @@ Matrix blockDiagPhiMultiply(const Matrix& mHalf, const Matrix& v,
 }  // namespace
 
 ImpulseDeflationResult deflateImpulseModes(const shh::ShhRealization& phi,
-                                           double rankTol) {
+                                           double rankTol,
+                                           linalg::RankReport* rankReport,
+                                           linalg::StaircaseReport* stair) {
   ImpulseDeflationResult out;
-  linalg::StaircaseReport& sr = out.staircase;
+  linalg::StaircaseReport discarded;
+  linalg::StaircaseReport& sr = stair != nullptr ? *stair : discarded;
   const std::size_t n2 = phi.order();
   // A_phi = diag(A, -A^T) from buildPhi: every A_phi * X below can run as
   // two half-size gemms (bit-identical values, half the flops).
@@ -75,7 +78,7 @@ ImpulseDeflationResult deflateImpulseModes(const shh::ShhRealization& phi,
   if (hasPhiBlockStructure(phi.e)) {
     const std::size_t n = n2 / 2;
     out.halfECompression = linalg::compress(
-        phi.e.block(0, 0, n, n), full, &out.rankReport, &sr);
+        phi.e.block(0, 0, n, n), full, rankReport, &sr);
     out.hasHalfECompression = true;
     ++sr.reusedCompressions;  // one compression served both blocks
     const linalg::Compression& ce = out.halfECompression;
@@ -87,7 +90,7 @@ ImpulseDeflationResult deflateImpulseModes(const shh::ShhRealization& phi,
     rangeE.setBlock(n, ce.range.cols(), ce.corange);
   } else {
     linalg::Compression ce =
-        linalg::compress(phi.e, full, &out.rankReport, &sr);
+        linalg::compress(phi.e, full, rankReport, &sr);
     kerE = std::move(ce.nullspace);
     rangeE = std::move(ce.range);
   }
@@ -104,7 +107,7 @@ ImpulseDeflationResult deflateImpulseModes(const shh::ShhRealization& phi,
     nullOnly.rankTol = rankTol;
     nullOnly.wantNullspace = true;
     linalg::Compression cs =
-        linalg::compress(stacked, nullOnly, &out.rankReport, &sr);
+        linalg::compress(stacked, nullOnly, rankReport, &sr);
     ++sr.chainLength;
     if (cs.nullity() > 0) vo = kerE * cs.nullspace;
   }
@@ -140,7 +143,7 @@ ImpulseDeflationResult deflateImpulseModes(const shh::ShhRealization& phi,
   spanOpts.wantRange = false;
   spanOpts.wantLeftNullspace = true;
   linalg::Compression cspan = linalg::compress(
-      linalg::hcat(vo, partners), spanOpts, &out.rankReport, &sr);
+      linalg::hcat(vo, partners), spanOpts, rankReport, &sr);
   ++sr.chainLength;
   out.removed = cspan.rank;
 

@@ -33,10 +33,6 @@ struct ImpulseDeflationResult {
                                     ///< impulsive directions.
   linalg::Matrix vKeep;             ///< Right projection basis used.
   linalg::Matrix impulseUnobservable;  ///< Orthonormal basis of V_o.
-  /// Health of the SVD rank decisions taken (shared policy, svd.hpp).
-  linalg::RankReport rankReport;
-  /// Staircase-chain health (kernel mix, fallbacks, chain truncation).
-  linalg::StaircaseReport staircase;
   /// When the stage detected Phi's exact diag(E, E^T) block structure,
   /// the compression of the half-size E block (a compression of the
   /// balanced system's own E) is kept here so the m1-extraction stage
@@ -46,8 +42,12 @@ struct ImpulseDeflationResult {
 };
 
 /// One pass of the deflation (sufficient for minimal passive G, which has
-/// generalized eigenvectors of grade at most 2).
-ImpulseDeflationResult deflateImpulseModes(const shh::ShhRealization& phi,
-                                           double rankTol = -1.0);
+/// generalized eigenvectors of grade at most 2). Every rank decision is
+/// recorded into `rankReport` and the staircase-chain health (kernel mix,
+/// fallbacks, truncation) into `stair`, when non-null.
+ImpulseDeflationResult deflateImpulseModes(
+    const shh::ShhRealization& phi, double rankTol = -1.0,
+    linalg::RankReport* rankReport = nullptr,
+    linalg::StaircaseReport* stair = nullptr);
 
 }  // namespace shhpass::core

@@ -13,12 +13,15 @@ namespace shhpass::core {
 using linalg::Matrix;
 
 M1Extraction extractM1(const ds::DescriptorSystem& g, double rankTol,
-                       DeflationPath, const linalg::Compression* eCompression) {
+                       DeflationPath, const linalg::Compression* eCompression,
+                       linalg::RankReport* rankReport,
+                       linalg::StaircaseReport* stair) {
   g.validate();
   M1Extraction out;
   const std::size_t n = g.order();
   out.m1 = Matrix(g.numOutputs(), g.numInputs());
-  linalg::StaircaseReport& sr = out.staircase;
+  linalg::StaircaseReport discarded;
+  linalg::StaircaseReport& sr = stair != nullptr ? *stair : discarded;
 
   // ONE compression of E serves the whole stage: Ker E / Im E for the
   // right chains, Ker E^T / Im E^T for the left chains, and E^+ / (E^T)^+
@@ -40,7 +43,7 @@ M1Extraction extractM1(const ds::DescriptorSystem& g, double rankTol,
     full.rankTol = rankTol;
     full.wantRange = full.wantCorange = true;
     full.wantNullspace = full.wantLeftNullspace = true;
-    local = linalg::compress(g.e, full, &out.rankReport, &sr);
+    local = linalg::compress(g.e, full, rankReport, &sr);
     ce = &local;
   }
   ++sr.chainLength;
@@ -56,7 +59,7 @@ M1Extraction extractM1(const ds::DescriptorSystem& g, double rankTol,
     nullOnly.rankTol = rankTol;
     nullOnly.wantNullspace = true;
     linalg::Compression cc =
-        linalg::compress(outside, nullOnly, &out.rankReport, &sr);
+        linalg::compress(outside, nullOnly, rankReport, &sr);
     ++sr.chainLength;
     if (cc.nullity() == 0) return Matrix(n, 0);
     return ker * cc.nullspace;

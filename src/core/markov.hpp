@@ -25,10 +25,6 @@ struct M1Extraction {
   bool symmetric = false;   ///< M1 = M1^T within tolerance (required for
                             ///< positive realness of the pole at infinity).
   bool psd = false;         ///< M1 symmetric positive semidefinite.
-  /// Rank decisions taken (shared policy, svd.hpp).
-  linalg::RankReport rankReport;
-  /// Staircase-chain health (kernel mix, compression reuse, truncation).
-  linalg::StaircaseReport staircase;
 };
 
 /// A tag that selects nothing: the staircase chain is the only deflation
@@ -43,10 +39,14 @@ enum class DeflationPath { Auto };
 ///
 /// A non-null `eCompression` (a compression of g.e with range/corange/
 /// nullspace/leftNullspace bases) is reused instead of recompressing E.
-/// The unnamed DeflationPath parameter is ignored.
+/// The unnamed DeflationPath parameter is ignored. Rank decisions are
+/// recorded into `rankReport` and the staircase-chain health (compression
+/// reuse, truncation) into `stair`, when non-null.
 M1Extraction extractM1(const ds::DescriptorSystem& g, double rankTol = -1.0,
                        DeflationPath = DeflationPath::Auto,
-                       const linalg::Compression* eCompression = nullptr);
+                       const linalg::Compression* eCompression = nullptr,
+                       linalg::RankReport* rankReport = nullptr,
+                       linalg::StaircaseReport* stair = nullptr);
 
 /// True iff the pencil (E, A) carries generalized eigenvector chains of
 /// grade >= 3, i.e. the index of the pencil exceeds 2. For a minimal G this

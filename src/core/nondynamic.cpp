@@ -61,10 +61,12 @@ void finishRemoval(NondynamicRemovalResult& out,
 }  // namespace
 
 NondynamicRemovalResult removeNondynamicModes(
-    const shh::SkewSymRealization& s1, double rankTol) {
+    const shh::SkewSymRealization& s1, double rankTol,
+    linalg::RankReport* rankReport, linalg::StaircaseReport* stair) {
   NondynamicRemovalResult out;
   const std::size_t n = s1.order();
-  linalg::StaircaseReport& sr = out.staircase;
+  linalg::StaircaseReport discarded;
+  linalg::StaircaseReport& sr = stair != nullptr ? *stair : discarded;
 
   // Range/kernel split of the exactly-skew E1 through the
   // skew-tridiagonal compression kernel (Auto detects the structure and
@@ -73,7 +75,7 @@ NondynamicRemovalResult removeNondynamicModes(
   opts.rankTol = rankTol;
   opts.wantRange = true;
   opts.wantNullspace = true;  // for skew E1, Ker(E1) == Ker(E1^T)
-  linalg::Compression ce = linalg::compress(s1.e, opts, &out.rankReport, &sr);
+  linalg::Compression ce = linalg::compress(s1.e, opts, rankReport, &sr);
   ++sr.chainLength;
   const std::size_t r = ce.rank;
   out.removed = n - r;
@@ -114,7 +116,7 @@ NondynamicRemovalResult removeNondynamicModes(
   linalg::CompressionOptions a22Opts;
   a22Opts.rankTol = rankTol;
   linalg::Compression ca22 =
-      linalg::compress(a22, a22Opts, &out.rankReport, &sr);
+      linalg::compress(a22, a22Opts, rankReport, &sr);
   ++sr.chainLength;
 
   finishRemoval(out, s1, e11, a11, a12, a22, c1, c2, ca22.rank);

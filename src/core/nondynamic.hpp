@@ -32,16 +32,16 @@ struct NondynamicRemovalResult {
   shh::ShhRealization shh;    ///< (E3, A3, C3, D3) with E3 nonsingular
                               ///< skew-Hamiltonian, A3 Hamiltonian
                               ///< (valid only when impulseFree).
-  /// Health of the SVD rank decisions taken (shared policy, svd.hpp):
-  /// the E1 rank split and the A22 impulse-freeness certificate.
-  linalg::RankReport rankReport;
-  /// Staircase-chain health (kernel mix, fallbacks, chain truncation).
-  linalg::StaircaseReport staircase;
 };
 
 /// Eliminate nondynamic modes and restore SHH structure. `rankTol` controls
-/// the rank decisions on E1 and A22 (negative = SVD default).
+/// the rank decisions on E1 and A22 (negative = SVD default); both
+/// decisions (the E1 rank split and the A22 impulse-freeness certificate)
+/// are recorded into `rankReport` and the staircase-chain health into
+/// `stair`, when non-null.
 NondynamicRemovalResult removeNondynamicModes(
-    const shh::SkewSymRealization& s1, double rankTol = -1.0);
+    const shh::SkewSymRealization& s1, double rankTol = -1.0,
+    linalg::RankReport* rankReport = nullptr,
+    linalg::StaircaseReport* stair = nullptr);
 
 }  // namespace shhpass::core

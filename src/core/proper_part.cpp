@@ -18,11 +18,12 @@ using linalg::Matrix;
 namespace {
 
 /// (Eq. 21) Normalize E3 to the identity: sets out.a4 = Z_L A3 Z_R (the
-/// Hamiltonian A4) and the normalizer certificate (condNormalizer,
-/// rankReport), and returns C4 = C3 Z_R. The factors and transforms are
-/// locals, so they are freed before the decoupling allocates its own.
+/// Hamiltonian A4) and out.condNormalizer, records the rank decision on
+/// Ebar into `rankReport`, and returns C4 = C3 Z_R. The factors and
+/// transforms are locals, so they are freed before the decoupling
+/// allocates its own.
 Matrix normalizeE3(const shh::ShhRealization& s3, double rankTol,
-                   ProperPartResult& out) {
+                   linalg::RankReport* rankReport, ProperPartResult& out) {
   const std::size_t n2 = s3.order();
   const std::size_t np = n2 / 2;
 
@@ -71,7 +72,7 @@ Matrix normalizeE3(const shh::ShhRealization& s3, double rankTol,
                   : (esmin == 0.0 ? std::numeric_limits<double>::infinity()
                                   : esv.front() / esmin);
   linalg::rankFromSingularValues(esv, ebar.rows(), ebar.cols(), rankTol,
-                                 &out.rankReport);
+                                 rankReport);
 
   // A4 = Z_L A3 Z_R is Hamiltonian; C4 = C3 Z_R; B4 = J C4^T automatically.
   out.a4 = zl * s3.a * zr;
@@ -81,7 +82,8 @@ Matrix normalizeE3(const shh::ShhRealization& s3, double rankTol,
 }  // namespace
 
 ProperPartResult extractProperPart(const shh::ShhRealization& s3,
-                                   double imagTol, double rankTol) {
+                                   double imagTol, double rankTol,
+                                   linalg::RankReport* rankReport) {
   ProperPartResult out;
   const std::size_t n2 = s3.order();
   const std::size_t m = s3.ports();
@@ -96,12 +98,11 @@ ProperPartResult extractProperPart(const shh::ShhRealization& s3,
   }
   const std::size_t np = n2 / 2;
 
-  const Matrix c4 = normalizeE3(s3, rankTol, out);
+  const Matrix c4 = normalizeE3(s3, rankTol, rankReport, out);
 
   // (Eqs. 22-23) Split the Hamiltonian spectrum and decouple.
-  shh::HamiltonianDecoupling dec = shh::decoupleHamiltonian(out.a4, imagTol);
-  out.reorder = dec.reorder;
-  out.schur = dec.schur;
+  shh::HamiltonianDecoupling dec =
+      shh::decoupleHamiltonian(out.a4, imagTol, &out.schur, &out.reorder);
 
   if (!dec.ok) return out;  // imaginary-axis eigenvalues: cannot split
 

@@ -40,20 +40,19 @@ struct ProperPartResult {
   /// (multishift/unblocked path, sweep / AED / shift / iteration
   /// counters — linalg/schur_multishift.hpp).
   linalg::SchurReport schur;
-  /// Health of the SVD rank decision on Ebar, the inverted factor of
-  /// the E3 normalizer (shared policy, svd.hpp): full rank expected; a
-  /// dropped value here means the upstream nonsingularity invariant is
-  /// numerically marginal.
-  linalg::RankReport rankReport;
 };
 
 /// Extract the stable proper part from an impulse-free SHH realization with
 /// nonsingular skew-Hamiltonian E3. Throws std::runtime_error if E3 is
 /// numerically singular (pipeline invariant violated upstream). `rankTol`
-/// feeds the shared-policy rank decision on the normalizer (negative =
-/// SVD default), matching the tolerance the deflation stages used.
+/// feeds the shared-policy rank decision on Ebar, the inverted factor of
+/// the E3 normalizer (negative = SVD default), matching the tolerance the
+/// deflation stages used. That decision is recorded into `rankReport` when
+/// non-null: full rank is expected, and a dropped value means the upstream
+/// nonsingularity invariant is numerically marginal.
 ProperPartResult extractProperPart(const shh::ShhRealization& s3,
                                    double imagTol = 1e-8,
-                                   double rankTol = -1.0);
+                                   double rankTol = -1.0,
+                                   linalg::RankReport* rankReport = nullptr);
 
 }  // namespace shhpass::core

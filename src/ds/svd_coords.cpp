@@ -33,11 +33,12 @@ Matrix SvdCoordinates::c2() const {
   return sys.c.block(0, rankE, sys.numOutputs(), sys.order() - rankE);
 }
 
-SvdCoordinates toSvdCoordinates(const DescriptorSystem& sys, double rankTol) {
+SvdCoordinates toSvdCoordinates(const DescriptorSystem& sys, double rankTol,
+                                linalg::RankReport* rankReport) {
   sys.validate();
   SvdCoordinates out;
   linalg::SVD svd(sys.e);
-  out.rankE = svd.rank(rankTol, &out.rankReport);
+  out.rankE = svd.rank(rankTol, rankReport);
   const std::size_t n = sys.order();
   // Full orthogonal U: range columns first, left-nullspace completion after.
   Matrix uFull = linalg::hcat(svd.range(rankTol), svd.leftNullspace(rankTol));

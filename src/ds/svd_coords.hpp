@@ -14,8 +14,6 @@ struct SvdCoordinates {
   DescriptorSystem sys;  ///< Transformed system (same transfer function).
   linalg::Matrix u, v;   ///< Orthogonal transforms used.
   std::size_t rankE = 0; ///< r = rank(E).
-  /// Health of the rank(E) decision (shared policy, svd.hpp).
-  linalg::RankReport rankReport;
 
   /// Conformal blocks of the transformed system.
   linalg::Matrix a11() const;
@@ -29,8 +27,11 @@ struct SvdCoordinates {
 };
 
 /// Compute the SVD-coordinate form of a descriptor system. `rankTol` is the
-/// relative tolerance for rank(E) (negative = SVD default).
+/// relative tolerance for rank(E) (negative = SVD default); the rank(E)
+/// decision is recorded into `rankReport` when non-null (shared policy,
+/// svd.hpp).
 SvdCoordinates toSvdCoordinates(const DescriptorSystem& sys,
-                                double rankTol = -1.0);
+                                double rankTol = -1.0,
+                                linalg::RankReport* rankReport = nullptr);
 
 }  // namespace shhpass::ds

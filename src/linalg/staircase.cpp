@@ -403,11 +403,18 @@ Compression compressSkewTridiagonal(const Matrix& m,
 
 Compression compressSvd(const Matrix& m, const CompressionOptions& o,
                         RankReport* rr) {
-  linalg::SVD svd(m);
   Compression c;
   c.rows = m.rows();
   c.cols = m.cols();
   c.kernelUsed = CompressionKernel::Svd;
+  if (!o.wantRange && !o.wantCorange && !o.wantNullspace &&
+      !o.wantLeftNullspace) {
+    // Rank only: skip the U/V accumulation (bit-identical sigma).
+    c.sigma = linalg::singularValues(m);
+    decideRank(c, o.rankTol, rr);
+    return c;
+  }
+  linalg::SVD svd(m);
   c.sigma = svd.singularValues();
   decideRank(c, o.rankTol, rr);
   if (o.wantRange) c.range = svd.range(o.rankTol);
@@ -418,17 +425,6 @@ Compression compressSvd(const Matrix& m, const CompressionOptions& o,
 }
 
 }  // namespace
-
-void StaircaseReport::merge(const StaircaseReport& other) {
-  compressions += other.compressions;
-  svdFallbacks += other.svdFallbacks;
-  diagonalFastPaths += other.diagonalFastPaths;
-  qrCompressions += other.qrCompressions;
-  skewTridiagonalizations += other.skewTridiagonalizations;
-  reusedCompressions += other.reusedCompressions;
-  chainLength += other.chainLength;
-  truncatedSteps += other.truncatedSteps;
-}
 
 Matrix projectOutTwice(const Matrix& basis, const Matrix& m) {
   if (basis.cols() == 0) return m;

@@ -32,10 +32,12 @@
 //                       odd) and exactly orthonormal range/kernel bases.
 //                       One skew tridiagonalization + half-size O(n^2)
 //                       work instead of a full-size SVD.
-//   * Svd             — certified fallback: a full SVD(M). Always valid;
-//                       counted in StaircaseReport::svdFallbacks so the
-//                       diagnostics show when the structured paths did
-//                       not engage.
+//   * Svd             — certified fallback: a full SVD(M), or only its
+//                       singular values (linalg::singularValues, the
+//                       same bits) when no basis is requested. Always
+//                       valid; counted in StaircaseReport::svdFallbacks
+//                       so the diagnostics show when the structured
+//                       paths did not engage.
 //
 // Every kernel feeds the SAME rank policy with the SAME (full-accuracy)
 // singular values; the kernels differ only in how the bases are
@@ -56,8 +58,9 @@ namespace shhpass::linalg {
 /// Which compression kernel ran.
 enum class CompressionKernel { Svd, Diagonal, QrSvd, SkewTridiagonal };
 
-/// Per-stage health record of the staircase chain, threaded through the
-/// stage results into AnalysisReport diagnostics (next to RankReport).
+/// Health record of the staircase chain. Like RankReport it is passed
+/// down by pointer and every compression writes into the caller's
+/// record; the analyzer hands each stage AnalysisReport::staircase.
 struct StaircaseReport {
   std::size_t compressions = 0;       ///< Compressions computed.
   std::size_t svdFallbacks = 0;       ///< ... that fell back to a full SVD.
@@ -69,9 +72,6 @@ struct StaircaseReport {
   std::size_t chainLength = 0;        ///< Staircase steps executed.
   std::size_t truncatedSteps = 0;     ///< Steps skipped because the
                                       ///< deflation subspace stabilized.
-
-  /// Accumulate another report (plain sums).
-  void merge(const StaircaseReport& other);
 
   bool operator==(const StaircaseReport&) const = default;
 };
@@ -89,7 +89,7 @@ struct CompressionOptions {
 };
 
 /// A certified rank-revealing compression of one matrix. Bases that were
-/// not requested are left empty (0 columns with the correct row count).
+/// not requested are left empty (0 x 0).
 struct Compression {
   std::size_t rows = 0, cols = 0;
   CompressionKernel kernelUsed = CompressionKernel::Svd;

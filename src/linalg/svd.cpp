@@ -573,12 +573,6 @@ void gkSvdBlocked(const Matrix& aIn, std::vector<double>& sv, Matrix& u,
 RankReport::RankReport()
     : minKeptMargin(std::numeric_limits<double>::infinity()) {}
 
-void RankReport::merge(const RankReport& other) {
-  decisions += other.decisions;
-  minKeptMargin = std::min(minKeptMargin, other.minKeptMargin);
-  maxDroppedMargin = std::max(maxDroppedMargin, other.maxDroppedMargin);
-}
-
 double resolveRankTol(const std::vector<double>& s, std::size_t m,
                       std::size_t n, double tol) {
   if (tol >= 0.0) return tol;

@@ -40,8 +40,9 @@
 // rankFromSingularValues counts sigma > tol, where a negative tol
 // resolves to the LAPACK-style default max(m, n) * eps * sigma_max.
 // Decisions can be recorded into a RankReport (decision count plus the
-// worst kept/dropped margins relative to the cutoff), which the analyzer
-// threads into AnalysisReport JSON next to the reorder health record.
+// worst kept/dropped margins relative to the cutoff). The caller passes
+// its record down and every decision writes into it; the analyzer hands
+// each stage AnalysisReport::rankPolicy.
 #pragma once
 
 #include <cstddef>
@@ -77,8 +78,6 @@ struct RankReport {
   double maxDroppedMargin = 0.0;
 
   RankReport();
-  /// Accumulate another report (sum counts, widen margins).
-  void merge(const RankReport& other);
 
   bool operator==(const RankReport&) const = default;
 };

@@ -3,9 +3,12 @@
 // (error paths, JSON reports), and batch/sequential agreement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <functional>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -79,6 +82,61 @@ TEST(ApiIngest, ParseFailureMapsToNetlistParseErrorWithDiagnostics) {
 
 TEST(ApiIngest, UnreadableFileMapsToNetlistParseError) {
   Result<LoadedNetlist> r = loadNetlist("/nonexistent/shhpass.cir");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), ErrorCode::NetlistParseError);
+  EXPECT_NE(r.status().message().find("[FILE_ERROR]"), std::string::npos);
+}
+
+bool bitEqual(const Matrix& a, const Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    for (std::size_t j = 0; j < a.cols(); ++j)
+      if (a(i, j) != b(i, j)) return false;
+  return true;
+}
+
+TEST(ApiIngest, LoadSystemIsLoadNetlistThenStamp) {
+  // Every golden netlist file, under the default and the mutant-admitting
+  // parse options: the one-call entry point yields the two-step result,
+  // bit for bit (or the same parse error).
+  std::vector<std::string> paths;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(SHHPASS_TEST_DATA_DIR))
+    if (entry.path().extension() == ".cir")
+      paths.push_back(entry.path().string());
+  std::sort(paths.begin(), paths.end());
+  ASSERT_FALSE(paths.empty());
+  circuits::SpiceParseOptions active;
+  active.allowActiveElements = true;
+  for (const std::string& path : paths) {
+    for (const circuits::SpiceParseOptions& opts :
+         {circuits::SpiceParseOptions{}, active}) {
+      SCOPED_TRACE(path + (opts.allowActiveElements ? " (active)" : ""));
+      Result<ds::DescriptorSystem> one = loadSystem(path, opts);
+      Result<LoadedNetlist> loaded = loadNetlist(path, opts);
+      if (!loaded.ok()) {
+        ASSERT_FALSE(one.ok());
+        EXPECT_EQ(one.status().code(), loaded.status().code());
+        EXPECT_EQ(one.status().message(), loaded.status().message());
+        continue;
+      }
+      Result<ds::DescriptorSystem> two = stampNetlist(loaded->netlist);
+      ASSERT_TRUE(two.ok()) << two.status().toString();
+      ASSERT_TRUE(one.ok()) << one.status().toString();
+      EXPECT_TRUE(bitEqual(one->e, two->e));
+      EXPECT_TRUE(bitEqual(one->a, two->a));
+      EXPECT_TRUE(bitEqual(one->b, two->b));
+      EXPECT_TRUE(bitEqual(one->c, two->c));
+      EXPECT_TRUE(bitEqual(one->d, two->d));
+    }
+  }
+  // At least the mutant-admitting pass loads every file.
+  for (const std::string& path : paths)
+    EXPECT_TRUE(loadSystem(path, active).ok()) << path;
+}
+
+TEST(ApiIngest, LoadSystemOfAMissingFileIsAParseError) {
+  Result<ds::DescriptorSystem> r = loadSystem("/nonexistent/shhpass.cir");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), ErrorCode::NetlistParseError);
   EXPECT_NE(r.status().message().find("[FILE_ERROR]"), std::string::npos);

@@ -1,5 +1,6 @@
-// Tests for Hamiltonian structure predicates and the stable invariant
-// subspace computation (Eq. 22 of the paper).
+// Tests for Hamiltonian structure predicates, the imaginary-axis cut, and
+// the stable invariant subspace behind the Eq.-22 split
+// (shh::decoupleHamiltonian).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,12 +10,15 @@
 #include "linalg/blas.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/schur.hpp"
+#include "shh/stable_subspace.hpp"
 #include "test_support.hpp"
 
 namespace shhpass::control {
 namespace {
 
 using linalg::Matrix;
+using shh::decoupleHamiltonian;
+using shh::HamiltonianDecoupling;
 using testing::expectMatrixNear;
 using testing::randomMatrix;
 using testing::randomStable;
@@ -85,14 +89,17 @@ TEST(StableSubspaceTest, RiccatiStyleHamiltonian) {
   Matrix c = randomMatrix(2, n, 308);
   Matrix h = makeHamiltonian(a, -1.0 * linalg::abt(b, b),
                              -1.0 * linalg::atb(c, c));
-  StableSubspace ss = stableInvariantSubspace(h);
-  ASSERT_TRUE(ss.ok);
-  EXPECT_EQ(ss.x1.rows(), n);
+  HamiltonianDecoupling dec = decoupleHamiltonian(h);
+  ASSERT_TRUE(dec.ok);
+  // Z1 = [X1 -X2; X2 X1] with the stable basis [X1; X2] in its first np
+  // columns.
+  ASSERT_EQ(dec.z1.rows(), 2 * n);
+  EXPECT_EQ(dec.lambda.rows(), n);
   // Invariance: H [X1; X2] = [X1; X2] Lambda.
-  Matrix x = linalg::vcat(ss.x1, ss.x2);
-  expectMatrixNear(h * x, x * ss.lambda, 1e-8);
+  Matrix x = dec.z1.block(0, 0, 2 * n, n);
+  expectMatrixNear(h * x, x * dec.lambda, 1e-8);
   // Lambda stable.
-  for (const auto& l : linalg::quasiTriangularEigenvalues(ss.lambda))
+  for (const auto& l : linalg::quasiTriangularEigenvalues(dec.lambda))
     EXPECT_LT(l.real(), 0.0);
 }
 
@@ -104,17 +111,18 @@ TEST(StableSubspaceTest, SymplecticPropertyX1tX2Symmetric) {
   Matrix c = randomMatrix(2, n, 311);
   Matrix h = makeHamiltonian(a, -1.0 * linalg::abt(b, b),
                              -1.0 * linalg::atb(c, c));
-  StableSubspace ss = stableInvariantSubspace(h);
-  ASSERT_TRUE(ss.ok);
-  Matrix x1tx2 = linalg::atb(ss.x1, ss.x2);
+  HamiltonianDecoupling dec = decoupleHamiltonian(h);
+  ASSERT_TRUE(dec.ok);
+  Matrix x1tx2 =
+      linalg::atb(dec.z1.block(0, 0, n, n), dec.z1.block(n, 0, n, n));
   EXPECT_TRUE(x1tx2.isSymmetric(1e-8 * std::max(1.0, x1tx2.maxAbs())));
 }
 
 TEST(StableSubspaceTest, FailsOnImaginaryAxisEigenvalues) {
   // H = [0 1; -1 0] (J itself) has eigenvalues +/- i.
   Matrix h = Matrix::symplecticJ(1);
-  StableSubspace ss = stableInvariantSubspace(h);
-  EXPECT_FALSE(ss.ok);
+  HamiltonianDecoupling dec = decoupleHamiltonian(h);
+  EXPECT_FALSE(dec.ok);
 }
 
 TEST(ImaginaryAxisDetection, DetectsAndClears) {
@@ -151,10 +159,12 @@ Matrix hamiltonianWithPairNearAxis(std::size_t np, double offset, double tol,
 }
 
 TEST(ImaginaryAxisDetection, AgreesWithStableSubspaceAtTheCut) {
-  // Both decisions apply one cut to bitwise-equal eigenvalues
-  // (eigenvalues(h) == realSchur(h).eigenvalues): a pair at half the cut
-  // is on the axis for both, a pair at twice the cut for neither. The
-  // last orders cross kSchurCrossover, so the multishift path runs too.
+  // Both decisions — the positive-realness certificate and the Eq.-22
+  // split of decoupleHamiltonian — apply one cut to bitwise-equal
+  // eigenvalues (eigenvalues(h) == realSchur(h).eigenvalues): a pair at
+  // half the cut is on the axis for both, a pair at twice the cut for
+  // neither. The last orders cross kSchurCrossover, so the multishift
+  // path runs too.
   constexpr double kTol = 1e-6;
   for (unsigned seed = 0; seed < 12; ++seed) {
     const std::size_t np = 4 + 6 * seed;
@@ -162,10 +172,12 @@ TEST(ImaginaryAxisDetection, AgreesWithStableSubspaceAtTheCut) {
       const Matrix h =
           hamiltonianWithPairNearAxis(np, offset, kTol, 900 + seed);
       const bool onAxis = hasImaginaryAxisEigenvalue(h, kTol);
-      const StableSubspace ss = stableInvariantSubspace(h, kTol);
-      EXPECT_EQ(ss.reorder.rejectedSwaps, 0u)
+      linalg::ReorderReport reorder;
+      const HamiltonianDecoupling dec =
+          decoupleHamiltonian(h, kTol, nullptr, &reorder);
+      EXPECT_EQ(reorder.rejectedSwaps, 0u)
           << "np=" << np << " offset=" << offset;
-      EXPECT_EQ(onAxis, !ss.ok) << "np=" << np << " offset=" << offset;
+      EXPECT_EQ(onAxis, !dec.ok) << "np=" << np << " offset=" << offset;
       EXPECT_EQ(onAxis, offset < 1.0) << "np=" << np << " offset=" << offset;
     }
   }

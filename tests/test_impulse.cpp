@@ -192,18 +192,21 @@ TEST(RankPolicyBoundary, RankReportRecordsDecisionSharpness) {
   // delta barely above the cutoff: kept, but the recorded margin exposes
   // how sharp the decision was (near 1 = near-flip).
   const double tol = 1e-8;
-  SvdCoordinates sharp = toSvdCoordinates(nearSingularE(1.5e-8), tol);
+  linalg::RankReport sharpReport;
+  SvdCoordinates sharp =
+      toSvdCoordinates(nearSingularE(1.5e-8), tol, &sharpReport);
   EXPECT_EQ(sharp.rankE, 2u);
-  EXPECT_EQ(sharp.rankReport.decisions, 1u);
-  EXPECT_GT(sharp.rankReport.minKeptMargin, 1.0);
-  EXPECT_LT(sharp.rankReport.minKeptMargin, 2.0);  // 1.5e-8 / 1e-8
+  EXPECT_EQ(sharpReport.decisions, 1u);
+  EXPECT_GT(sharpReport.minKeptMargin, 1.0);
+  EXPECT_LT(sharpReport.minKeptMargin, 2.0);  // 1.5e-8 / 1e-8
   // The trailing exact zero is dropped with a huge distance to the
   // cutoff: the dropped margin stays near 0.
-  EXPECT_LT(sharp.rankReport.maxDroppedMargin, 1e-3);
+  EXPECT_LT(sharpReport.maxDroppedMargin, 1e-3);
   // A comfortable case: both margins far from 1.
-  SvdCoordinates wide = toSvdCoordinates(nearSingularE(1e-3), tol);
-  EXPECT_EQ(wide.rankReport.decisions, 1u);
-  EXPECT_GT(wide.rankReport.minKeptMargin, 1e3);
+  linalg::RankReport wideReport;
+  toSvdCoordinates(nearSingularE(1e-3), tol, &wideReport);
+  EXPECT_EQ(wideReport.decisions, 1u);
+  EXPECT_GT(wideReport.minKeptMargin, 1e3);
 }
 
 TEST(RankPolicyBoundary, ImpulseTestsStableAcrossPolicyWobble) {

@@ -203,6 +203,27 @@ TEST(StaircaseCompression, SvdFallbackOnUnstructuredSquare) {
   EXPECT_EQ(sr.svdFallbacks, 1u);
   EXPECT_EQ(sr.compressions, 1u);
   expectValidCompression(m, c, "svd-fallback");
+
+  // Rank only (no basis requested) above the blocked-SVD crossover: the
+  // fallback computes singular values without U/V, and they must be the
+  // full SVD's bits, so the rank decision cannot move.
+  const std::size_t n = linalg::kSvdCrossover + 12;
+  const Matrix big = testing::randomRankDeficient(n, n, n - 20, 33);
+  StaircaseReport srBig;
+  Compression v = linalg::compress(big, CompressionOptions{}, nullptr, &srBig);
+  const linalg::SVD full(big);
+  EXPECT_EQ(v.kernelUsed, CompressionKernel::Svd);
+  EXPECT_EQ(srBig.svdFallbacks, 1u);
+  ASSERT_EQ(v.sigma.size(), full.singularValues().size());
+  EXPECT_EQ(std::memcmp(v.sigma.data(), full.singularValues().data(),
+                        v.sigma.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(v.rank, full.rank());
+  EXPECT_EQ(v.rank, n - 20);
+  EXPECT_TRUE(v.range.empty());
+  EXPECT_TRUE(v.corange.empty());
+  EXPECT_TRUE(v.nullspace.empty());
+  EXPECT_TRUE(v.leftNullspace.empty());
 }
 
 TEST(StaircaseCompression, DegenerateShapes) {
@@ -258,12 +279,14 @@ TEST(StaircaseCompression, BitDeterministicAcrossGemmThreads) {
 void expectChainParity(const ds::DescriptorSystem& g, const char* label) {
   SCOPED_TRACE(label);
   shh::ShhRealization phi = core::buildPhi(g);
-  core::ImpulseDeflationResult sc = core::deflateImpulseModes(phi);
+  StaircaseReport stair;
+  core::ImpulseDeflationResult sc =
+      core::deflateImpulseModes(phi, -1.0, nullptr, &stair);
   oracle::ImpulseDeflation ora = oracle::deflateImpulseModes(phi);
   EXPECT_EQ(sc.removed, ora.removed) << "stage-1 deflation count";
   EXPECT_EQ(sc.reduced.order(), ora.reduced.order());
   EXPECT_TRUE(sc.reduced.checkStructure());
-  EXPECT_GT(sc.staircase.compressions, 0u);
+  EXPECT_GT(stair.compressions, 0u);
 
   // Transfer preservation of the staircase reduction (same property the
   // oracle path is tested for in test_core_stages.cpp).
@@ -358,9 +381,10 @@ TEST(StaircaseChainParity, PipelineUsesStaircaseAtEveryOrder) {
       // the balanced E instead of recompressing it.
       core::ImpulseDeflationResult d = core::deflateImpulseModes(phi);
       ASSERT_TRUE(d.hasHalfECompression);
-      core::M1Extraction m1 =
-          core::extractM1(bal, -1.0, {}, &d.halfECompression);
-      EXPECT_GT(m1.staircase.reusedCompressions, 0u);
+      StaircaseReport m1Stair;
+      core::M1Extraction m1 = core::extractM1(
+          bal, -1.0, {}, &d.halfECompression, nullptr, &m1Stair);
+      EXPECT_GT(m1Stair.reusedCompressions, 0u);
       EXPECT_EQ(m1.chainCount, oracle::extractM1(bal).chainCount);
     }
   }

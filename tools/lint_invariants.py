@@ -84,12 +84,16 @@ one-fig1-chain
     The Fig.-1 chain has one implementation: the stage table of
     src/api/pipeline.cpp, run by api::runPipeline. A call to
     `deflateImpulseModes(` anywhere else in library code (src/,
-    baselines/; outside the stage's own src/core/impulse_deflation.*) is
-    a hand-wired copy of the chain:
+    baselines/; outside the stage's own src/core/impulse_deflation.*) or
+    in bench/ and examples/ is a hand-wired copy of the chain:
     it skips whichever screens and gates its author forgot (model
-    reduction once skipped the prerequisites and the M1 >= 0 check).
-    Extensions that need the proper part or M1 run the pipeline and read
-    its PipelineState.
+    reduction once skipped the prerequisites and the M1 >= 0 check, and
+    the conditioning bench once skipped them too). Extensions that need
+    the proper part or M1 run the pipeline and read its PipelineState.
+    tests/ (stage-level oracles) and perfbench/ (whose frozen replay
+    copies the stages on purpose, to time each one) are out of scope.
+    Waivable with `lint-ok: one-fig1-chain` (a kernel row that times one
+    stage against its oracle is not a chain).
 
 kernel-layering
     A project `#include "..."` in src/linalg/ or src/obs/ may only name a
@@ -333,7 +337,7 @@ def check_no_raw_clock(root: str) -> List[Finding]:
 
 def check_one_fig1_chain(root: str) -> List[Finding]:
     findings = []
-    for path in _cpp_files(root, LIBRARY_DIRS):
+    for path in _cpp_files(root, LIBRARY_DIRS + ("bench", "examples")):
         rel = _rel(root, path)
         if (rel == "src/api/pipeline.cpp"
                 or rel.startswith("src/core/impulse_deflation.")):

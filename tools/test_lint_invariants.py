@@ -224,6 +224,27 @@ void reduce(const Phi& phi) { auto s1 = deflateImpulseModes(phi, -1.0); }
     print("PASS: src-wide rules also scan baselines/")
 
 
+def test_fig1_chain_scans_bench_and_examples():
+    """one-fig1-chain also fires in bench/ and examples/; tests/ and
+    perfbench/ stay out of scope, and a waived kernel-row line is clean."""
+    with tempfile.TemporaryDirectory() as root:
+        chain = "void f(const Phi& p) { auto s1 = deflateImpulseModes(p); }\n"
+        bench = write(root, "bench/bench_bad.cpp", "\n" + chain + """
+auto row = core::deflateImpulseModes(phi);  // lint-ok: one-fig1-chain
+""")
+        example = write(root, "examples/bad_example.cpp", chain)
+        write(root, "perfbench/replay.cpp", chain)
+        write(root, "tests/test_chain.cpp", chain)
+        findings = lint_invariants.run(root)
+        got = sorted((f.rule, f.path, f.line) for f in findings)
+        want = sorted([
+            ("one-fig1-chain", bench, 2),
+            ("one-fig1-chain", example, 1),
+        ])
+        assert got == want, f"expected {want}, got {got}"
+    print("PASS: one-fig1-chain also scans bench/ and examples/")
+
+
 def test_stripper():
     strip = lint_invariants.strip_comments_and_strings
     assert "throw" not in strip("// may throw\nint x;")
@@ -248,6 +269,7 @@ def main():
     test_stripper()
     test_fixture_tree()
     test_library_rules_scan_baselines()
+    test_fig1_chain_scans_bench_and_examples()
     test_clean_tree_has_no_findings()
     print("lint_invariants self-test: OK")
     return 0
