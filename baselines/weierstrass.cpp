@@ -107,6 +107,7 @@ WeierstrassForm weierstrass(const DescriptorSystem& sys, double infTol) {
   // L A Z = I + sigma diag(M11, M22).
   Matrix wz = w * z;
   linalg::LU wzlu(wz);
+  // The baseline's own pivot cutoffs.  lint-ok: rank-tol-literal
   if (wzlu.isSingular(1e-13))
     throw std::runtime_error("weierstrass: left transform singular");
   Matrix lb = wzlu.solve(sys.b);   // L B
@@ -115,7 +116,7 @@ WeierstrassForm weierstrass(const DescriptorSystem& sys, double infTol) {
   // Finite block scaling: M11^{-1} (I block) gives Ap = sigma I + M11^{-1}.
   if (q > 0) {
     linalg::LU m11lu(m11);
-    if (m11lu.isSingular(1e-13))
+    if (m11lu.isSingular(1e-13))  // lint-ok: rank-tol-literal
       throw std::runtime_error("weierstrass: finite block singular");
     wf.ap = sigma * Matrix::identity(q) + m11lu.inverse();
     wf.bp = m11lu.solve(lb.block(0, 0, q, sys.numInputs()));

@@ -2,10 +2,10 @@
 // (Sec. 2.4, Eq. 8-9 of the paper) and the "conventional" passivity test
 // built on it — the baseline the paper compares against.
 //
-// Implementation note (see DESIGN.md): the paper uses GUPTRI; here the
-// separation of finite and infinite structure is computed by shift-and-invert
-// onto an ordered real Schur problem followed by a Sylvester decoupling and
-// block scalings. Like any Weierstrass reduction this involves NON-ORTHOGONAL
+// Implementation note (see docs/ARCHITECTURE.md, "Descriptor-system front
+// end"): the paper uses GUPTRI; here the separation of finite and infinite
+// structure is computed by shift-and-invert onto an ordered real Schur
+// problem followed by a Sylvester decoupling and block scalings. Like any Weierstrass reduction this involves NON-ORTHOGONAL
 // transformations; their conditioning is reported in the diagnostics, which
 // is exactly the ill-conditioning the paper's proposed method avoids.
 #pragma once

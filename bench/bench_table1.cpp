@@ -27,7 +27,8 @@ int main(int argc, char** argv) {
 
   const std::size_t orders[] = {20, 40, 60, 80, 100, 200, 400};
   std::printf("# Table 1: CPU times (sec) for different passivity tests\n");
-  std::printf("# RLC ladder models with impulsive modes (see DESIGN.md)\n");
+  std::printf("# RLC ladder models with impulsive modes "
+              "(circuits::makeBenchmarkModel; see docs/BENCHMARKS.md)\n");
   std::printf("%-12s %-12s %-14s %-14s\n", "order", "LMI", "Proposed",
               "Weierstrass");
   for (std::size_t n : orders) {

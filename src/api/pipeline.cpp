@@ -8,6 +8,7 @@
 #include "control/pr_test.hpp"
 #include "core/markov.hpp"
 #include "core/phi_builder.hpp"
+#include "ds/impulse_tests.hpp"
 #include "obs/clock.hpp"
 #include "obs/memory.hpp"
 #include "obs/trace.hpp"
@@ -82,26 +83,24 @@ Status nondynamicRemoval(PipelineState& s) {
 }
 
 // Stage 4: impulsive-part admissibility of G itself — grade >= 3 screen
-// plus M1 extraction and the M1 >= 0 check (Eqs. 24-25). Reads only the
-// prerequisites' balanced system and the impulse-deflation outputs.
+// plus M1 extraction and the M1 >= 0 check (Eqs. 24-25), both readings of
+// one impulsive-structure record. Reads only the prerequisites' balanced
+// system and the impulse-deflation outputs.
 Status m1Extraction(PipelineState& s) {
   // The impulse-deflation stage's compression of the balanced E (the
   // half-size block of Phi's diag(E, E^T)) serves this whole stage too.
-  const linalg::Compression* eComp =
+  const ds::ImpulsiveStructure structure = ds::impulsiveStructure(
+      s.balanced.sys, s.options.rankTol,
       s.deflation.hasHalfECompression ? &s.deflation.halfECompression
-                                      : nullptr;
-  // Skew-symmetric Mk cancel inside Phi, so the grade >= 3 screen only
-  // needs to run when the stage-2 deflation was non-trivial.
-  if (s.deflation.removed > 0 &&
-      core::hasHigherOrderImpulses(s.balanced.sys, s.options.rankTol,
-                                   &s.report.rankPolicy,
-                                   &s.report.staircase, eComp))
-    return verdict(core::FailureStage::HigherOrderImpulse);
-  const core::M1Extraction m1 =
-      core::extractM1(s.balanced.sys, s.options.rankTol, {}, eComp,
-                      &s.report.rankPolicy, &s.report.staircase);
+                                      : nullptr,
+      &s.report.rankPolicy, &s.report.staircase);
   s.deflation.halfECompression = linalg::Compression{};  // last reader
   s.deflation.hasHalfECompression = false;
+  // Skew-symmetric Mk cancel inside Phi, so the grade >= 3 screen only
+  // applies when the stage-2 deflation was non-trivial.
+  if (s.deflation.removed > 0 && structure.index() >= 3)
+    return verdict(core::FailureStage::HigherOrderImpulse);
+  const core::M1Extraction m1 = core::extractM1(s.balanced.sys, structure);
   // The balanced system is G_b(s) = G(tau * s) with residue tau * M1 at
   // infinity; undo the frequency scaling for reporting.
   s.report.m1 = (1.0 / s.balanced.freqScale) * m1.m1;

@@ -1,101 +1,41 @@
 #include "core/markov.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/lu.hpp"
-#include "linalg/staircase.hpp"
 
 namespace shhpass::core {
 
 using linalg::Matrix;
 
-M1Extraction extractM1(const ds::DescriptorSystem& g, double rankTol,
-                       DeflationPath, const linalg::Compression* eCompression,
-                       linalg::RankReport* rankReport,
-                       linalg::StaircaseReport* stair) {
-  g.validate();
+M1Extraction extractM1(const ds::DescriptorSystem& g,
+                       const ds::ImpulsiveStructure& structure) {
   M1Extraction out;
-  const std::size_t n = g.order();
   out.m1 = Matrix(g.numOutputs(), g.numInputs());
-  linalg::StaircaseReport discarded;
-  linalg::StaircaseReport& sr = stair != nullptr ? *stair : discarded;
-
-  // ONE compression of E serves the whole stage: Ker E / Im E for the
-  // right chains, Ker E^T / Im E^T for the left chains, and E^+ / (E^T)^+
-  // for the grade-2 partners. Reuse the caller's compression (typically
-  // the impulse-deflation stage's half-E compression of the same matrix)
-  // when it carries all four bases.
-  linalg::Compression local;
-  const linalg::Compression* ce = nullptr;
-  if (eCompression != nullptr && eCompression->rows == n &&
-      eCompression->cols == n &&
-      eCompression->range.cols() == eCompression->rank &&
-      eCompression->corange.cols() == eCompression->rank &&
-      eCompression->nullspace.cols() == eCompression->nullity() &&
-      eCompression->leftNullspace.cols() == n - eCompression->rank) {
-    ce = eCompression;
-    ++sr.reusedCompressions;
-  } else {
-    linalg::CompressionOptions full;
-    full.rankTol = rankTol;
-    full.wantRange = full.wantCorange = true;
-    full.wantNullspace = full.wantLeftNullspace = true;
-    local = linalg::compress(g.e, full, rankReport, &sr);
-    ce = &local;
-  }
-  ++sr.chainLength;
-
-  // Chain heads on (E, A) and, with `transposed`, on (E^T, A^T) — both
-  // from the same compression.
-  auto chainHeads = [&](const Matrix& ker, const Matrix& range,
-                        bool transposed) {
-    if (ker.cols() == 0) return Matrix(n, 0);
-    Matrix ak = transposed ? linalg::atb(g.a, ker) : g.a * ker;
-    Matrix outside = linalg::projectOutTwice(range, ak);
-    linalg::CompressionOptions nullOnly;
-    nullOnly.rankTol = rankTol;
-    nullOnly.wantNullspace = true;
-    linalg::Compression cc =
-        linalg::compress(outside, nullOnly, rankReport, &sr);
-    ++sr.chainLength;
-    if (cc.nullity() == 0) return Matrix(n, 0);
-    return ker * cc.nullspace;
-  };
-  Matrix v1 = chainHeads(ce->nullspace, ce->range, false);
-  Matrix w1 = chainHeads(ce->leftNullspace, ce->corange, true);
-
-  const std::size_t p = v1.cols();
+  const std::size_t p = structure.heads.cols();
   out.chainCount = p;
-  if (p == 0 || w1.cols() != p) {
+  if (p == 0 || structure.leftHeads.cols() != p) {
     // No impulsive chains (or a left/right mismatch indicating structure
-    // beyond one grade-2 family, handled by the higher-order check). The
-    // rest of the chain is not needed: truncate.
-    ++sr.truncatedSteps;
+    // beyond one grade-2 family, handled by the higher-order check).
     out.symmetric = true;
     out.psd = p == 0;
     return out;
   }
 
-  // Grade-2 partners through the SAME compression: V2 = E^+ (A V1),
-  // W2 = (E^T)^+ (A^T W1) — minimum-norm solutions, Eq. 25.
-  Matrix v2 = ce->applyPinv(g.a * v1);
-  Matrix w2 = ce->applyPinvTranspose(linalg::atb(g.a, w1));
-  sr.reusedCompressions += 2;
-
   // Project onto the impulsive deflating subspaces Z_R = [V1 V2],
   // Z_L = [W1 W2] (Eq. 25) and evaluate M1 = -Cinf Ainf^{-1} Einf Ainf^{-1}
   // Binf.
-  Matrix zr = linalg::hcat(v1, v2);
-  Matrix zl = linalg::hcat(w1, w2);
+  Matrix zr = linalg::hcat(structure.heads, structure.partners);
+  Matrix zl = linalg::hcat(structure.leftHeads, structure.leftPartners);
   Matrix einf = linalg::multiply(linalg::atb(zl, g.e), false, zr, false);
   Matrix ainf = linalg::multiply(linalg::atb(zl, g.a), false, zr, false);
   Matrix binf = linalg::atb(zl, g.b);
   Matrix cinf = g.c * zr;
 
   linalg::LU alu(ainf);
+  // lint-ok: rank-tol-literal  ROADMAP item 1 step 2
   if (alu.isSingular(1e-12)) {
     // Invertibility of Ainf follows from the Weierstrass structure for
     // clean grade-2 families; failure indicates deeper structure.
@@ -118,80 +58,20 @@ M1Extraction extractM1(const ds::DescriptorSystem& g, double rankTol,
   return out;
 }
 
+M1Extraction extractM1(const ds::DescriptorSystem& g, double rankTol,
+                       DeflationPath, const linalg::Compression* eCompression,
+                       linalg::RankReport* rankReport,
+                       linalg::StaircaseReport* stair) {
+  return extractM1(g, ds::impulsiveStructure(g, rankTol, eCompression,
+                                             rankReport, stair));
+}
+
 bool hasHigherOrderImpulses(const ds::DescriptorSystem& g, double rankTol,
                             linalg::RankReport* report,
                             linalg::StaircaseReport* stair,
                             const linalg::Compression* eCompression) {
-  // A grade-3 chain exists iff some grade-2 starter v1 (v1 in Ker E with
-  // A v1 in Im E) admits v2 with E v2 = A v1 and A v2 in Im E. The general
-  // solution is v2 = E^+ A v1 + K alpha (K = Ker E), so extendability
-  // reduces to P A E^+ A v1 in Im(P A K) with P = I - R R^T, R = range(E).
-  //
-  // One code path for every size: all rank decisions go through the
-  // compression policy (structure-picked kernels, shared tolerance rule,
-  // RankReport recording), plus ONE derived cutoff for the final test.
-  g.validate();
-  const Matrix& a = g.a;
-  const std::size_t n = g.order();
-
-  // ONE compression of E serves Ker E, Im E and E^+ (reused from the
-  // caller when it already compressed the same E).
-  linalg::Compression local;
-  const linalg::Compression* ce = nullptr;
-  if (eCompression != nullptr && eCompression->rows == n &&
-      eCompression->cols == n &&
-      eCompression->range.cols() == eCompression->rank &&
-      eCompression->corange.cols() == eCompression->rank &&
-      eCompression->nullspace.cols() == eCompression->nullity()) {
-    ce = eCompression;
-    if (stair != nullptr) ++stair->reusedCompressions;
-  } else {
-    linalg::CompressionOptions full;
-    full.rankTol = rankTol;
-    full.wantRange = full.wantCorange = full.wantNullspace = true;
-    local = linalg::compress(g.e, full, report, stair);
-    ce = &local;
-  }
-  if (ce->nullity() == 0) return false;  // index 0
-  const Matrix& k = ce->nullspace;
-  const Matrix& range = ce->range;
-
-  // Grade-2 starters: Ker of P A K. The SAME compression of P A K also
-  // provides the orthonormal basis of Im(P A K) needed for the final
-  // containment test.
-  Matrix ak = a * k;
-  Matrix outside = linalg::projectOutTwice(range, ak);
-  linalg::CompressionOptions both;
-  both.rankTol = rankTol;
-  both.wantRange = both.wantNullspace = true;
-  linalg::Compression cc = linalg::compress(outside, both, report, stair);
-  if (stair != nullptr) ++stair->reusedCompressions;
-  if (cc.nullity() == 0) return false;  // index <= 1
-  Matrix v2 = k * cc.nullspace;
-
-  // Extendability: P A E^+ A v2 must lie in Im(P A K). t2 is the residual
-  // outside that span; a grade-3 chain exists iff t2 is column-rank
-  // deficient (some combination of starters has zero residual).
-  Matrix t = linalg::projectOutTwice(range,
-                                     a * ce->applyPinv(a * v2));
-  Matrix t2 = linalg::projectOutTwice(cc.range, t);
-
-  // Derived cutoff for the final rank decision: t2 is assembled from
-  // A E^+ A products, so its entries carry roundoff amplified by up to
-  // |A|^2 / sigma_minKept(E) on top of the usual dim * eps * |t2| term.
-  // Columns below that amplification floor are numerically zero residuals.
-  const double eps = std::numeric_limits<double>::epsilon();
-  const double anorm = a.maxAbs();
-  const double sigMin =
-      ce->rank > 0 ? std::max(ce->sigma[ce->rank - 1], 1e-300) : 1.0;
-  const double dim =
-      static_cast<double>(std::max(t2.rows(), t2.cols()));
-  double cut = dim * eps * (anorm * anorm / sigMin + t2.maxAbs());
-  if (rankTol >= 0.0) cut = std::max(cut, rankTol);
-  linalg::CompressionOptions tOpts;
-  tOpts.rankTol = cut;
-  linalg::Compression ct = linalg::compress(t2, tOpts, report, stair);
-  return ct.rank < v2.cols();
+  return ds::impulsiveStructure(g, rankTol, eCompression, report, stair)
+             .index() >= 3;
 }
 
 }  // namespace shhpass::core

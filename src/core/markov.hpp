@@ -3,16 +3,14 @@
 // eigenvector chains (Eqs. 24-25), plus the detection of higher-order
 // (grade >= 3) impulsive structure which Eq. (3) forbids for passive G.
 //
-// The stage is a staircase step (linalg/staircase.hpp): ONE rank-revealing
-// compression of E serves every consumer of the chain — Ker E / Im E for
-// the right chains, Ker E^T / Im E^T for the left chains, and both
-// pseudoinverse applications E^+ and (E^T)^+ for the grade-2 partners.
-// When the impulse-deflation stage already compressed the (balanced) E,
-// the pipeline hands that compression in and this stage recomputes
-// nothing.
+// The stage reads the impulsive-structure record of ds/impulse_tests.hpp:
+// one compression of E (reused from the impulse-deflation stage when the
+// pipeline hands it in) gives the right and left grade-2 heads and their
+// partners, and the second Wong sequence gives the pencil index.
 #pragma once
 
 #include "ds/descriptor.hpp"
+#include "ds/impulse_tests.hpp"
 #include "linalg/staircase.hpp"
 #include "linalg/svd.hpp"
 
@@ -35,13 +33,14 @@ enum class DeflationPath { Auto };
 /// Extract M1 via the deflating-subspace projections of Eq. (25):
 /// right chains V1 = Ker E with A V1 in Im E, V2 = E^+ A V1; left chains
 /// likewise on (E^T, A^T); then M1 = -Cinf Ainf^{-1} Einf Ainf^{-1} Binf
-/// on the projected pencil. For an impulse-free system M1 = 0.
-///
-/// A non-null `eCompression` (a compression of g.e with range/corange/
-/// nullspace/leftNullspace bases) is reused instead of recompressing E.
-/// The unnamed DeflationPath parameter is ignored. Rank decisions are
-/// recorded into `rankReport` and the staircase-chain health (compression
-/// reuse, truncation) into `stair`, when non-null.
+/// on the projected pencil. For an impulse-free system M1 = 0. The heads
+/// and partners are read from `structure`, which must be the record of g.
+M1Extraction extractM1(const ds::DescriptorSystem& g,
+                       const ds::ImpulsiveStructure& structure);
+
+/// extractM1 on the record ds::impulsiveStructure(g, rankTol,
+/// eCompression, rankReport, stair) builds. The unnamed DeflationPath
+/// parameter is ignored.
 M1Extraction extractM1(const ds::DescriptorSystem& g, double rankTol = -1.0,
                        DeflationPath = DeflationPath::Auto,
                        const linalg::Compression* eCompression = nullptr,
@@ -49,17 +48,15 @@ M1Extraction extractM1(const ds::DescriptorSystem& g, double rankTol = -1.0,
                        linalg::StaircaseReport* stair = nullptr);
 
 /// True iff the pencil (E, A) carries generalized eigenvector chains of
-/// grade >= 3, i.e. the index of the pencil exceeds 2. For a minimal G this
-/// is equivalent to some Markov parameter Mk, k >= 2, being nonzero —
+/// grade >= 3, i.e. its index (the number of Wong levels of
+/// ds::impulsiveStructure) is at least 3. For a minimal G this is
+/// equivalent to some Markov parameter Mk, k >= 2, being nonzero —
 /// forbidden by Eq. (3). (This replaces the paper's mode-counting
-/// heuristic with a direct structural check; see DESIGN.md.)
-/// Decided by first-order rank tests (no powers of shifted inverses), so it
-/// is robust on large balanced pencils. Every rank decision goes through
-/// the shared compression policy and is recorded into `report` / `stair`
-/// when non-null; the final extendability decision uses a derived
-/// amplification-aware cutoff (documented at the call). A non-null
-/// `eCompression` of g.e (with range/corange/nullspace bases) is reused
-/// instead of recompressing E.
+/// heuristic with a direct structural check.) Every rank decision is a
+/// shared-policy compression recorded into `report` / `stair` when
+/// non-null; there is no separately derived cutoff. A non-null
+/// `eCompression` of g.e (with all four bases) is reused instead of
+/// recompressing E.
 bool hasHigherOrderImpulses(const ds::DescriptorSystem& g,
                             double rankTol = -1.0,
                             linalg::RankReport* report = nullptr,

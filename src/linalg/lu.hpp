@@ -23,7 +23,7 @@ class LU {
   explicit LU(const Matrix& a);
 
   /// True if a pivot was exactly zero or below `tol * maxAbs`.
-  bool isSingular(double tol = 0.0) const;
+  bool isSingular(double tol = 0) const;
 
   /// Solve A X = B (B may have multiple right-hand sides).
   Matrix solve(const Matrix& b) const;

@@ -35,6 +35,7 @@ std::optional<RegularShift> findRegularShift(const Matrix& e,
                                              const Matrix& a) {
   for (double sigma : trialShifts(e, a)) {
     LU lu(a - sigma * e);
+    // lint-ok: rank-tol-literal  ROADMAP item 1 step 2
     if (!lu.isSingular(1e-10)) return RegularShift{sigma, std::move(lu)};
   }
   return std::nullopt;

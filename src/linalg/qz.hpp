@@ -5,7 +5,7 @@
 // Schur problem, M = (A - sigma E)^{-1} E with a pencil-adapted shift sigma,
 // mapping eigenvalues mu of M to lambda = sigma + 1/mu (mu = 0 <-> lambda =
 // infinity). This is an O(n^3) substitution for a full QZ iteration (see
-// DESIGN.md); the shift is retried over a deterministic candidate list so a
+// docs/ARCHITECTURE.md, "Descriptor-system front end"); the shift is retried over a deterministic candidate list so a
 // singular (A - sigma E) is never used.
 #pragma once
 

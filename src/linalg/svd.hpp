@@ -36,8 +36,8 @@
 //
 // Every consumer that turns singular values into a rank decision
 // (impulse deflation, nondynamic removal, proper-part normalization,
-// SVD coordinates, the LMI reduction) goes through ONE policy:
-// rankFromSingularValues counts sigma > tol, where a negative tol
+// the impulsive-structure record, the LMI reduction) goes through ONE
+// policy: rankFromSingularValues counts sigma > tol, where a negative tol
 // resolves to the LAPACK-style default max(m, n) * eps * sigma_max.
 // Decisions can be recorded into a RankReport (decision count plus the
 // worst kept/dropped margins relative to the cutoff). The caller passes

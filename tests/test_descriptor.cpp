@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "ds/descriptor.hpp"
-#include "ds/svd_coords.hpp"
 #include "test_support.hpp"
 
 namespace shhpass::ds {
@@ -156,44 +155,6 @@ TEST(Descriptor, PopovProbe) {
   // For G(s) = 1/(s+1): lambda_min(G+G^*) = 2 Re G(jw) = 2/(1+w^2).
   EXPECT_NEAR(popovMinEigenvalueDs(firstOrder(), 1.0), 1.0, 1e-10);
   EXPECT_NEAR(popovMinEigenvalueDs(firstOrder(), 0.0), 2.0, 1e-10);
-}
-
-TEST(SvdCoordsTest, PreservesTransferFunction) {
-  DescriptorSystem sys = differentiator();
-  SvdCoordinates sc = toSvdCoordinates(sys);
-  EXPECT_EQ(sc.rankE, 1u);
-  TransferValue g1 = evalTransfer(sys, 1.1, 0.4);
-  TransferValue g2 = evalTransfer(sc.sys, 1.1, 0.4);
-  expectMatrixNear(g1.re, g2.re, 1e-10);
-  expectMatrixNear(g1.im, g2.im, 1e-10);
-}
-
-TEST(SvdCoordsTest, EBlockStructure) {
-  DescriptorSystem sys;
-  sys.e = Matrix{{0, 0, 0}, {0, 2, 0}, {0, 0, 0}};
-  sys.a = Matrix::identity(3);
-  sys.a(0, 0) = -1;
-  sys.b = Matrix(3, 1, 1.0);
-  sys.c = Matrix(1, 3, 1.0);
-  sys.d = Matrix(1, 1);
-  SvdCoordinates sc = toSvdCoordinates(sys);
-  EXPECT_EQ(sc.rankE, 1u);
-  // E' = diag(E11, 0) with E11 nonsingular.
-  EXPECT_NEAR(std::abs(sc.sys.e(0, 0)), 2.0, 1e-12);
-  for (std::size_t i = 0; i < 3; ++i)
-    for (std::size_t j = 0; j < 3; ++j)
-      if (i != 0 || j != 0) EXPECT_EQ(sc.sys.e(i, j), 0.0);
-  // Blocks have conformal sizes.
-  EXPECT_EQ(sc.a22().rows(), 2u);
-  EXPECT_EQ(sc.b2().rows(), 2u);
-  EXPECT_EQ(sc.c2().cols(), 2u);
-}
-
-TEST(SvdCoordsTest, OrthogonalTransforms) {
-  DescriptorSystem sys = differentiator();
-  SvdCoordinates sc = toSvdCoordinates(sys);
-  testing::expectOrthonormalColumns(sc.u);
-  testing::expectOrthonormalColumns(sc.v);
 }
 
 }  // namespace

@@ -1,12 +1,16 @@
-// Tests for the mode census and impulse controllability/observability
-// characterizations (Sec. 2.5 of the paper), plus regressions pinning
-// the shared SVD rank policy (linalg/svd.hpp) at the deflation
-// tolerance boundary.
+// Tests for the impulsive-structure record (ds::impulsiveStructure) and
+// its readers: the mode census, the pencil index and the impulse
+// controllability/observability characterizations (Sec. 2.5 of the
+// paper), plus regressions pinning the shared rank policy
+// (linalg/svd.hpp) at the deflation tolerance boundary.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "circuits/generators.hpp"
+#include "core/markov.hpp"
+#include "ds/balance.hpp"
 #include "ds/impulse_tests.hpp"
-#include "ds/svd_coords.hpp"
 #include "linalg/svd.hpp"
 #include "test_support.hpp"
 
@@ -156,6 +160,77 @@ TEST(CircuitModels, CensusAddsUp) {
   EXPECT_EQ(mc.finite + mc.nondynamic + mc.impulsive, mc.order);
 }
 
+TEST(PencilIndexTest, ImpulsiveBenchmarkModelsAreIndexTwo) {
+  // The Table-1 impulsive ladders carry grade-2 chains only: the index,
+  // the grade-3 screen, the census and M1's chain count agree, raw and
+  // balanced.
+  for (std::size_t order : {40u, 60u, 100u}) {
+    const DescriptorSystem raw = circuits::makeBenchmarkModel(order, true);
+    for (const DescriptorSystem& g : {raw, balanceDescriptor(raw).sys}) {
+      SCOPED_TRACE(order);
+      EXPECT_EQ(pencilIndex(g), 2u);
+      EXPECT_FALSE(core::hasHigherOrderImpulses(g));
+      EXPECT_EQ(censusModes(g).impulsive, core::extractM1(g).chainCount);
+    }
+  }
+}
+
+TEST(ModeCensusTest, ImpulseFreeLadderHasNoImpulsiveModes) {
+  // A port capacitor makes the ladder impulse-free at any element scale;
+  // every dynamic state (10 inductors, 11 capacitors) is a finite mode.
+  circuits::LadderOptions opt;
+  opt.sections = 10;
+  opt.capAtPort = true;
+  opt.r = 1e3;
+  opt.l = 1e-12;
+  opt.c = 1e-6;
+  const DescriptorSystem g = circuits::makeRlcLadder(opt);
+  EXPECT_TRUE(isImpulseFree(g));
+  EXPECT_EQ(pencilIndex(g), 1u);
+  const ModeCensus mc = censusModes(g);
+  EXPECT_EQ(mc.impulsive, 0u);
+  EXPECT_EQ(mc.rankE, 21u);
+  EXPECT_EQ(mc.finite, 21u);
+}
+
+TEST(ModeCensusTest, IndexAndGradeThreeScreenAgreeAndCensusAddsUp) {
+  std::vector<DescriptorSystem> models;
+  for (std::size_t sections : {1u, 3u, 6u})
+    for (bool capAtPort : {false, true})
+      for (std::size_t every : {0u, 2u}) {
+        circuits::LadderOptions opt;
+        opt.sections = sections;
+        opt.capAtPort = capAtPort;
+        opt.impulsiveEvery = every;
+        models.push_back(circuits::makeRlcLadder(opt));
+      }
+  for (std::size_t order : {20u, 40u})
+    for (bool impulsive : {false, true})
+      models.push_back(circuits::makeBenchmarkModel(order, impulsive));
+  for (unsigned seed : {1u, 2u, 3u})
+    for (bool sprinkle : {false, true})
+      models.push_back(circuits::makeRandomRlcNetwork(8, seed, sprinkle));
+  for (std::size_t sections : {1u, 4u, 16u}) {
+    models.push_back(circuits::makeNonPassiveNegativeResistor(sections));
+    models.push_back(circuits::makeNonPassiveNegativeFeedthrough(sections));
+  }
+  models.push_back(circuits::makeNonPassiveIndefiniteM1());
+  models.push_back(circuits::makeNonPassiveHigherOrderImpulse());
+  std::size_t gradeThree = 0;
+  for (std::size_t i = 0; i < models.size(); ++i) {
+    SCOPED_TRACE(i);
+    for (const DescriptorSystem& g :
+         {models[i], balanceDescriptor(models[i]).sys}) {
+      const bool deep = pencilIndex(g) >= 3;
+      EXPECT_EQ(deep, core::hasHigherOrderImpulses(g));
+      gradeThree += deep ? 1 : 0;
+      const ModeCensus mc = censusModes(g);
+      EXPECT_EQ(mc.finite + mc.nondynamic + mc.impulsive, mc.order);
+    }
+  }
+  EXPECT_EQ(gradeThree, 2u);  // the grade-3 mutant, raw and balanced
+}
+
 // ------------- shared rank policy at the deflation tolerance boundary
 
 // E = diag(1, delta, 0): whether the delta state counts as dynamic is
@@ -175,16 +250,18 @@ DescriptorSystem nearSingularE(double delta) {
 
 TEST(RankPolicyBoundary, RankEFollowsExplicitDeflationTolerance) {
   const double tol = 1e-8;
-  EXPECT_EQ(toSvdCoordinates(nearSingularE(1e-6), tol).rankE, 2u);
-  EXPECT_EQ(toSvdCoordinates(nearSingularE(1e-10), tol).rankE, 1u);
+  auto rankE = [](double delta, double t) {
+    return impulsiveStructure(nearSingularE(delta), t).rankE;
+  };
+  EXPECT_EQ(rankE(1e-6, tol), 2u);
+  EXPECT_EQ(rankE(1e-10, tol), 1u);
   // Exactly at the cutoff: the policy is strict (sigma > tol), so an
   // exactly-at-tolerance singular value is DROPPED.
-  EXPECT_EQ(toSvdCoordinates(nearSingularE(tol), tol).rankE, 1u);
+  EXPECT_EQ(rankE(tol, tol), 1u);
   // Roundoff-level wobble of the cutoff must not flip either decision.
   for (double wobble : {1.0 - 1e-13, 1.0 + 1e-13}) {
-    EXPECT_EQ(toSvdCoordinates(nearSingularE(1e-6), tol * wobble).rankE, 2u);
-    EXPECT_EQ(toSvdCoordinates(nearSingularE(1e-10), tol * wobble).rankE,
-              1u);
+    EXPECT_EQ(rankE(1e-6, tol * wobble), 2u);
+    EXPECT_EQ(rankE(1e-10, tol * wobble), 1u);
   }
 }
 
@@ -193,10 +270,14 @@ TEST(RankPolicyBoundary, RankReportRecordsDecisionSharpness) {
   // how sharp the decision was (near 1 = near-flip).
   const double tol = 1e-8;
   linalg::RankReport sharpReport;
-  SvdCoordinates sharp =
-      toSvdCoordinates(nearSingularE(1.5e-8), tol, &sharpReport);
+  ImpulsiveStructure sharp =
+      impulsiveStructure(nearSingularE(1.5e-8), tol, nullptr, &sharpReport);
   EXPECT_EQ(sharp.rankE, 2u);
-  EXPECT_EQ(sharpReport.decisions, 1u);
+  // Three decisions: rank(E) on sigma(E) = {1, 1.5e-8, 0}, and the right
+  // and left grade-2 head tests on (I - R R^T) A K = -e3 and its dual
+  // (sigma 1, kept 1e8 above the cutoff, so the sharp sigma(E) decision
+  // sets the minimum).
+  EXPECT_EQ(sharpReport.decisions, 3u);
   EXPECT_GT(sharpReport.minKeptMargin, 1.0);
   EXPECT_LT(sharpReport.minKeptMargin, 2.0);  // 1.5e-8 / 1e-8
   // The trailing exact zero is dropped with a huge distance to the
@@ -204,8 +285,8 @@ TEST(RankPolicyBoundary, RankReportRecordsDecisionSharpness) {
   EXPECT_LT(sharpReport.maxDroppedMargin, 1e-3);
   // A comfortable case: both margins far from 1.
   linalg::RankReport wideReport;
-  toSvdCoordinates(nearSingularE(1e-3), tol, &wideReport);
-  EXPECT_EQ(wideReport.decisions, 1u);
+  impulsiveStructure(nearSingularE(1e-3), tol, nullptr, &wideReport);
+  EXPECT_EQ(wideReport.decisions, 3u);
   EXPECT_GT(wideReport.minKeptMargin, 1e3);
 }
 

@@ -34,7 +34,6 @@
 #include "core/phi_builder.hpp"
 #include "core/reduction.hpp"
 #include "ds/balance.hpp"
-#include "ds/impulse_tests.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/staircase.hpp"

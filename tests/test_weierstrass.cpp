@@ -6,7 +6,6 @@
 
 #include "baselines/weierstrass.hpp"
 #include "circuits/generators.hpp"
-#include "ds/impulse_tests.hpp"
 #include "test_support.hpp"
 
 namespace shhpass::ds {

@@ -56,9 +56,10 @@ no-reinterpret-cast
 
 rank-tol-literal
     A positive floating-point literal passed as a tolerance to a
-    rank-decision call (`rank(`, `nullspace(`, `kernel(`) is banned in
-    library code (src/, baselines/) outside src/linalg/svd.cpp (the
-    shared-policy implementation itself). Hard-coded cutoffs are
+    rank-decision call (`rank(`, `nullspace(`, `kernel(`) or to an LU
+    pivot test (`isSingular(`) is banned in library code (src/,
+    baselines/) outside src/linalg/svd.cpp (the shared-policy
+    implementation itself). Hard-coded cutoffs are
     how the three deflation stages historically drifted apart; every
     rank decision must flow through resolveRankTol (svd.hpp) — thread a
     rankTol parameter or pass the -1.0 policy sentinel. Waive with
@@ -252,12 +253,13 @@ UNORDERED_RE = re.compile(r"\bstd\s*::\s*unordered_(map|set|multimap|multiset)\b
 DISTRIBUTION_RE = re.compile(r"\bstd\s*::\s*\w*_distribution\b")
 THROW_RE = re.compile(r"\bthrow\b")
 REINTERPRET_RE = re.compile(r"\breinterpret_cast\b")
-# A rank-decision call whose argument list carries a positive floating
-# literal (decimal point or exponent) before the closing paren. The -1.0
-# policy sentinel is excluded by the leading-minus lookbehind; pure
-# integer arguments (e.g. index accessors) never match.
+# A rank-decision call (or an LU pivot test, which decides a rank too)
+# whose argument list carries a positive floating literal (decimal point
+# or exponent) before the closing paren. The -1.0 policy sentinel is
+# excluded by the leading-minus lookbehind; pure integer arguments (e.g.
+# index accessors) never match.
 RANK_TOL_LITERAL_RE = re.compile(
-    r"\b(?:rank|nullspace|kernel)\s*\([^)]*?"
+    r"\b(?:rank|nullspace|kernel|isSingular)\s*\([^)]*?"
     r"(?<![\w.])(?<!-)(?:\d+\.\d*(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|\.\d+)"
 )
 # Namespace-scope kernel declarations: an unindented declarator line whose

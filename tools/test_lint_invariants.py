@@ -245,6 +245,25 @@ auto row = core::deflateImpulseModes(phi);  // lint-ok: one-fig1-chain
     print("PASS: one-fig1-chain also scans bench/ and examples/")
 
 
+def test_rank_tol_literal_flags_lu_pivot_cutoffs():
+    """rank-tol-literal also fires on an LU pivot test with a literal
+    cutoff; the exact-pivot default, a named tolerance and a waived line
+    stay clean."""
+    with tempfile.TemporaryDirectory() as root:
+        path = write(root, "src/core/bad_pivot.cpp", """
+struct LU { bool isSingular(double tol = 0) const; };
+bool c = LU().isSingular(1e-12);  // lint-ok: rank-tol-literal
+bool a = LU().isSingular();
+bool b = LU().isSingular(gTol);
+bool bad = LU().isSingular(1e-10);
+""")
+        findings = lint_invariants.run(root)
+        got = sorted((f.rule, f.path, f.line) for f in findings)
+        want = [("rank-tol-literal", path, 6)]
+        assert got == want, f"expected {want}, got {got}"
+    print("PASS: rank-tol-literal flags literal LU pivot cutoffs")
+
+
 def test_stripper():
     strip = lint_invariants.strip_comments_and_strings
     assert "throw" not in strip("// may throw\nint x;")
@@ -270,6 +289,7 @@ def main():
     test_fixture_tree()
     test_library_rules_scan_baselines()
     test_fig1_chain_scans_bench_and_examples()
+    test_rank_tol_literal_flags_lu_pivot_cutoffs()
     test_clean_tree_has_no_findings()
     print("lint_invariants self-test: OK")
     return 0
