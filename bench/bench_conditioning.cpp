@@ -5,7 +5,7 @@
 // wherever possible. This bench measures, per model order:
 //   * condition numbers of the Weierstrass left/right transforms,
 //   * condition number of the proposed pipeline's only non-orthogonal
-//     factor (the skew-Hamiltonian normalizer K of Eq. 21),
+//     factor (the diagonal E3 normalizer of Eq. 21, s_max / s_min),
 //   * the transfer-function reproduction error of each decomposition.
 // The proposed side is one api::runPipeline run (prerequisites and every
 // Fig.-1 gate included); the Weierstrass side decomposes the same
@@ -22,6 +22,11 @@ namespace {
 
 using namespace shhpass;
 using linalg::Matrix;
+
+// The proposed side uses orthogonal transforms plus one diagonal scaling
+// (Eq. 21), so its Phi reproduction stays at roundoff level on the
+// benchmark ladders; a larger error is reported as a WARN line.
+constexpr double kMaxProperPartError = 1e-11;
 
 // Max relative deviation of Phi(jw) reproduced by the extracted stable
 // proper part Hp: Phi = Hp + Hp~.
@@ -99,6 +104,10 @@ int main(int argc, char** argv) {
     if (state.properPart.ok) {
       condK = state.properPart.condNormalizer;
       errP = properPartError(bal, state.properPart);
+      if (errP > kMaxProperPartError)
+        std::fprintf(stderr,
+                     "WARN: order %zu: err(proposed) %.3e above %.0e\n", n,
+                     errP, kMaxProperPartError);
     }
     std::printf("%-8zu %-13.3e %-13.3e %-13.3e %-13.3e %-13.3e\n", n,
                 wf.condLeft, wf.condRight, condK, errW, errP);

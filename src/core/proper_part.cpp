@@ -1,15 +1,14 @@
 #include "core/proper_part.hpp"
 
-#include <limits>
+#include <algorithm>
+#include <cmath>
+#include <functional>
 #include <stdexcept>
 #include <vector>
 
 #include "linalg/blas.hpp"
-#include "linalg/lu.hpp"
 #include "linalg/svd.hpp"
-#include "shh/isotropic_arnoldi.hpp"
 #include "shh/stable_subspace.hpp"
-#include "shh/symplectic.hpp"
 
 namespace shhpass::core {
 
@@ -17,67 +16,56 @@ using linalg::Matrix;
 
 namespace {
 
-/// (Eq. 21) Normalize E3 to the identity: sets out.a4 = Z_L A3 Z_R (the
-/// Hamiltonian A4) and out.condNormalizer, records the rank decision on
-/// Ebar into `rankReport`, and returns C4 = C3 Z_R. The factors and
-/// transforms are locals, so they are freed before the decoupling
-/// allocates its own.
+/// (Eq. 21) Normalize E3 to the identity. removeNondynamicModes hands
+/// over E3 = diag(S, S) with S diagonal and positive, so the symmetric
+/// scaling Z_L = Z_R = diag(S^-1/2, S^-1/2) gives Z_L E3 Z_R = I; it
+/// commutes with J, so A4 = Z_L A3 Z_R stays Hamiltonian and
+/// B4 = Z_L B3 = J C4^T. Sets out.a4 and out.condNormalizer, records the
+/// rank decision on S into `rankReport`, and returns C4 = C3 Z_R.
 Matrix normalizeE3(const shh::ShhRealization& s3, double rankTol,
                    linalg::RankReport* rankReport, ProperPartResult& out) {
   const std::size_t n2 = s3.order();
   const std::size_t np = n2 / 2;
+  const Matrix& e3 = s3.e;
+  bool normalForm = true;
+  for (std::size_t i = 0; i < n2; ++i)
+    for (std::size_t j = 0; j < n2; ++j)
+      normalForm = normalForm && (i == j || e3(i, j) == 0.0);
+  std::vector<double> s(np);
+  for (std::size_t i = 0; i < np; ++i) {
+    s[i] = e3(i, i);
+    normalForm = normalForm && s[i] >= 0.0 && e3(np + i, np + i) == s[i];
+  }
+  if (!normalForm)
+    throw std::invalid_argument(
+        "extractProperPart: E3 is not in the normal form diag(S, S)");
 
-  // Block-triangularize E3 by the isotropic Arnoldi process and
-  // normalize to the identity with the structured K_L K_R factorization.
-  shh::SkewHamiltonianTriangularization tri =
-      shh::skewHamiltonianBlockTriangularize(s3.e);
-  Matrix ebar = tri.ebar();
-  Matrix theta = tri.theta();
-  linalg::LU elu(ebar);
+  std::vector<double> sorted = s;
+  std::sort(sorted.begin(), sorted.end(), std::greater<>());
+  const double smax = sorted.empty() ? 0.0 : sorted.front();
+  const double smin = sorted.empty() ? 0.0 : sorted.back();
   // lint-ok: rank-tol-literal  ROADMAP item 1 step 2
-  if (elu.isSingular(1e-12))
+  if (smin <= 1e-12 * smax)
     throw std::runtime_error(
-        "extractProperPart: E3 numerically singular (Ebar not invertible)");
-  Matrix x = 0.5 * elu.solve(theta);  // X = Ebar^{-1} Theta / 2
+        "extractProperPart: E3 numerically singular (S not invertible)");
+  // Normalizer conditioning / rank certificate on S, the diagonal the
+  // scaling inverts.
+  out.condNormalizer = smax / smin;
+  linalg::rankFromSingularValues(sorted, np, np, rankTol, rankReport);
 
-  // Z_L = K_L^{-1} Z^T with K_L = [Ebar -X^T; 0 I]:
-  //   K_L^{-1} = [Ebar^{-1}  Ebar^{-1} X^T; 0  I].
-  Matrix zt = tri.z.transposed();
-  Matrix ztTop = zt.block(0, 0, np, n2);
-  Matrix ztBot = zt.block(np, 0, np, n2);
-  Matrix zl(n2, n2);
-  zl.setBlock(0, 0, elu.solve(ztTop + x.transposed() * ztBot));
-  zl.setBlock(np, 0, ztBot);
-
-  // Z_R = Z K_R^{-1} with K_R = [I X; 0 Ebar^T]:
-  //   K_R^{-1} = [I  -X Ebar^{-T}; 0  Ebar^{-T}].
-  Matrix zTop = tri.z.block(0, 0, n2, np);
-  Matrix zBot = tri.z.block(0, np, n2, np);
-  Matrix ebarInvT = elu.solveTransposed(Matrix::identity(np));
-  Matrix zr(n2, n2);
-  zr.setBlock(0, 0, zTop);
-  zr.setBlock(0, np, (zBot - zTop * x) * ebarInvT);
-
-  // Normalizer conditioning / rank certificate, on the factor the
-  // normalization actually inverts: every solve above goes through
-  // LU(Ebar), so sigma(Ebar) is the spectrum that bounds the error of
-  // Z_L and Z_R (the historical check ran a full SVD of the whole
-  // 2np x 2np block-triangular K for the same certificate, at 4x the
-  // cost and with the bases thrown away). singularValues() skips the
-  // U/V accumulation entirely.
-  const std::vector<double> esv = linalg::singularValues(ebar);
-
-  const double esmin = esv.empty() ? 0.0 : esv.back();
-  out.condNormalizer =
-      esv.empty() ? 1.0
-                  : (esmin == 0.0 ? std::numeric_limits<double>::infinity()
-                                  : esv.front() / esmin);
-  linalg::rankFromSingularValues(esv, ebar.rows(), ebar.cols(), rankTol,
-                                 rankReport);
-
-  // A4 = Z_L A3 Z_R is Hamiltonian; C4 = C3 Z_R; B4 = J C4^T automatically.
-  out.a4 = zl * s3.a * zr;
-  return s3.c * zr;
+  // d = diag(S^-1/2, S^-1/2); A4(i, j) = A3(i, j) d_i d_j (the product
+  // d_i d_j is formed first so the symmetric blocks stay exactly
+  // symmetric), C4 = C3 diag(d).
+  std::vector<double> d(n2);
+  for (std::size_t i = 0; i < np; ++i)
+    d[i] = d[np + i] = 1.0 / std::sqrt(s[i]);
+  out.a4 = s3.a;
+  for (std::size_t i = 0; i < n2; ++i)
+    for (std::size_t j = 0; j < n2; ++j) out.a4(i, j) *= d[i] * d[j];
+  Matrix c4 = s3.c;
+  for (std::size_t i = 0; i < c4.rows(); ++i)
+    for (std::size_t j = 0; j < n2; ++j) c4(i, j) *= d[j];
+  return c4;
 }
 
 }  // namespace

@@ -5,12 +5,15 @@
 // so that Phi(s) = Hp(s) + Hp~(s). Hp is (up to the symmetrized
 // feedthrough) the proper part of the original G — the paper's "sidetrack".
 //
-// The E3 normalization uses the structured factorization
-//   Z^T E3 Z = K = K_L K_R,  K_L = [Ebar -X^T; 0 I],  K_R = [I X; 0 Ebar^T],
-//   X = Ebar^{-1} Theta / 2,
-// with Z orthogonal symplectic from the isotropic-Arnoldi reduction; then
-// Z_L = K_L^{-1} Z^T and Z_R = Z K_R^{-1} satisfy Z_L E3 Z_R = I and keep
-// A4 = Z_L A3 Z_R Hamiltonian and B4 = J C4^T.
+// The E3 normalization (Eq. 21) is a diagonal scaling: the nondynamic
+// stage hands over E3 in the normal form diag(S, S), S diagonal and
+// positive (E1's skew Schur form, core/nondynamic.hpp), so
+//   Z_L = Z_R = diag(S^{-1/2}, S^{-1/2})
+// satisfy Z_L E3 Z_R = I. The scaling commutes with J, so
+// A4 = Z_L A3 Z_R stays Hamiltonian and B4 = J C4^T with C4 = C3 Z_R. The
+// paper's general construction (isotropic-Arnoldi Z with
+// Z^T E3 Z = [Ebar Theta; 0 Ebar^T] and K = K_L K_R) reduces to this
+// on the normal form; tests/normalizer_oracle.hpp keeps it as the oracle.
 #pragma once
 
 #include "linalg/schur_multishift.hpp"
@@ -29,10 +32,9 @@ struct ProperPartResult {
   linalg::Matrix c1;        ///< m x np output map.
   linalg::Matrix dHalf;     ///< m x m feedthrough D_phi / 2.
   linalg::Matrix a4;        ///< The intermediate Hamiltonian A4 (diagnostic).
-  /// Condition number of Ebar, the triangular factor of the E3
-  /// normalizer K = K_L K_R that the normalization solves against
-  /// (every Z_L / Z_R solve goes through LU(Ebar), so this is the
-  /// conditioning that bounds their error).
+  /// Condition number of the E3 normalizer: s_max / s_min over the
+  /// diagonal S of E3 = diag(S, S), the entries the Eq.-21 scaling
+  /// divides by.
   double condNormalizer = 1.0;
   /// Health record of the Schur reordering behind the Eq.-(22) split.
   linalg::ReorderReport reorder;
@@ -42,14 +44,17 @@ struct ProperPartResult {
   linalg::SchurReport schur;
 };
 
-/// Extract the stable proper part from an impulse-free SHH realization with
-/// nonsingular skew-Hamiltonian E3. Throws std::runtime_error if E3 is
-/// numerically singular (pipeline invariant violated upstream). `rankTol`
-/// feeds the shared-policy rank decision on Ebar, the inverted factor of
-/// the E3 normalizer (negative = SVD default), matching the tolerance the
-/// deflation stages used. That decision is recorded into `rankReport` when
-/// non-null: full rank is expected, and a dropped value means the upstream
-/// nonsingularity invariant is numerically marginal.
+/// Extract the stable proper part from an impulse-free SHH realization
+/// whose E3 is in the normal form diag(S, S) that removeNondynamicModes
+/// returns. Throws std::invalid_argument if E3 is not exactly of that form
+/// (nonzero off-diagonal entry, unequal halves, negative entry) and
+/// std::runtime_error if it is numerically singular,
+/// s_min <= 1e-12 s_max (pipeline invariant violated upstream). `rankTol`
+/// feeds the shared-policy rank decision on S (negative = SVD default),
+/// matching the tolerance the deflation stages used. That decision is
+/// recorded into `rankReport` when non-null: full rank is expected, and a
+/// dropped value means the upstream nonsingularity invariant is
+/// numerically marginal.
 ProperPartResult extractProperPart(const shh::ShhRealization& s3,
                                    double imagTol = 1e-8,
                                    double rankTol = -1.0,

@@ -477,7 +477,7 @@ Compression compress(const Matrix& m, const CompressionOptions& opts,
     c = compressEmpty(m, opts, rankReport);
   else if (isExactlyDiagonal(m))
     c = compressDiagonal(m, opts, rankReport);
-  else if (rows == cols && rows >= 16 && m.isSkewSymmetric(0.0))
+  else if (rows == cols && m.isSkewSymmetric(0.0))
     c = compressSkewTridiagonal(m, opts, rankReport);
   else if (rows >= 2 * cols || cols >= 2 * rows)
     c = compressQrSvd(m, opts, rankReport);

@@ -31,7 +31,18 @@
 //                       twice, plus a structural zero when the order is
 //                       odd) and exactly orthonormal range/kernel bases.
 //                       One skew tridiagonalization + half-size O(n^2)
-//                       work instead of a full-size SVD.
+//                       work instead of a full-size SVD. It serves every
+//                       exactly-skew square input, whatever its order.
+//                       Range pairing: the range columns come in pairs
+//                       (2i, 2i+1) with R_2i^T M R_2i+1 = sigma_2i
+//                       (= sigma_2i+1) and R_a^T M R_b = 0 for all
+//                       remaining column pairs a, b, so [R_even, R_odd]^T M
+//                       [R_even, R_odd] = [0 S; -S 0] with
+//                       S = diag(sigma_0, sigma_2, ...): the skew Schur
+//                       form of M (Ward & Gray, ACM TOMS 4(3), 1978).
+//                       The nondynamic stage reads E1's Schur form off
+//                       this pairing; compress() itself keeps the columns
+//                       in sigma order.
 //   * Svd             — certified fallback: a full SVD(M), or only its
 //                       singular values (linalg::singularValues, the
 //                       same bits) when no basis is requested. Always
@@ -117,8 +128,8 @@ struct Compression {
 /// `rankReport` (when non-null) through rankFromSingularValues, exactly
 /// like a direct SVD rank() call would; kernel/ fallback counters go into
 /// `stairReport` (when non-null). The kernel is picked, in order: Diagonal
-/// (exact structural test), SkewTridiagonal (square, exactly skew, order
-/// >= 16), QrSvd (aspect ratio >= 2), else the Svd fallback.
+/// (exact structural test), SkewTridiagonal (square and exactly skew, any
+/// order), QrSvd (aspect ratio >= 2), else the Svd fallback.
 Compression compress(const Matrix& m, const CompressionOptions& opts,
                      RankReport* rankReport = nullptr,
                      StaircaseReport* stairReport = nullptr);

@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "circuits/generators.hpp"
@@ -192,6 +193,40 @@ TEST(StaircaseCompression, SkewTridiagonalKernelEvenAndOddOrders) {
     EXPECT_LE(cc.rank, std::min(2 * c.k, c.n));
     expectValidCompression(m, cc, "skew");
   }
+}
+
+TEST(StaircaseCompression, SkewKernelRangeColumnsPairUp) {
+  // Every exactly-skew square input of order >= 2 goes to the skew
+  // kernel, and its range columns come in pairs (2i, 2i+1) with
+  // R_2i^T M R_2i+1 = sigma_2i: gathered as [R_even, R_odd], R^T M R is
+  // [0 S; -S 0] with S = diag(sigma_0, sigma_2, ...).
+  for (std::size_t n = 2; n <= 48; ++n)
+    for (std::size_t k : {(n + 1) / 2, n / 4}) {
+      if (k == 0) continue;
+      SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k));
+      const Matrix m = randomSkewOfRank(n, k, static_cast<unsigned>(100 + n));
+      Compression c = linalg::compress(m, wantAll());
+      ASSERT_EQ(c.kernelUsed, CompressionKernel::SkewTridiagonal);
+      ASSERT_EQ(c.rank % 2, 0u);
+      EXPECT_EQ(c.rank, std::min(2 * k, n - n % 2));
+      expectValidCompression(m, c, "skew pairing");
+      const std::size_t h = c.rank / 2;
+      Matrix r(n, c.rank);
+      for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < h; ++j) {
+          r(i, j) = c.range(i, 2 * j);
+          r(i, h + j) = c.range(i, 2 * j + 1);
+        }
+      Matrix expected(c.rank, c.rank);
+      for (std::size_t j = 0; j < h; ++j) {
+        EXPECT_EQ(c.sigma[2 * j], c.sigma[2 * j + 1]);
+        expected(j, h + j) = c.sigma[2 * j];
+        expected(h + j, j) = -c.sigma[2 * j];
+      }
+      const Matrix e11 = linalg::multiply(linalg::atb(r, m), false, r, false);
+      expectMatrixNear(e11, expected, 1e-14 * m.normFrobenius() *
+                                          static_cast<double>(n));
+    }
 }
 
 TEST(StaircaseCompression, SvdFallbackOnUnstructuredSquare) {
