@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "api/pipeline.hpp"
 #include "control/lyapunov.hpp"
@@ -16,7 +17,8 @@ using linalg::Matrix;
 namespace {
 
 // Symmetric PSD square root factor: M = F^T F with F = sqrt(S) V^T from the
-// eigen-decomposition, keeping only eigenvalues above tol.
+// eigen-decomposition, keeping the (at most maxRank) largest eigenvalues
+// above tol, in eigenvalue order.
 //
 // The callers' cutoffs (1e-14 * Gramian scale, 1e-12 * M1 scale) are
 // EXEMPT from the shared rank policy on purpose: they threshold
@@ -25,20 +27,24 @@ namespace {
 // singular-value default would be quadratically too tight and resurrect
 // noise states. Factor-rank decisions here are a reduction knob, not a
 // pencil rank certificate, and stay out of RankReport.
-Matrix psdFactor(const Matrix& m, double tol) {
+Matrix psdFactor(const Matrix& m, double tol,
+                 std::size_t maxRank = static_cast<std::size_t>(-1)) {
   linalg::SymmetricEig eig(m);
   const auto& w = eig.eigenvalues();
-  std::size_t rank = 0;
-  for (double v : w)
-    if (v > tol) ++rank;
-  Matrix f(rank, m.rows());
-  std::size_t row = 0;
-  for (std::size_t k = 0; k < w.size(); ++k) {
-    if (w[k] <= tol) continue;
-    const double s = std::sqrt(w[k]);
+  std::vector<std::size_t> keep;
+  for (std::size_t k = 0; k < w.size(); ++k)
+    if (w[k] > tol) keep.push_back(k);
+  if (keep.size() > maxRank) {
+    std::stable_sort(keep.begin(), keep.end(),
+                     [&w](std::size_t x, std::size_t y) { return w[x] > w[y]; });
+    keep.resize(maxRank);
+    std::sort(keep.begin(), keep.end());
+  }
+  Matrix f(keep.size(), m.rows());
+  for (std::size_t row = 0; row < keep.size(); ++row) {
+    const double s = std::sqrt(w[keep[row]]);
     for (std::size_t i = 0; i < m.rows(); ++i)
-      f(row, i) = s * eig.eigenvectors()(i, k);
-    ++row;
+      f(row, i) = s * eig.eigenvectors()(i, keep[row]);
   }
   return f;
 }
@@ -102,7 +108,12 @@ ReducedModel reduceDescriptor(const ds::DescriptorSystem& g,
   // units (M1_bal / tau).
   Matrix m1 = state.report.m1;
   linalg::symmetrize(m1);
-  Matrix f = psdFactor(m1, 1e-12 * std::max(1.0, m1.maxAbs()));
+  // The cut is relative to M1 alone (an absolute floor below 1 dropped
+  // the moment of a ladder with a 1e-13 H port inductance), and the run's
+  // own grade-2 chain count bounds the rank, so noise in an M1 with no
+  // chains never becomes an impulsive state.
+  Matrix f = psdFactor(m1, 1e-12 * m1.maxAbs(),
+                       state.report.impulsiveChains);
   const std::size_t pRank = f.rows();
   out.impulsiveRank = pRank;
 

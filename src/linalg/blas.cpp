@@ -81,79 +81,98 @@ void ensureEnvThreadInit() {
 
 // ---------------------------------------------------------------- packing
 // Packed A block: op(A)(i0 : i0+mb, p0 : p0+kb) * alpha, laid out as
-// ceil(mb/MR) row strips; within a strip the kb columns are k-major with
-// MR contiguous values each (zero-padded past mb). The micro-kernel then
+// ceil(mb/TMR) row strips; within a strip the kb columns are k-major with
+// TMR contiguous values each (zero-padded past mb). The micro-kernel then
 // reads A with unit stride whatever transA was.
+template <std::size_t TMR>
 void packA(const Matrix& a, bool transA, double alpha, std::size_t i0,
            std::size_t mb, std::size_t p0, std::size_t kb, double* buf) {
-  const std::size_t strips = (mb + MR - 1) / MR;
+  const std::size_t strips = (mb + TMR - 1) / TMR;
   for (std::size_t s = 0; s < strips; ++s) {
-    const std::size_t r0 = s * MR;
-    const std::size_t rValid = std::min(MR, mb - r0);
-    double* out = buf + s * kb * MR;
+    const std::size_t r0 = s * TMR;
+    const std::size_t rValid = std::min(TMR, mb - r0);
+    double* out = buf + s * kb * TMR;
     for (std::size_t k = 0; k < kb; ++k) {
       for (std::size_t r = 0; r < rValid; ++r)
-        out[k * MR + r] = alpha * (transA ? a(p0 + k, i0 + r0 + r)
-                                          : a(i0 + r0 + r, p0 + k));
-      for (std::size_t r = rValid; r < MR; ++r) out[k * MR + r] = 0.0;
+        out[k * TMR + r] = alpha * (transA ? a(p0 + k, i0 + r0 + r)
+                                           : a(i0 + r0 + r, p0 + k));
+      for (std::size_t r = rValid; r < TMR; ++r) out[k * TMR + r] = 0.0;
     }
   }
 }
 
-// Packed B panel: op(B)(p0 : p0+kb, j0 : j0+nb), laid out as ceil(nb/NR)
-// column strips; within a strip the kb rows are k-major with NR contiguous
-// values each (zero-padded past nb).
+// Packed B panel: op(B)(p0 : p0+kb, j0 : j0+nb), laid out as ceil(nb/TNR)
+// column strips; within a strip the kb rows are k-major with TNR
+// contiguous values each (zero-padded past nb).
+template <std::size_t TNR>
 void packB(const Matrix& b, bool transB, std::size_t p0, std::size_t kb,
            std::size_t j0, std::size_t nb, double* buf) {
-  const std::size_t strips = (nb + NR - 1) / NR;
+  const std::size_t strips = (nb + TNR - 1) / TNR;
   for (std::size_t s = 0; s < strips; ++s) {
-    const std::size_t c0 = s * NR;
-    const std::size_t cValid = std::min(NR, nb - c0);
-    double* out = buf + s * kb * NR;
+    const std::size_t c0 = s * TNR;
+    const std::size_t cValid = std::min(TNR, nb - c0);
+    double* out = buf + s * kb * TNR;
     for (std::size_t k = 0; k < kb; ++k) {
       for (std::size_t c = 0; c < cValid; ++c)
-        out[k * NR + c] = transB ? b(j0 + c0 + c, p0 + k)
-                                 : b(p0 + k, j0 + c0 + c);
-      for (std::size_t c = cValid; c < NR; ++c) out[k * NR + c] = 0.0;
+        out[k * TNR + c] = transB ? b(j0 + c0 + c, p0 + k)
+                                  : b(p0 + k, j0 + c0 + c);
+      for (std::size_t c = cValid; c < TNR; ++c) out[k * TNR + c] = 0.0;
     }
   }
 }
 
-// ----------------------------------------------------------- micro-kernel
-// out(MR x NR) = sum_k ap[k] * bp[k]^T over one packed panel pair. The
-// accumulators are function-local (provably alias-free), so the compiler
-// keeps all MR*NR of them in vector registers across the K loop; `out` is
-// written once at the end.
-//
-// The same body is compiled twice: a portable baseline, and (on x86-64
-// GCC/Clang) an AVX2+FMA clone selected once at startup via
-// __builtin_cpu_supports. Which clone runs affects rounding (FMA
-// contraction) exactly as switching BLAS backends would; it does not
-// affect the determinism contract, which holds per machine.
-#define SHHPASS_GEMM_MICRO_BODY                                       \
-  double acc[MR][NR] = {};                                            \
-  for (std::size_t k = 0; k < kb; ++k, ap += MR, bp += NR) {          \
-    for (std::size_t i = 0; i < MR; ++i) {                            \
-      const double ai = ap[i];                                        \
-      for (std::size_t j = 0; j < NR; ++j) acc[i][j] += ai * bp[j];   \
-    }                                                                 \
-  }                                                                   \
-  for (std::size_t i = 0; i < MR; ++i)                                \
-    for (std::size_t j = 0; j < NR; ++j) out[i * NR + j] = acc[i][j];
+// Per-call pack storage, uninitialized and aligned to a cache line so
+// every packed sliver row starts on one (the wide tile loads whole
+// 64-byte rows of B). Deliberately not thread_local: per-thread buffers
+// would stay resident in every runBatch worker.
+class PackBuffer {
+ public:
+  explicit PackBuffer(std::size_t doubles)
+      : raw_(std::make_unique_for_overwrite<double[]>(doubles + 8)) {
+    void* p = raw_.get();
+    std::size_t space = (doubles + 8) * sizeof(double);
+    data_ = static_cast<double*>(
+        std::align(64, doubles * sizeof(double), p, space));
+  }
+  double* data() const { return data_; }
 
+ private:
+  std::unique_ptr<double[]> raw_;
+  double* data_ = nullptr;
+};
+
+// ---------------------------------------------------------- micro-kernels
+// out(TMR x TNR) = sum_k ap[k] * bp[k]^T over one packed panel pair. Every
+// kernel gives each C element the same sequence: acc starts at zero and
+// takes acc += a_ik * b_kj per k in ascending order (one fused multiply-add
+// per step where the CPU has FMA, a rounded multiply and add otherwise);
+// the caller then adds acc into C. Which kernel runs never changes an
+// FMA machine's bits — only which CPU features exist does, exactly as
+// switching BLAS backends would; the determinism contract holds per
+// machine.
+using MicroKernelFn = void (*)(std::size_t, const double*, const double*,
+                               double*);
+
+// The portable 4x8 body. The accumulators are function-local (provably
+// alias-free), so the compiler keeps them in registers across the K loop.
 void microKernelGeneric(std::size_t kb, const double* ap, const double* bp,
                         double* out) {
-  SHHPASS_GEMM_MICRO_BODY
+  double acc[MR][NR] = {};
+  for (std::size_t k = 0; k < kb; ++k, ap += MR, bp += NR) {
+    for (std::size_t i = 0; i < MR; ++i) {
+      const double ai = ap[i];
+      for (std::size_t j = 0; j < NR; ++j) acc[i][j] += ai * bp[j];
+    }
+  }
+  for (std::size_t i = 0; i < MR; ++i)
+    for (std::size_t j = 0; j < NR; ++j) out[i * NR + j] = acc[i][j];
 }
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define SHHPASS_GEMM_X86_DISPATCH 1
-// Hand-scheduled AVX2+FMA micro-kernel: the 4x8 accumulator tile lives in
-// eight ymm registers (row i split into columns 0-3 / 4-7), each k step
-// is two B loads, four A broadcasts, and eight fmadds. Every C element
-// receives exactly acc[i][j] += a_i * b_j per k in ascending k order —
-// the same per-element accumulation sequence as the portable body under
-// FMA contraction, just without the compiler spilling the tile.
+// Hand-scheduled AVX2+FMA 4x8 tile: eight ymm accumulators (row i split
+// into columns 0-3 / 4-7); each k step is two B loads, four A broadcasts
+// and eight fmadds.
 __attribute__((target("avx2,fma"))) void microKernelAvx2(
     std::size_t kb, const double* ap, const double* bp, double* out) {
   static_assert(MR == 4 && NR == 8, "micro-kernel is tiled for 4x8");
@@ -186,8 +205,51 @@ __attribute__((target("avx2,fma"))) void microKernelAvx2(
   _mm256_storeu_pd(out + 24, c30);
   _mm256_storeu_pd(out + 28, c31);
 }
+
+// Hand-scheduled AVX-512F 8x24 tile: 24 zmm accumulators (row i split
+// into columns 0-7 / 8-15 / 16-23); each k step is three B loads, eight A
+// broadcasts and 24 fmadds, which leaves 4 of the 32 zmm registers for
+// the operands.
+__attribute__((target("avx512f"))) void microKernelAvx512(
+    std::size_t kb, const double* ap, const double* bp, double* out) {
+  static_assert(kGemmWideMr == 8 && kGemmWideNr == 24,
+                "micro-kernel is tiled for 8x24");
+#define SHHPASS_WIDE_ROW_DECL(i)                                      \
+  __m512d c##i##0 = _mm512_setzero_pd(), c##i##1 = _mm512_setzero_pd(), \
+          c##i##2 = _mm512_setzero_pd();
+#define SHHPASS_WIDE_ROW_FMA(i)                                       \
+  {                                                                   \
+    const __m512d a = _mm512_set1_pd(ap[i]);                          \
+    c##i##0 = _mm512_fmadd_pd(a, b0, c##i##0);                        \
+    c##i##1 = _mm512_fmadd_pd(a, b1, c##i##1);                        \
+    c##i##2 = _mm512_fmadd_pd(a, b2, c##i##2);                        \
+  }
+#define SHHPASS_WIDE_ROW_STORE(i)                                     \
+  _mm512_storeu_pd(out + (i) * kGemmWideNr, c##i##0);                 \
+  _mm512_storeu_pd(out + (i) * kGemmWideNr + 8, c##i##1);             \
+  _mm512_storeu_pd(out + (i) * kGemmWideNr + 16, c##i##2);
+  SHHPASS_WIDE_ROW_DECL(0) SHHPASS_WIDE_ROW_DECL(1)
+  SHHPASS_WIDE_ROW_DECL(2) SHHPASS_WIDE_ROW_DECL(3)
+  SHHPASS_WIDE_ROW_DECL(4) SHHPASS_WIDE_ROW_DECL(5)
+  SHHPASS_WIDE_ROW_DECL(6) SHHPASS_WIDE_ROW_DECL(7)
+  for (std::size_t k = 0; k < kb; ++k, ap += kGemmWideMr, bp += kGemmWideNr) {
+    const __m512d b0 = _mm512_loadu_pd(bp);
+    const __m512d b1 = _mm512_loadu_pd(bp + 8);
+    const __m512d b2 = _mm512_loadu_pd(bp + 16);
+    SHHPASS_WIDE_ROW_FMA(0) SHHPASS_WIDE_ROW_FMA(1)
+    SHHPASS_WIDE_ROW_FMA(2) SHHPASS_WIDE_ROW_FMA(3)
+    SHHPASS_WIDE_ROW_FMA(4) SHHPASS_WIDE_ROW_FMA(5)
+    SHHPASS_WIDE_ROW_FMA(6) SHHPASS_WIDE_ROW_FMA(7)
+  }
+  SHHPASS_WIDE_ROW_STORE(0) SHHPASS_WIDE_ROW_STORE(1)
+  SHHPASS_WIDE_ROW_STORE(2) SHHPASS_WIDE_ROW_STORE(3)
+  SHHPASS_WIDE_ROW_STORE(4) SHHPASS_WIDE_ROW_STORE(5)
+  SHHPASS_WIDE_ROW_STORE(6) SHHPASS_WIDE_ROW_STORE(7)
+#undef SHHPASS_WIDE_ROW_DECL
+#undef SHHPASS_WIDE_ROW_FMA
+#undef SHHPASS_WIDE_ROW_STORE
+}
 #endif
-#undef SHHPASS_GEMM_MICRO_BODY
 
 // ------------------------------------------------- level-1 hot kernels
 // dotQuad / axpy / planeRot follow the micro-kernel pattern exactly: one
@@ -259,90 +321,162 @@ using DotQuadFn = double (*)(const double*, const double*, std::size_t);
 using AxpyFn = void (*)(double, const double*, std::size_t, double*);
 using PlaneRotFn = void (*)(double, double, double*, double*, std::size_t);
 
-bool cpuHasAvx2Fma() {
-#ifdef SHHPASS_GEMM_X86_DISPATCH
-  __builtin_cpu_init();  // may run before main
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-  return false;
-#endif
-}
+// The CPU's kernel features, read once per process. Function-local
+// static: safe to call from any translation unit's static initializers.
+struct CpuFeatures {
+  bool avx2Fma = false;  // the 4x8 FMA tile and the level-1 clones
+  bool avx512 = false;   // the 8x24 tile (AVX-512F, which has FMA)
+};
 
-using MicroKernelFn = void (*)(std::size_t, const double*, const double*,
-                               double*);
-
-// Function-local static: safe to call from any translation unit's static
-// initializers (a namespace-scope pointer would be null until this TU's
-// dynamic initialization ran).
-MicroKernelFn microKernel() {
-  static const MicroKernelFn fn = [] {
+const CpuFeatures& cpu() {
+  static const CpuFeatures features = [] {
+    CpuFeatures f;
 #ifdef SHHPASS_GEMM_X86_DISPATCH
     __builtin_cpu_init();  // may run before main
-    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
-      return MicroKernelFn{microKernelAvx2};
+    f.avx2Fma =
+        __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+    f.avx512 = f.avx2Fma && __builtin_cpu_supports("avx512f");
 #endif
-    return MicroKernelFn{microKernelGeneric};
+    return f;
   }();
-  return fn;
+  return features;
+}
+
+// ---------------------------------------------------------------- fan-out
+// The pool a call of `work` multiply-adds fans out to, pinned by shared
+// ownership for the call's duration (nullptr: run inline). Only calls at
+// or above `floor` look at the pool at all.
+std::shared_ptr<ThreadPool> pinPool(std::size_t work, std::size_t floor,
+                                    std::size_t& threads) {
+  threads = 1;
+  if (work < floor) return nullptr;
+  ensureEnvThreadInit();
+  std::lock_guard<std::mutex> lock(gPoolMutex);
+  if (gThreads <= 1 || !gPool) return nullptr;
+  threads = gThreads;
+  return gPool;  // keeps the pool alive across a concurrent reconfigure
+}
+
+// Splits `strips` units into at most `threads` contiguous, balanced runs
+// [s0, s1) and calls body(s0, s1) for each: inline when there is one
+// run, otherwise as one pool job per run.
+template <typename Body>
+void fanOut(const std::shared_ptr<ThreadPool>& pool, std::size_t threads,
+            std::size_t strips, const Body& body) {
+  threads = std::min(threads, strips);
+  if (pool == nullptr || threads <= 1) {
+    body(std::size_t{0}, strips);
+    return;
+  }
+  std::vector<std::function<void()>> jobs;
+  jobs.reserve(threads);
+  for (std::size_t t = 0; t < threads; ++t) {
+    const std::size_t s0 = t * strips / threads;
+    const std::size_t s1 = (t + 1) * strips / threads;
+    jobs.emplace_back([&body, s0, s1] { body(s0, s1); });
+  }
+  pool->run(std::move(jobs));
 }
 
 // ------------------------------------------------------------ macro-level
-// Blocked gemm restricted to the C columns [j0, j0+nb): this is the unit
-// of column-panel threading. Each element of C is accumulated over K in
-// the same order regardless of [j0, nb), which is what makes the threaded
-// kernel bit-deterministic.
-void gemmBlockedCols(double alpha, const Matrix& a, bool transA,
-                     const Matrix& b, bool transB, double beta, Matrix& c,
-                     std::size_t m, std::size_t n, std::size_t k,
-                     std::size_t j0, std::size_t nb) {
-  (void)n;
-  double* cdata = c.data();
-  const std::size_t ldc = c.cols();
+// One gemm product: C = alpha * op(A) * op(B) + beta * C with inner
+// dimension k.
+struct Product {
+  double alpha;
+  const Matrix& a;
+  bool transA;
+  const Matrix& b;
+  bool transB;
+  double beta;
+  Matrix& c;
+  std::size_t k;
+};
 
-  if (beta != 1.0)
-    for (std::size_t i = 0; i < m; ++i)
-      for (std::size_t j = j0; j < j0 + nb; ++j) cdata[i * ldc + j] *= beta;
-  if (k == 0 || alpha == 0.0) return;
+// Blocked gemm restricted to the C tile rows [i0, i0+mb) x columns
+// [j0, j0+nb), on a TMR x TNR register tile: the unit of threading, over
+// rows or columns alike. Each element of C is scaled by beta once and
+// then takes one c += acc per KC block in ascending block order, whatever
+// the tile's bounds, which is what makes the threaded kernel
+// bit-deterministic.
+template <std::size_t TMR, std::size_t TNR>
+void gemmTile(const Product& p, MicroKernelFn micro, std::size_t i0,
+              std::size_t mb, std::size_t j0, std::size_t nb) {
+  constexpr std::size_t kNc = NC / TNR * TNR;
+  static_assert(MC % TMR == 0 && kNc > 0, "blocking must hold whole tiles");
+  double* cdata = p.c.data();
+  const std::size_t ldc = p.c.cols();
+  if (p.beta != 1.0)
+    for (std::size_t i = i0; i < i0 + mb; ++i)
+      for (std::size_t j = j0; j < j0 + nb; ++j) cdata[i * ldc + j] *= p.beta;
+  if (p.k == 0 || p.alpha == 0.0) return;
 
-  std::vector<double> apack(MC * KC);
-  std::vector<double> bpack(KC * ((std::min(nb, NC) + NR - 1) / NR) * NR);
-  double tile[MR * NR];
-  const MicroKernelFn micro = microKernel();
+  const PackBuffer apack(std::min(MC, (mb + TMR - 1) / TMR * TMR) *
+                         std::min(KC, p.k));
+  const PackBuffer bpack(std::min(KC, p.k) *
+                         ((std::min(nb, kNc) + TNR - 1) / TNR * TNR));
+  double tile[TMR * TNR];
 
-  for (std::size_t jc = j0; jc < j0 + nb; jc += NC) {
-    const std::size_t ncur = std::min(NC, j0 + nb - jc);
-    for (std::size_t pc = 0; pc < k; pc += KC) {
-      const std::size_t kcur = std::min(KC, k - pc);
-      packB(b, transB, pc, kcur, jc, ncur, bpack.data());
-      for (std::size_t ic = 0; ic < m; ic += MC) {
-        const std::size_t mcur = std::min(MC, m - ic);
-        packA(a, transA, alpha, ic, mcur, pc, kcur, apack.data());
-        const std::size_t mStrips = (mcur + MR - 1) / MR;
-        const std::size_t nStrips = (ncur + NR - 1) / NR;
+  for (std::size_t jc = j0; jc < j0 + nb; jc += kNc) {
+    const std::size_t ncur = std::min(kNc, j0 + nb - jc);
+    for (std::size_t pc = 0; pc < p.k; pc += KC) {
+      const std::size_t kcur = std::min(KC, p.k - pc);
+      packB<TNR>(p.b, p.transB, pc, kcur, jc, ncur, bpack.data());
+      for (std::size_t ic = i0; ic < i0 + mb; ic += MC) {
+        const std::size_t mcur = std::min(MC, i0 + mb - ic);
+        packA<TMR>(p.a, p.transA, p.alpha, ic, mcur, pc, kcur,
+                   apack.data());
+        const std::size_t mStrips = (mcur + TMR - 1) / TMR;
+        const std::size_t nStrips = (ncur + TNR - 1) / TNR;
         for (std::size_t jr = 0; jr < nStrips; ++jr) {
-          const double* bp = bpack.data() + jr * kcur * NR;
-          const std::size_t cValid = std::min(NR, ncur - jr * NR);
+          const double* bp = bpack.data() + jr * kcur * TNR;
+          const std::size_t cValid = std::min(TNR, ncur - jr * TNR);
           for (std::size_t ir = 0; ir < mStrips; ++ir) {
-            const double* ap = apack.data() + ir * kcur * MR;
-            const std::size_t rValid = std::min(MR, mcur - ir * MR);
+            const double* ap = apack.data() + ir * kcur * TMR;
+            const std::size_t rValid = std::min(TMR, mcur - ir * TMR);
             micro(kcur, ap, bp, tile);
-            double* ctile =
-                cdata + (ic + ir * MR) * ldc + (jc + jr * NR);
+            double* ctile = cdata + (ic + ir * TMR) * ldc + (jc + jr * TNR);
             // Interior tiles take the unclipped fast path; edge tiles do
             // the same arithmetic with a clipped write-back.
-            if (rValid == MR && cValid == NR) {
-              for (std::size_t i = 0; i < MR; ++i)
-                for (std::size_t j = 0; j < NR; ++j)
-                  ctile[i * ldc + j] += tile[i * NR + j];
+            if (rValid == TMR && cValid == TNR) {
+              for (std::size_t i = 0; i < TMR; ++i)
+                for (std::size_t j = 0; j < TNR; ++j)
+                  ctile[i * ldc + j] += tile[i * TNR + j];
             } else {
               for (std::size_t i = 0; i < rValid; ++i)
                 for (std::size_t j = 0; j < cValid; ++j)
-                  ctile[i * ldc + j] += tile[i * NR + j];
+                  ctile[i * ldc + j] += tile[i * TNR + j];
             }
           }
         }
       }
     }
+  }
+}
+
+// Runs the product on one register tile, fanned out over whichever
+// dimension of C is larger: a tall product splits by rows, so no worker
+// packs all of A, and a wide or square one splits by columns. Panels are
+// whole tiles thick and each element of C belongs to exactly one of them.
+template <std::size_t TMR, std::size_t TNR>
+void gemmFanOut(const Product& p, MicroKernelFn micro, std::size_t m,
+                std::size_t n) {
+  std::size_t threads = 1;
+  const std::shared_ptr<ThreadPool> pool =
+      pinPool(m * n * p.k, kGemmThreadedFlopFloor, threads);
+  if (m > n) {
+    fanOut(pool, threads, (m + TMR - 1) / TMR,
+           [&](std::size_t s0, std::size_t s1) {
+             const std::size_t i0 = s0 * TMR;
+             gemmTile<TMR, TNR>(p, micro, i0, std::min(m, s1 * TMR) - i0, 0,
+                                n);
+           });
+  } else {
+    fanOut(pool, threads, (n + TNR - 1) / TNR,
+           [&](std::size_t s0, std::size_t s1) {
+             const std::size_t j0 = s0 * TNR;
+             gemmTile<TMR, TNR>(p, micro, 0, m, j0,
+                                std::min(n, s1 * TNR) - j0);
+           });
   }
 }
 
@@ -396,7 +530,7 @@ __attribute__((target("avx2,fma"))) void gemmReferenceAvx2(
 double dotQuad(const double* x, const double* y, std::size_t len) {
 #ifdef SHHPASS_GEMM_X86_DISPATCH
   static const DotQuadFn fn =
-      cpuHasAvx2Fma() ? DotQuadFn{dotQuadAvx2} : DotQuadFn{dotQuadGeneric};
+      cpu().avx2Fma ? DotQuadFn{dotQuadAvx2} : DotQuadFn{dotQuadGeneric};
   return fn(x, y, len);
 #else
   return dotQuadGeneric(x, y, len);
@@ -406,7 +540,7 @@ double dotQuad(const double* x, const double* y, std::size_t len) {
 void axpy(double alpha, const double* x, std::size_t len, double* y) {
 #ifdef SHHPASS_GEMM_X86_DISPATCH
   static const AxpyFn fn =
-      cpuHasAvx2Fma() ? AxpyFn{axpyAvx2} : AxpyFn{axpyGeneric};
+      cpu().avx2Fma ? AxpyFn{axpyAvx2} : AxpyFn{axpyGeneric};
   fn(alpha, x, len, y);
 #else
   axpyGeneric(alpha, x, len, y);
@@ -415,12 +549,28 @@ void axpy(double alpha, const double* x, std::size_t len, double* y) {
 
 void planeRot(double cs, double sn, double* x, double* y, std::size_t len) {
 #ifdef SHHPASS_GEMM_X86_DISPATCH
-  static const PlaneRotFn fn = cpuHasAvx2Fma() ? PlaneRotFn{planeRotAvx2}
+  static const PlaneRotFn fn = cpu().avx2Fma ? PlaneRotFn{planeRotAvx2}
                                                : PlaneRotFn{planeRotGeneric};
   fn(cs, sn, x, y, len);
 #else
   planeRotGeneric(cs, sn, x, y, len);
 #endif
+}
+
+void dotRows(const double* a, std::size_t lda, std::size_t rows,
+             const double* x, std::size_t len, double* y) {
+  // Row blocks of a few cache lines of y each, so workers never write a
+  // shared line.
+  constexpr std::size_t kRowBlock = 32;
+  std::size_t threads = 1;
+  const std::shared_ptr<ThreadPool> pool =
+      pinPool(rows * len, kDotRowsThreadedFloor, threads);
+  fanOut(pool, threads, (rows + kRowBlock - 1) / kRowBlock,
+         [=](std::size_t s0, std::size_t s1) {
+           const std::size_t end = std::min(rows, s1 * kRowBlock);
+           for (std::size_t i = s0 * kRowBlock; i < end; ++i)
+             y[i] = dotQuad(a + i * lda, x, len);
+         });
 }
 
 void gemmReference(double alpha, const Matrix& a, bool transA,
@@ -430,7 +580,7 @@ void gemmReference(double alpha, const Matrix& a, bool transA,
 
   if (beta != 1.0) c *= beta;
 #ifdef SHHPASS_GEMM_X86_DISPATCH
-  if (cpuHasAvx2Fma()) {
+  if (cpu().avx2Fma) {
     gemmReferenceAvx2(alpha, a, transA, b, transB, c, m, n, k);
     return;
   }
@@ -443,35 +593,22 @@ void gemmBlocked(double alpha, const Matrix& a, bool transA, const Matrix& b,
   std::size_t m, n, k;
   checkGemmShapes(a, transA, b, transB, c, m, n, k);
   if (m == 0 || n == 0) return;
-
-  std::size_t threads = 1;
-  std::shared_ptr<ThreadPool> pool;
-  if (m * n * k >= kGemmThreadedFlopFloor) {
-    ensureEnvThreadInit();
-    std::lock_guard<std::mutex> lock(gPoolMutex);
-    if (gThreads > 1 && gPool) {
-      threads = gThreads;
-      pool = gPool;  // keeps the pool alive across a concurrent reconfigure
-    }
-  }
-  // Fan out over disjoint column panels, at least one micro-tile wide, so
-  // workers never share a cache line of C and per-element accumulation
-  // order stays independent of the partition (bit-determinism).
-  const std::size_t maxPanels = std::max<std::size_t>(1, n / NR);
-  threads = std::min(threads, maxPanels);
-  if (threads <= 1 || pool == nullptr) {
-    gemmBlockedCols(alpha, a, transA, b, transB, beta, c, m, n, k, 0, n);
+  const Product p{alpha, a, transA, b, transB, beta, c, k};
+#ifdef SHHPASS_GEMM_X86_DISPATCH
+  // The wide tile pays off once a product holds a few of its tiles each
+  // way; below that the 4x8 tile wastes less on zero-padded edges. Both
+  // run the same per-element FMA sequence, so the choice never changes a
+  // result.
+  if (cpu().avx512 && m >= kGemmWideMinRows && n >= kGemmWideMinCols) {
+    gemmFanOut<kGemmWideMr, kGemmWideNr>(p, microKernelAvx512, m, n);
     return;
   }
-  const std::size_t chunk = ((n + threads - 1) / threads + NR - 1) / NR * NR;
-  std::vector<std::function<void()>> panels;
-  for (std::size_t j0 = 0; j0 < n; j0 += chunk) {
-    const std::size_t nb = std::min(chunk, n - j0);
-    panels.emplace_back([=, &a, &b, &c] {
-      gemmBlockedCols(alpha, a, transA, b, transB, beta, c, m, n, k, j0, nb);
-    });
+  if (cpu().avx2Fma) {
+    gemmFanOut<MR, NR>(p, microKernelAvx2, m, n);
+    return;
   }
-  pool->run(std::move(panels));
+#endif
+  gemmFanOut<MR, NR>(p, microKernelGeneric, m, n);
 }
 
 void gemm(double alpha, const Matrix& a, bool transA, const Matrix& b,

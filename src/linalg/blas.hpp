@@ -13,47 +13,76 @@
 //   * a packed, cache-blocked BLAS-3 kernel (see blas.cpp) that gemm()
 //     dispatches to for large-enough products.
 //
+// gemm() takes the blocked kernel exactly when m >= 4, n >= 8, k >= 4
+// and m*n*k >= 64^3 (kGemmBlockedFlopFloor); every other product runs
+// gemmReference. These are literal thresholds: they do not depend on the
+// CPU or on the tile the blocked kernel picks.
+//
 // ## Blocking parameters
 //
 // The blocked kernel follows the BLIS/GotoBLAS loop nest. Tile sizes are
-// compile-time constants, chosen for ~32 KiB L1 / ~256 KiB-1 MiB L2
-// caches on commodity x86-64 and AArch64 cores:
+// compile-time constants, chosen for ~32-48 KiB L1 / 256 KiB-2 MiB L2
+// caches on commodity x86-64 and AArch64 cores. Two register tiles exist:
 //
-//   * kGemmMr x kGemmNr (4 x 8)  — the register micro-tile: a 4x8 block
-//     of C is accumulated in registers over the full K extent of a panel;
-//   * kGemmKc (256)              — K extent of one packed panel pair: a
-//     kGemmKc x kGemmNr sliver of B stays L1-resident across a macro row;
+//   * kGemmMr x kGemmNr (4 x 8)  — the portable tile, and the AVX2+FMA
+//     one (eight ymm accumulators);
+//   * kGemmWideMr x kGemmWideNr (8 x 24) — the AVX-512F tile (24 zmm
+//     accumulators), taken on CPUs that have AVX-512F for products with
+//     m >= kGemmWideMinRows and n >= kGemmWideMinCols; smaller products
+//     keep the 4 x 8 tile, which pads less at the edges;
+//   * kGemmKc (256)              — K extent of one packed panel pair;
 //   * kGemmMc (128)              — M extent of one packed A block
 //     (kGemmMc x kGemmKc doubles = 256 KiB, sized for L2);
 //   * kGemmNc (512)              — N extent of one packed B panel
-//     (kGemmKc x kGemmNc doubles = 1 MiB, sized for L3).
+//     (kGemmKc x kGemmNc doubles = 1 MiB; the wide tile uses the largest
+//     multiple of 24 below it, 504).
 //
 // Operands are packed (with the transpose resolved and alpha folded into
 // the A pack) into contiguous micro-panel layouts, so the micro-kernel
-// reads both inputs with unit stride regardless of op(A)/op(B).
+// reads both inputs with unit stride regardless of op(A)/op(B). The
+// micro-kernel and the instruction set are picked once per process with
+// __builtin_cpu_supports (AVX-512F, else AVX2+FMA, else portable C++),
+// and the tile per product from its shape.
 //
-// Products too small to amortize the packing cost — fewer than
-// kGemmBlockedFlopFloor multiply-adds, or with a thin dimension below one
-// micro-tile — are routed to gemmReference unchanged; the dispatch is a
-// pure performance decision and is observationally identical apart from
-// floating-point summation order.
+// ## Per-element contract
+//
+// Whatever tile, CPU path or thread count runs, the blocked kernel
+// computes each element of C as:
+//
+//     c = beta * c                       (skipped when beta == 1)
+//     for each KC block of k, ascending (none when alpha == 0):
+//       acc = 0
+//       for each k in the block, ascending:
+//         acc = fma(alpha * a_ik, b_kj, acc)
+//       c = c + acc
+//
+// with alpha * a_ik rounded once (it is packed). On a CPU without
+// AVX2+FMA the portable tile rounds the product and the sum separately
+// (acc = acc + round(alpha * a_ik * b_kj)). So on one machine the 4 x 8
+// and 8 x 24 tiles give identical bits; tests/test_blas_blocked.cpp
+// replays this sequence with std::fma and compares bit for bit.
 //
 // ## Threading contract
 //
-// setGemmThreads(t) with t > 1 parallelizes the blocked kernel over
-// disjoint column panels of C on a lazily created, process-wide
-// linalg::ThreadPool (linalg/thread_pool.hpp). The contract is:
+// setGemmThreads(t) with t > 1 parallelizes the blocked kernel on a
+// lazily created, process-wide linalg::ThreadPool
+// (linalg/thread_pool.hpp). A product fans out over whichever dimension
+// of C is larger: a tall product (m > n) over balanced runs of whole
+// row tiles, so no worker packs all of A, and a wide or square one over
+// runs of whole column tiles. The contract is:
 //
-//   * determinism — each C element is accumulated in the same order
-//     regardless of the thread count (threads partition columns; the
-//     K-accumulation order per element never changes), so results are
-//     bit-identical between serial and threaded runs, for every thread
-//     count, across repeated runs;
+//   * determinism — by the per-element contract above, each C element
+//     is accumulated in the same order regardless of the thread count or
+//     of which rows/columns a worker owns, so results are bit-identical
+//     between serial and threaded runs, for every thread count, across
+//     repeated runs;
 //   * the pool is used only inside gemm() calls that dispatch to the
-//     blocked kernel AND exceed kGemmThreadedFlopFloor; small products
-//     never touch the pool;
+//     blocked kernel AND exceed kGemmThreadedFlopFloor, and inside
+//     dotRows() calls above kDotRowsThreadedFloor (the Hessenberg
+//     panel's A0 v and the skew tridiagonalization's at u, whose rows
+//     are independent dotQuad calls); small calls never touch the pool;
 //   * gemm() may be called concurrently from many threads (e.g. from
-//     runBatch workers); the kernel pool is shared, but each gemm waits
+//     runBatch workers); the kernel pool is shared, but each call waits
 //     only for its own panels and rethrows only their exceptions, and
 //     never deadlocks (kernel-pool workers themselves never call gemm);
 //   * the default is serial (threads == 1): callers who never call
@@ -76,7 +105,7 @@
 // Both kernels satisfy the usual inner-product forward-error bound
 // |fl(C) - C| <= k * eps * (|alpha| |op(A)| |op(B)| + |beta| |C|)
 // entrywise (k the inner dimension). The blocked kernel sums each element
-// in a different (panel-major) order than the reference kernel, so the
+// in a different (KC-block) order than the reference kernel, so the
 // two agree only to that bound — about 1e-13 relative for the k <= a few
 // thousand used here — not bitwise. All other routines in this header are
 // exact per-element transcriptions (no reassociation).
@@ -92,6 +121,14 @@ namespace shhpass::linalg {
 inline constexpr std::size_t kGemmMr = 4;
 /// Register micro-tile columns of the blocked gemm kernel.
 inline constexpr std::size_t kGemmNr = 8;
+/// Register micro-tile rows of the AVX-512F blocked gemm kernel.
+inline constexpr std::size_t kGemmWideMr = 8;
+/// Register micro-tile columns of the AVX-512F blocked gemm kernel.
+inline constexpr std::size_t kGemmWideNr = 24;
+/// Smallest m for which a product runs on the AVX-512F tile.
+inline constexpr std::size_t kGemmWideMinRows = 64;
+/// Smallest n for which a product runs on the AVX-512F tile.
+inline constexpr std::size_t kGemmWideMinCols = 96;
 /// M extent of one packed A block (L2-sized).
 inline constexpr std::size_t kGemmMc = 128;
 /// K extent of one packed panel pair (L1-sized with kGemmNr).
@@ -102,6 +139,8 @@ inline constexpr std::size_t kGemmNc = 512;
 inline constexpr std::size_t kGemmBlockedFlopFloor = 64 * 64 * 64;
 /// Minimum m*n*k for which a threaded gemm() actually fans out.
 inline constexpr std::size_t kGemmThreadedFlopFloor = 192 * 192 * 192;
+/// Minimum rows*len for which a threaded dotRows() fans out.
+inline constexpr std::size_t kDotRowsThreadedFloor = 256 * 256;
 
 /// C = alpha * op(A) * op(B) + beta * C, where op is identity or transpose.
 /// C must already have the correct shape and must not alias a or b (the
@@ -126,8 +165,8 @@ void gemmBlocked(double alpha, const Matrix& a, bool transA, const Matrix& b,
 /// the kernel pool has never been enabled).
 std::size_t gemmThreads();
 
-/// Enable (t > 1) or disable (t <= 1) column-panel threading of the
-/// blocked kernel; t == 0 means std::thread::hardware_concurrency().
+/// Enable (t > 1) or disable (t <= 1) row/column-panel threading of the
+/// blocked kernel and of dotRows(); t == 0 means std::thread::hardware_concurrency().
 /// t == 1 (or 0 on a single-core host) structurally bypasses the pool —
 /// no pool exists and gemm runs inline — and is bit-identical to every
 /// threaded setting (see threading contract). Safe to call concurrently
@@ -153,6 +192,15 @@ Matrix abt(const Matrix& a, const Matrix& b);
 /// row dots of the Hessenberg panel, the skew tridiagonalization, and the
 /// symplectic reflector passes.
 double dotQuad(const double* x, const double* y, std::size_t len);
+
+/// y[i] = dotQuad(a + i * lda, x, len) for every i < rows: the row-dot
+/// gemv of the Hessenberg panel and the skew tridiagonalization. Above
+/// kDotRowsThreadedFloor multiply-adds the rows fan out in contiguous
+/// blocks over the gemm kernel pool; each row's dotQuad is the same
+/// whoever runs it, so y is bit-identical at every gemm width. `y` must
+/// not overlap `a` or `x`.
+void dotRows(const double* a, std::size_t lda, std::size_t rows,
+             const double* x, std::size_t len, double* y);
 
 /// y[i] += alpha * x[i] over contiguous arrays — exact per-element update
 /// (each y[i] receives exactly one fused or rounded multiply-add; no

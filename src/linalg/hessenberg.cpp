@@ -110,16 +110,11 @@ HessenbergResult hessenbergBlocked(const Matrix& a, bool wantQ) {
 
       // Extend Y: y_new = tau * (A0 v_new - Y (V^T v_new)). The dominant
       // dot of the whole panel: stream row i of a0 against the contiguous
-      // reflector tail (vtail holds v(j+1 : n, t)) through dotQuad (fixed
-      // four-accumulator reduction order — deterministic, per-machine
-      // AVX2 dispatch).
-      {
-        const std::size_t len = n - j - 1;
-        const std::size_t a0cols = a0.cols();
-        const double* a0base = a0.data() + (j + 1 - k);
-        for (std::size_t i = 0; i < n; ++i)
-          yv[i] = dotQuad(a0base + i * a0cols, vtail.data(), len);
-      }
+      // reflector tail (vtail holds v(j+1 : n, t)) through dotRows (one
+      // fixed-order dotQuad per row, rows spread over the kernel pool —
+      // bit-identical at every gemm width).
+      dotRows(a0.data() + (j + 1 - k), a0.cols(), n, vtail.data(),
+              n - j - 1, yv.data());
       for (std::size_t c = 0; c < t; ++c) {
         const double gc = g[c];
         if (gc == 0.0) continue;

@@ -101,13 +101,12 @@ SkewTridiagResult skewTridiagonalize(const Matrix& m) {
         s1[k] = a1;
         s2[k] = a2;
       }
-      // The dominant gemv of the panel (at u): each row dot goes through
-      // dotQuad (fixed four-accumulator reduction order — deterministic,
-      // per-machine AVX2 dispatch).
+      // The dominant gemv of the panel (at u): dotRows runs one
+      // fixed-order dotQuad per row, rows spread over the kernel pool
+      // (bit-identical at every gemm width).
       double* pj = pT.data() + jj * nt;
-      for (std::size_t i = jj + 1; i < nt; ++i)
-        pj[i] = dotQuad(at.data() + i * nt + jj + 1, uj + jj + 1,
-                        nt - jj - 1);
+      dotRows(at.data() + (jj + 1) * nt + jj + 1, nt, len, uj + jj + 1, len,
+              pj + jj + 1);
       for (std::size_t k = 0; k < jj; ++k) {
         const double a1 = s1[k], a2 = s2[k];
         if (a1 == 0.0 && a2 == 0.0) continue;

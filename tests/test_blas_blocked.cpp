@@ -5,7 +5,9 @@
 //     inputs, and shapes straddling every blocking boundary);
 //   * compact-WY block reflector application vs the per-reflector loop;
 //   * blocked Hessenberg / QR vs their unblocked references;
-//   * bit-determinism of the threaded gemm for every thread count.
+//   * bit-determinism of the threaded gemm for every thread count;
+//   * the per-element accumulation contract, bit for bit, against an
+//     oracle that replays each element's multiply-add sequence.
 //
 // Tolerance convention: blocked and reference kernels sum each element in
 // a different order, so they agree to the inner-product forward-error
@@ -14,6 +16,7 @@
 // the provable error growth for long accumulations.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -21,6 +24,7 @@
 #include "linalg/hessenberg.hpp"
 #include "linalg/householder.hpp"
 #include "linalg/qr.hpp"
+#include "linalg/staircase.hpp"
 #include "test_support.hpp"
 
 namespace shhpass::linalg {
@@ -46,9 +50,11 @@ double maxAbsDiff(const Matrix& a, const Matrix& b) {
 }
 
 bool bitIdentical(const Matrix& a, const Matrix& b) {
+  // An empty matrix may hold no storage at all: memcmp must not see it.
   return a.rows() == b.rows() && a.cols() == b.cols() &&
-         std::memcmp(a.data(), b.data(),
-                     sizeof(double) * a.rows() * a.cols()) == 0;
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(),
+                      sizeof(double) * a.rows() * a.cols()) == 0);
 }
 
 // Runs one (shape, op, alpha/beta) case through gemmReference and
@@ -90,10 +96,22 @@ TEST(GemmBlocked, MatchesReferenceOnSeededRandomShapes) {
 TEST(GemmBlocked, ShapesStraddlingBlockingBoundaries) {
   // One past each tile/panel edge: MR/NR, MC, KC, NC.
   Xorshift rng(7);
-  const std::size_t probes[] = {kGemmMr + 1,  kGemmNr + 1, kGemmMc - 1,
-                                kGemmMc + 1,  kGemmKc + 1, kGemmNc + 1,
-                                2 * kGemmMr + 3};
-  for (std::size_t m : {kGemmMc - 1, kGemmMc + 1, std::size_t{70}})
+  // The probes around kGemmWideMinCols cross the wide tile's selection
+  // edge; those past it run on the wide tile wherever the CPU has it
+  // (every m below clears kGemmWideMinRows).
+  const std::size_t probes[] = {kGemmMr + 1,
+                                kGemmNr + 1,
+                                kGemmMc - 1,
+                                kGemmMc + 1,
+                                kGemmKc + 1,
+                                kGemmNc + 1,
+                                2 * kGemmMr + 3,
+                                kGemmWideMinCols - 1,
+                                kGemmWideMinCols + 1,
+                                kGemmWideMinCols + kGemmWideNr + 1,
+                                kGemmWideMinCols + 2 * kGemmWideNr + 3};
+  for (std::size_t m : {kGemmMc - 1, kGemmMc + 1, std::size_t{70},
+                        kGemmWideMinRows + kGemmWideMr + 1})
     for (std::size_t k : {kGemmKc - 1, kGemmKc + 1})
       for (std::size_t n : probes)
         expectBlockedMatchesReference(m, k, n, false, false, 1.0, 0.0, rng);
@@ -175,6 +193,188 @@ TEST(GemmThreads, BitDeterministicUnderThreadPool) {
     EXPECT_TRUE(bitIdentical(run1, run2)) << threads << " threads, rerun";
     EXPECT_TRUE(bitIdentical(run1, serial)) << threads << " threads vs serial";
   }
+}
+
+// ------------------------------------------- per-element FMA contract
+
+// Whether the blocked kernel accumulates with fused multiply-adds on this
+// CPU. C(0, 0) sums (1 + 2^-30)(1 - 2^-30) = 1 - 2^-60 and its negative.
+// The first step rounds the product to 1 either way (acc starts at zero);
+// a fused second step then leaves 2^-60, an unfused one rounds the
+// second product to -1 and leaves 0.
+bool blockedKernelIsFused() {
+  const double u = std::ldexp(1.0, -30);
+  Matrix a(kGemmMr, 2), b(2, kGemmNr), c(kGemmMr, kGemmNr);
+  a(0, 0) = 1.0 + u;
+  a(0, 1) = -(1.0 + u);
+  b(0, 0) = 1.0 - u;
+  b(1, 0) = 1.0 - u;
+  gemmBlocked(1.0, a, false, b, false, 0.0, c);
+  return c(0, 0) != 0.0;
+}
+
+// Replays the blocked kernel's per-element sequence: C *= beta (unless
+// beta == 1), then per KC block in ascending order acc = 0, acc +=
+// (alpha * a_ik) * b_kj for ascending k (fused or rounded per step), and
+// c += acc.
+Matrix fmaOracle(double alpha, const Matrix& a, bool ta, const Matrix& b,
+                 bool tb, double beta, Matrix c, bool fused) {
+  const std::size_t m = c.rows(), n = c.cols();
+  const std::size_t k = ta ? a.rows() : a.cols();
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < n; ++j) {
+      double cij = c(i, j);
+      if (beta != 1.0) cij *= beta;
+      if (alpha != 0.0) {
+        for (std::size_t p0 = 0; p0 < k; p0 += kGemmKc) {
+          double acc = 0.0;
+          for (std::size_t p = p0; p < std::min(k, p0 + kGemmKc); ++p) {
+            const double ap = alpha * (ta ? a(p, i) : a(i, p));
+            const double bp = tb ? b(j, p) : b(p, j);
+            if (fused) {
+              acc = std::fma(ap, bp, acc);
+            } else {
+              const double prod = ap * bp;
+              acc += prod;
+            }
+          }
+          cij += acc;
+        }
+      }
+      c(i, j) = cij;
+    }
+  return c;
+}
+
+bool takesBlockedPath(std::size_t m, std::size_t n, std::size_t k) {
+  // gemm()'s literal dispatch thresholds (blas.hpp).
+  return m >= 4 && n >= 8 && k >= 4 && m * n * k >= kGemmBlockedFlopFloor;
+}
+
+struct OracleCase {
+  std::size_t m, n, k;
+  bool ta, tb;
+  double alpha, beta;
+};
+
+// One case's operands and the oracle's answer.
+struct OracleRun {
+  OracleCase cs;
+  Matrix a, b, c0, want;
+};
+
+OracleRun makeOracleRun(const OracleCase& cs, bool fused, Xorshift& rng) {
+  OracleRun r{cs, cs.ta ? xorshiftMatrix(cs.k, cs.m, rng)
+                        : xorshiftMatrix(cs.m, cs.k, rng),
+              cs.tb ? xorshiftMatrix(cs.n, cs.k, rng)
+                    : xorshiftMatrix(cs.k, cs.n, rng),
+              xorshiftMatrix(cs.m, cs.n, rng), Matrix()};
+  r.want = fmaOracle(cs.alpha, r.a, cs.ta, r.b, cs.tb, cs.beta, r.c0, fused);
+  return r;
+}
+
+// Asserts gemmBlocked(), and gemm() where it dispatches to the blocked
+// kernel, equal the oracle bit for bit.
+void expectOracleBits(const OracleRun& r) {
+  const OracleCase& cs = r.cs;
+  Matrix blk = r.c0;
+  gemmBlocked(cs.alpha, r.a, cs.ta, r.b, cs.tb, cs.beta, blk);
+  EXPECT_TRUE(bitIdentical(blk, r.want))
+      << "gemmBlocked m=" << cs.m << " n=" << cs.n << " k=" << cs.k
+      << " ta=" << cs.ta << " tb=" << cs.tb << " alpha=" << cs.alpha
+      << " beta=" << cs.beta << " threads=" << gemmThreads();
+  if (takesBlockedPath(cs.m, cs.n, cs.k)) {
+    Matrix viaGemm = r.c0;
+    gemm(cs.alpha, r.a, cs.ta, r.b, cs.tb, cs.beta, viaGemm);
+    EXPECT_TRUE(bitIdentical(viaGemm, r.want))
+        << "gemm m=" << cs.m << " n=" << cs.n << " k=" << cs.k
+        << " threads=" << gemmThreads();
+  }
+}
+
+TEST(GemmContract, TileEdgesMatchFmaOracleBitForBit) {
+  // Per tile, m and n straddle every tile edge (tile - 1, tile, tile + 1,
+  // 2 * tile + 3); the wide tile's sizes sit above its selection floor
+  // (a multiple of its tile) so the CPU that has it runs it. The 24 cases
+  // per tile cover every (transA, transB, alpha, beta) combination and
+  // all 16 (m, n) pairs; k crosses one and two KC block edges.
+  const bool fused = blockedKernelIsFused();
+  Xorshift rng(0xf3a);
+  const double alphas[] = {1.0, -0.75};
+  const double betas[] = {0.0, 1.0, -0.5};
+  const std::size_t ks[] = {kGemmKc - 1, kGemmKc + 1, 2 * kGemmKc + 5};
+  struct Tile {
+    std::size_t mr, nr, m0, n0;
+  };
+  static_assert(kGemmWideMinRows % kGemmWideMr == 0 &&
+                kGemmWideMinCols % kGemmWideNr == 0);
+  for (const Tile& t : {Tile{kGemmMr, kGemmNr, 0, 0},
+                        Tile{kGemmWideMr, kGemmWideNr, kGemmWideMinRows,
+                             kGemmWideMinCols}}) {
+    const std::size_t ms[] = {t.m0 + t.mr - 1, t.m0 + t.mr, t.m0 + t.mr + 1,
+                              t.m0 + 2 * t.mr + 3};
+    const std::size_t ns[] = {t.n0 + t.nr - 1, t.n0 + t.nr, t.n0 + t.nr + 1,
+                              t.n0 + 2 * t.nr + 3};
+    for (std::size_t c = 0; c < 24; ++c) {
+      const OracleCase cs{ms[c % 4],         ns[(c / 4) % 4], ks[c % 3],
+                          (c & 1) != 0,      (c & 2) != 0,
+                          alphas[(c / 4) % 2], betas[c / 8]};
+      expectOracleBits(makeOracleRun(cs, fused, rng));
+    }
+  }
+}
+
+TEST(GemmContract, RowAndColumnFanOutMatchFmaOracleAtEveryWidth) {
+  // Tall products (m >= 8n) fan out over rows, wide ones over columns;
+  // one of each per tile, all above the threaded floor.
+  GemmThreadsGuard guard;
+  const bool fused = blockedKernelIsFused();
+  const OracleCase cases[] = {
+      {800, 100, kGemmKc + 1, false, false, 1.0, 0.0},   // tall, wide tile
+      {800, 50, kGemmKc + 1, true, false, -0.75, 1.0},   // tall, 4x8 tile
+      {100, 800, kGemmKc + 1, false, true, 1.0, -0.5},   // wide, wide tile
+      {60, 800, kGemmKc + 1, true, true, -0.75, 0.0}};   // wide, 4x8 tile
+  Xorshift rng(0xfa2);
+  for (const OracleCase& cs : cases) {
+    ASSERT_GE(cs.m * cs.n * cs.k, kGemmThreadedFlopFloor);
+    const OracleRun run = makeOracleRun(cs, fused, rng);
+    for (std::size_t width : {1u, 2u, 3u, 4u}) {
+      setGemmThreads(width);
+      expectOracleBits(run);
+    }
+  }
+}
+
+TEST(GemmContract, PanelGemvsBitIdenticalAcrossWidths) {
+  // The Hessenberg panel's A0 v and the skew tridiagonalization's at u
+  // run on the kernel pool above kDotRowsThreadedFloor; every row keeps
+  // its own dotQuad, so widths 1 and 4 agree bit for bit.
+  GemmThreadsGuard guard;
+  Xorshift rng(0x9e55);
+  const std::size_t n = 300;
+  ASSERT_GE(n * n, kDotRowsThreadedFloor);
+  const Matrix a = xorshiftMatrix(n, n, rng);
+  Matrix skew = xorshiftMatrix(n, n, rng);
+  skewSymmetrize(skew);
+  CompressionOptions opts;
+  opts.wantRange = true;
+  opts.wantCorange = true;
+  opts.wantNullspace = true;
+
+  setGemmThreads(1);
+  const HessenbergResult h1 = hessenberg(a);
+  const Compression c1 = compress(skew, opts);
+  setGemmThreads(4);
+  const HessenbergResult h4 = hessenberg(a);
+  const Compression c4 = compress(skew, opts);
+  ASSERT_EQ(c1.kernelUsed, CompressionKernel::SkewTridiagonal);
+  EXPECT_TRUE(bitIdentical(h1.h, h4.h));
+  EXPECT_TRUE(bitIdentical(h1.q, h4.q));
+  EXPECT_EQ(c1.sigma, c4.sigma);
+  EXPECT_EQ(c1.rank, c4.rank);
+  EXPECT_TRUE(bitIdentical(c1.range, c4.range));
+  EXPECT_TRUE(bitIdentical(c1.corange, c4.corange));
+  EXPECT_TRUE(bitIdentical(c1.nullspace, c4.nullspace));
 }
 
 // --------------------------------------------------------- compact-WY

@@ -104,6 +104,17 @@ kernel-layering
     once lived in src/api/ and blas.cpp reached up for it). Waivable
     with `lint-ok: kernel-layering`.
 
+isa-dispatch-in-blas
+    CPU-feature dispatch lives in one file: `<immintrin.h>` (or
+    `<x86intrin.h>`), a `target(...)` function attribute and
+    `__builtin_cpu_supports` may appear only in src/linalg/blas.cpp, in
+    any C++ file of the tree (src/, baselines/, tests/, bench/,
+    examples/, perfbench/). Which instruction set runs decides how a
+    product rounds (fused or unfused multiply-adds), so every such choice
+    must stay behind the one per-machine determinism contract that
+    blas.hpp states and tests/test_blas_blocked.cpp checks bit for bit.
+    Waivable with `lint-ok: isa-dispatch-in-blas`.
+
 Waivers: append `lint-ok: <rule-id>` in a comment on the offending line
 to waive a line-based rule (use sparingly; the waiver itself is visible
 in review).
@@ -137,6 +148,7 @@ RULE_IDS = (
     "no-raw-clock",
     "one-fig1-chain",
     "kernel-layering",
+    "isa-dispatch-in-blas",
 )
 
 
@@ -269,6 +281,12 @@ RAW_CLOCK_RE = re.compile(
     r"\bstd\s*::\s*chrono\s*::\s*\w*_clock\s*::\s*now\s*\(")
 FIG1_CHAIN_RE = re.compile(r"\bdeflateImpulseModes\s*\(")
 PROJECT_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
+ISA_DISPATCH_RE = re.compile(
+    r"<\s*(?:imm|x86)intrin\.h\s*>"
+    r"|\b__attribute__\s*\(\(\s*target\s*\("
+    r"|\bgnu\s*::\s*target\s*\("
+    r"|\b__builtin_cpu_supports\b")
+ISA_DISPATCH_HOME = "src/linalg/blas.cpp"
 KERNEL_DECL_RE = re.compile(
     r"^[A-Za-z_][\w:<>,&*\s]*?\b([A-Za-z_]\w*?)(Blocked|Unblocked|Reference)"
     r"\s*\(",
@@ -366,6 +384,21 @@ def check_kernel_layering(root: str) -> List[Finding]:
                 f'#include "{m.group(1)}" in the kernel/telemetry layer: '
                 "src/linalg and src/obs may only include linalg/ or obs/ "
                 "headers"))
+    return findings
+
+
+def check_isa_dispatch_in_blas(root: str) -> List[Finding]:
+    findings = []
+    for path in _cpp_files(root, LIBRARY_DIRS + ("tests", "bench",
+                                                 "examples", "perfbench")):
+        if _rel(root, path) == ISA_DISPATCH_HOME:
+            continue
+        findings += _line_findings(
+            root, path, "isa-dispatch-in-blas", ISA_DISPATCH_RE,
+            "instruction-set dispatch (intrinsics header, target attribute "
+            f"or __builtin_cpu_supports) outside {ISA_DISPATCH_HOME}: the "
+            "instruction set decides rounding, so every such choice stays "
+            "behind the one gemm determinism contract")
     return findings
 
 
@@ -469,6 +502,7 @@ CHECKS = (
     check_no_raw_clock,
     check_one_fig1_chain,
     check_kernel_layering,
+    check_isa_dispatch_in_blas,
 )
 
 

@@ -174,6 +174,22 @@ race:shhpass::linalg::ThreadPool::workerLoop
 #include "api/status.hpp"
 """)
 
+    # isa-dispatch-in-blas: a target attribute outside blas.cpp fires;
+    # the intrinsics header, the attribute and the CPU query inside
+    # src/linalg/blas.cpp, a comment, a string and a waived line stay
+    # clean.
+    planted["isa-dispatch-in-blas"] = (write(root, "src/linalg/bad_isa.cpp", """
+// __builtin_cpu_supports("avx2") named in a comment is fine
+const char* kDoc = "__attribute__((target(\\"avx2\\")))";
+#include <immintrin.h>  // lint-ok: isa-dispatch-in-blas
+__attribute__((target("avx512f"))) void kernel();
+"""), 5)
+    write(root, "src/linalg/blas.cpp", """
+#include <immintrin.h>
+__attribute__((target("avx2,fma"))) void kernel();
+bool f() { return __builtin_cpu_supports("avx2"); }
+""")
+
     return planted
 
 
@@ -264,6 +280,24 @@ bool bad = LU().isSingular(1e-10);
     print("PASS: rank-tol-literal flags literal LU pivot cutoffs")
 
 
+def test_isa_dispatch_scans_every_tree():
+    """isa-dispatch-in-blas fires in tests/, bench/, examples/ and
+    perfbench/ too, for each of its spellings."""
+    with tempfile.TemporaryDirectory() as root:
+        t = write(root, "tests/test_isa.cpp",
+                  "bool f() { return __builtin_cpu_supports(\"fma\"); }\n")
+        b = write(root, "bench/bench_isa.cpp", "#include <x86intrin.h>\n")
+        e = write(root, "examples/isa.cpp",
+                  "[[gnu::target(\"avx2\")]] void g();\n")
+        p = write(root, "perfbench/isa.cpp", "#include < immintrin.h >\n")
+        findings = lint_invariants.run(root)
+        got = sorted((f.rule, f.path, f.line) for f in findings)
+        want = sorted(("isa-dispatch-in-blas", path, 1)
+                      for path in (t, b, e, p))
+        assert got == want, f"expected {want}, got {got}"
+    print("PASS: isa-dispatch-in-blas scans every C++ tree")
+
+
 def test_stripper():
     strip = lint_invariants.strip_comments_and_strings
     assert "throw" not in strip("// may throw\nint x;")
@@ -290,6 +324,7 @@ def main():
     test_library_rules_scan_baselines()
     test_fig1_chain_scans_bench_and_examples()
     test_rank_tol_literal_flags_lu_pivot_cutoffs()
+    test_isa_dispatch_scans_every_tree()
     test_clean_tree_has_no_findings()
     print("lint_invariants self-test: OK")
     return 0
