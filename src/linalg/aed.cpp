@@ -21,13 +21,43 @@ double blockEigMagnitude(const Matrix& t, std::size_t j, std::size_t b) {
   return std::sqrt(std::abs(det));
 }
 
+// dst <- src, row by row (same shape).
+void copyRows(ConstMatrixView src, MatrixView dst) {
+  for (std::size_t i = 0; i < src.rows; ++i)
+    std::copy_n(src.data + i * src.ld, src.cols, dst.data + i * dst.ld);
+}
+
 }  // namespace
+
+void applyWindowTransform(Matrix& h, Matrix& z, const Matrix& u,
+                          std::size_t w0, Matrix& ws) {
+  const std::size_t n = h.rows();
+  const std::size_t nw = u.rows();
+  const std::size_t right = w0 + nw;
+  if (w0 > 0) {
+    const MatrixView top = MatrixView(h).block(0, w0, w0, nw);
+    const MatrixView out = zeroedWorkspace(ws, w0, nw);
+    gemm(1.0, top, false, u, false, 0.0, out);
+    copyRows(out, top);
+  }
+  if (right < n) {
+    const MatrixView rows = MatrixView(h).block(w0, right, nw, n - right);
+    const MatrixView out = zeroedWorkspace(ws, nw, n - right);
+    gemm(1.0, u, true, rows, false, 0.0, out);
+    copyRows(out, rows);
+  }
+  if (z.rows() > 0) {
+    const MatrixView cols = MatrixView(z).block(0, w0, z.rows(), nw);
+    const MatrixView out = zeroedWorkspace(ws, z.rows(), nw);
+    gemm(1.0, cols, false, u, false, 0.0, out);
+    copyRows(out, cols);
+  }
+}
 
 AedResult aggressiveEarlyDeflation(Matrix& h, Matrix& z, std::size_t ilo,
                                    std::size_t ihi, std::size_t nw,
-                                   SchurReport& report) {
+                                   SchurReport& report, Matrix& ws) {
   AedResult out;
-  const std::size_t n = h.rows();
   const std::size_t kwtop = ihi - nw + 1;
   const double eps = std::numeric_limits<double>::epsilon();
   const double smlnum = std::numeric_limits<double>::min() *
@@ -189,24 +219,7 @@ AedResult aggressiveEarlyDeflation(Matrix& h, Matrix& z, std::size_t ilo,
     h(kwtop, kwtop - 1) = beta;
     for (std::size_t i = kwtop + 1; i <= ihi; ++i) h(i, kwtop - 1) = 0.0;
   }
-  if (kwtop > 0) {
-    const Matrix top = h.block(0, kwtop, kwtop, nw);
-    Matrix tmp(kwtop, nw);
-    gemm(1.0, top, false, v, false, 0.0, tmp);
-    h.setBlock(0, kwtop, tmp);
-  }
-  if (ihi + 1 < n) {
-    const Matrix right = h.block(kwtop, ihi + 1, nw, n - ihi - 1);
-    Matrix tmp(nw, n - ihi - 1);
-    gemm(1.0, v, true, right, false, 0.0, tmp);
-    h.setBlock(kwtop, ihi + 1, tmp);
-  }
-  if (z.rows() > 0) {
-    const Matrix zc = z.block(0, kwtop, z.rows(), nw);
-    Matrix tmp(z.rows(), nw);
-    gemm(1.0, zc, false, v, false, 0.0, tmp);
-    z.setBlock(0, kwtop, tmp);
-  }
+  applyWindowTransform(h, z, v, kwtop, ws);
   return out;
 }
 

@@ -21,9 +21,9 @@
 //      and restores the undeflated part of the window to Hessenberg form
 //      (an unblocked pass — the window is small);
 //   4. commits the window transform to the full matrix: the off-window
-//      row/column blocks and the Q accumulation are updated with one
-//      gemm() call each, which is where the O(n * nw^2) bulk of the cost
-//      goes;
+//      row/column blocks and the Q accumulation are updated in place
+//      with one gemm() call each (applyWindowTransform), which is where
+//      the O(n * nw^2) bulk of the cost goes;
 //   5. harvests the eigenvalues of the undeflated part as shift
 //      candidates for the next multishift sweep.
 //
@@ -54,10 +54,26 @@ struct AedResult {
 /// the unreduced active block [ilo, ihi] of the upper Hessenberg `h`
 /// (2 <= nw <= ihi - ilo), accumulating the window transform into `q`.
 /// Counters land in `report` (aedWindows, aedDeflations, iterations of
-/// the inner windowed Francis solve). Throws SchurConvergenceError if
+/// the inner windowed Francis solve). `ws` is the caller's reusable
+/// workspace of applyWindowTransform. Throws SchurConvergenceError if
 /// the window factorization itself fails to converge.
 AedResult aggressiveEarlyDeflation(Matrix& h, Matrix& q, std::size_t ilo,
                                    std::size_t ihi, std::size_t nw,
-                                   SchurReport& report);
+                                   SchurReport& report, Matrix& ws);
+
+/// Commit an orthogonal transform U (nw x nw) of the window rows and
+/// columns [w0, w0 + nw) of `h` to everything outside the window, in
+/// place (dlaqr5's off-window updates):
+///
+///   H(0:w0, win)      <- H(0:w0, win) U
+///   H(win, w0+nw : n) <- U^T H(win, w0+nw : n)
+///   Z(:, win)         <- Z(:, win) U      (skipped when z is 0 x 0)
+///
+/// Each product reads its block of h or z through a view, gemms into the
+/// reusable workspace `ws` (grown as needed), and copies the rows back —
+/// no block copy of the input and no fresh temporary per call. Shared by
+/// the multishift sweep flush, the small-block finish and the AED commit.
+void applyWindowTransform(Matrix& h, Matrix& z, const Matrix& u,
+                          std::size_t w0, Matrix& ws);
 
 }  // namespace shhpass::linalg

@@ -85,7 +85,7 @@ void ensureEnvThreadInit() {
 // TMR contiguous values each (zero-padded past mb). The micro-kernel then
 // reads A with unit stride whatever transA was.
 template <std::size_t TMR>
-void packA(const Matrix& a, bool transA, double alpha, std::size_t i0,
+void packA(ConstMatrixView a, bool transA, double alpha, std::size_t i0,
            std::size_t mb, std::size_t p0, std::size_t kb, double* buf) {
   const std::size_t strips = (mb + TMR - 1) / TMR;
   for (std::size_t s = 0; s < strips; ++s) {
@@ -105,7 +105,7 @@ void packA(const Matrix& a, bool transA, double alpha, std::size_t i0,
 // column strips; within a strip the kb rows are k-major with TNR
 // contiguous values each (zero-padded past nb).
 template <std::size_t TNR>
-void packB(const Matrix& b, bool transB, std::size_t p0, std::size_t kb,
+void packB(ConstMatrixView b, bool transB, std::size_t p0, std::size_t kb,
            std::size_t j0, std::size_t nb, double* buf) {
   const std::size_t strips = (nb + TNR - 1) / TNR;
   for (std::size_t s = 0; s < strips; ++s) {
@@ -383,12 +383,12 @@ void fanOut(const std::shared_ptr<ThreadPool>& pool, std::size_t threads,
 // dimension k.
 struct Product {
   double alpha;
-  const Matrix& a;
+  ConstMatrixView a;
   bool transA;
-  const Matrix& b;
+  ConstMatrixView b;
   bool transB;
   double beta;
-  Matrix& c;
+  MatrixView c;
   std::size_t k;
 };
 
@@ -403,8 +403,8 @@ void gemmTile(const Product& p, MicroKernelFn micro, std::size_t i0,
               std::size_t mb, std::size_t j0, std::size_t nb) {
   constexpr std::size_t kNc = NC / TNR * TNR;
   static_assert(MC % TMR == 0 && kNc > 0, "blocking must hold whole tiles");
-  double* cdata = p.c.data();
-  const std::size_t ldc = p.c.cols();
+  double* cdata = p.c.data;
+  const std::size_t ldc = p.c.ld;
   if (p.beta != 1.0)
     for (std::size_t i = i0; i < i0 + mb; ++i)
       for (std::size_t j = j0; j < j0 + nb; ++j) cdata[i * ldc + j] *= p.beta;
@@ -480,15 +480,15 @@ void gemmFanOut(const Product& p, MicroKernelFn micro, std::size_t m,
   }
 }
 
-void checkGemmShapes(const Matrix& a, bool transA, const Matrix& b,
-                     bool transB, const Matrix& c, std::size_t& m,
+void checkGemmShapes(ConstMatrixView a, bool transA, ConstMatrixView b,
+                     bool transB, MatrixView c, std::size_t& m,
                      std::size_t& n, std::size_t& k) {
-  m = transA ? a.cols() : a.rows();
-  k = transA ? a.rows() : a.cols();
-  const std::size_t kb = transB ? b.cols() : b.rows();
-  n = transB ? b.rows() : b.cols();
+  m = transA ? a.cols : a.rows;
+  k = transA ? a.rows : a.cols;
+  const std::size_t kb = transB ? b.cols : b.rows;
+  n = transB ? b.rows : b.cols;
   if (k != kb) throw std::invalid_argument("gemm: inner dimension mismatch");
-  if (c.rows() != m || c.cols() != n)
+  if (c.rows != m || c.cols != n)
     throw std::invalid_argument("gemm: output shape mismatch");
 }
 
@@ -510,20 +510,117 @@ void checkGemmShapes(const Matrix& a, bool transA, const Matrix& b,
     }                                                                 \
   }
 
-void gemmReferenceGeneric(double alpha, const Matrix& a, bool transA,
-                          const Matrix& b, bool transB, Matrix& c,
+void gemmReferenceGeneric(double alpha, ConstMatrixView a, bool transA,
+                          ConstMatrixView b, bool transB, MatrixView c,
                           std::size_t m, std::size_t n, std::size_t k) {
   SHHPASS_GEMM_REF_BODY
 }
 
 #ifdef SHHPASS_GEMM_X86_DISPATCH
 __attribute__((target("avx2,fma"))) void gemmReferenceAvx2(
-    double alpha, const Matrix& a, bool transA, const Matrix& b, bool transB,
-    Matrix& c, std::size_t m, std::size_t n, std::size_t k) {
+    double alpha, ConstMatrixView a, bool transA, ConstMatrixView b,
+    bool transB, MatrixView c, std::size_t m, std::size_t n, std::size_t k) {
   SHHPASS_GEMM_REF_BODY
 }
 #endif
 #undef SHHPASS_GEMM_REF_BODY
+
+// The reference kernel on views: c *= beta (unless beta == 1), then the
+// i-k-j body.
+void gemmReferenceView(double alpha, ConstMatrixView a, bool transA,
+                       ConstMatrixView b, bool transB, double beta,
+                       MatrixView c, std::size_t m, std::size_t n,
+                       std::size_t k) {
+  if (beta != 1.0)
+    for (std::size_t i = 0; i < m; ++i)
+      for (std::size_t j = 0; j < n; ++j) c(i, j) *= beta;
+#ifdef SHHPASS_GEMM_X86_DISPATCH
+  if (cpu().avx2Fma) {
+    gemmReferenceAvx2(alpha, a, transA, b, transB, c, m, n, k);
+    return;
+  }
+#endif
+  gemmReferenceGeneric(alpha, a, transA, b, transB, c, m, n, k);
+}
+
+// The blocked kernel on views, without the size dispatch.
+void gemmBlockedView(double alpha, ConstMatrixView a, bool transA,
+                     ConstMatrixView b, bool transB, double beta,
+                     MatrixView c, std::size_t m, std::size_t n,
+                     std::size_t k) {
+  if (m == 0 || n == 0) return;
+  const Product p{alpha, a, transA, b, transB, beta, c, k};
+#ifdef SHHPASS_GEMM_X86_DISPATCH
+  // The wide tile pays off once a product holds a few of its tiles each
+  // way; below that the 4x8 tile wastes less on zero-padded edges. Both
+  // run the same per-element FMA sequence, so the choice never changes a
+  // result.
+  if (cpu().avx512 && m >= kGemmWideMinRows && n >= kGemmWideMinCols) {
+    gemmFanOut<kGemmWideMr, kGemmWideNr>(p, microKernelAvx512, m, n);
+    return;
+  }
+  if (cpu().avx2Fma) {
+    gemmFanOut<MR, NR>(p, microKernelAvx2, m, n);
+    return;
+  }
+#endif
+  gemmFanOut<MR, NR>(p, microKernelGeneric, m, n);
+}
+
+// ------------------------------------------------------- row-op replay
+// Replays `count` row ops on columns [c0, c0 + len) of `m`. One portable
+// body and one AVX2 clone WITHOUT fma: every rotation rounds its four
+// products and two sums separately on either, so the clone only widens
+// the vectors and never changes a bit (the sweep's own row loops, which
+// this replaces, are unfused too).
+#define SHHPASS_ROW_OPS_BODY                                          \
+  for (std::size_t o = 0; o < count; ++o) {                           \
+    const RowOp& op = ops[o];                                         \
+    double* x = m.data + op.x * m.ld + c0;                            \
+    double* y = m.data + op.y * m.ld + c0;                            \
+    switch (op.kind) {                                                \
+      case RowOp::Kind::Rotate: {                                     \
+        const double cs = op.cs, sn = op.sn;                          \
+        for (std::size_t i = 0; i < len; ++i) {                       \
+          const double a = x[i], b = y[i];                            \
+          x[i] = cs * a + sn * b;                                     \
+          y[i] = -sn * a + cs * b;                                    \
+        }                                                             \
+        break;                                                        \
+      }                                                               \
+      case RowOp::Kind::Negate:                                       \
+        for (std::size_t i = 0; i < len; ++i) x[i] = -x[i];           \
+        break;                                                        \
+      case RowOp::Kind::Swap:                                         \
+        std::swap_ranges(x, x + len, y);                              \
+        break;                                                        \
+    }                                                                 \
+  }
+
+void replayRowOpsGeneric(const RowOp* ops, std::size_t count, MatrixView m,
+                         std::size_t c0, std::size_t len) {
+  SHHPASS_ROW_OPS_BODY
+}
+
+#ifdef SHHPASS_GEMM_X86_DISPATCH
+__attribute__((target("avx2"))) void replayRowOpsAvx2(
+    const RowOp* ops, std::size_t count, MatrixView m, std::size_t c0,
+    std::size_t len) {
+  SHHPASS_ROW_OPS_BODY
+}
+#endif
+#undef SHHPASS_ROW_OPS_BODY
+
+void replayRowOps(const RowOp* ops, std::size_t count, MatrixView m,
+                  std::size_t c0, std::size_t len) {
+#ifdef SHHPASS_GEMM_X86_DISPATCH
+  if (cpu().avx2Fma) {  // only AVX2 is used: the clone has no fma
+    replayRowOpsAvx2(ops, count, m, c0, len);
+    return;
+  }
+#endif
+  replayRowOpsGeneric(ops, count, m, c0, len);
+}
 
 }  // namespace
 
@@ -573,46 +670,80 @@ void dotRows(const double* a, std::size_t lda, std::size_t rows,
          });
 }
 
+void applyRowOps(std::span<const RowOp> ops,
+                 std::span<const MatrixView> targets) {
+  if (ops.empty()) return;
+  // The ops regrouped by target (order kept within each), and the blocks
+  // numbered target by target; a worker takes a run of blocks.
+  std::vector<RowOp> grouped;
+  grouped.reserve(ops.size());
+  std::vector<std::size_t> firstOp(targets.size() + 1, 0);
+  std::vector<std::size_t> firstBlock(targets.size() + 1, 0);
+  std::size_t columns = 0;
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    for (const RowOp& op : ops)
+      if (op.target == t) grouped.push_back(op);
+    firstOp[t + 1] = grouped.size();
+    firstBlock[t + 1] = firstBlock[t] + (targets[t].cols +
+                                         kRowOpsBlockCols - 1) /
+                                            kRowOpsBlockCols;
+    columns += targets[t].cols;
+  }
+  std::size_t threads = 1;
+  const std::shared_ptr<ThreadPool> pool =
+      pinPool(ops.size() * columns, kRowOpsThreadedFloor, threads);
+  fanOut(pool, threads, firstBlock.back(),
+         [&](std::size_t b0, std::size_t b1) {
+           std::size_t t = 0;
+           for (std::size_t blk = b0; blk < b1; ++blk) {
+             while (blk >= firstBlock[t + 1]) ++t;
+             const MatrixView& m = targets[t];
+             const std::size_t c0 = (blk - firstBlock[t]) * kRowOpsBlockCols;
+             replayRowOps(grouped.data() + firstOp[t],
+                          firstOp[t + 1] - firstOp[t], m, c0,
+                          std::min(kRowOpsBlockCols, m.cols - c0));
+           }
+         });
+}
+
+ConstMatrixView ConstMatrixView::block(std::size_t i, std::size_t j,
+                                       std::size_t p, std::size_t q) const {
+  if (i + p > rows || j + q > cols)
+    throw std::invalid_argument("ConstMatrixView::block: out of range");
+  // An empty block keeps the base pointer: an empty matrix may have none.
+  return {p == 0 || q == 0 ? data : data + i * ld + j, p, q, ld};
+}
+
+MatrixView MatrixView::block(std::size_t i, std::size_t j, std::size_t p,
+                             std::size_t q) const {
+  if (i + p > rows || j + q > cols)
+    throw std::invalid_argument("MatrixView::block: out of range");
+  // An empty block keeps the base pointer: an empty matrix may have none.
+  return {p == 0 || q == 0 ? data : data + i * ld + j, p, q, ld};
+}
+
+MatrixView zeroedWorkspace(Matrix& ws, std::size_t rows, std::size_t cols) {
+  if (ws.rows() * ws.cols() < rows * cols) ws = Matrix(rows, cols);
+  std::fill(ws.data(), ws.data() + rows * cols, 0.0);
+  return {ws.data(), rows, cols, cols};
+}
+
 void gemmReference(double alpha, const Matrix& a, bool transA,
                    const Matrix& b, bool transB, double beta, Matrix& c) {
   std::size_t m, n, k;
   checkGemmShapes(a, transA, b, transB, c, m, n, k);
-
-  if (beta != 1.0) c *= beta;
-#ifdef SHHPASS_GEMM_X86_DISPATCH
-  if (cpu().avx2Fma) {
-    gemmReferenceAvx2(alpha, a, transA, b, transB, c, m, n, k);
-    return;
-  }
-#endif
-  gemmReferenceGeneric(alpha, a, transA, b, transB, c, m, n, k);
+  gemmReferenceView(alpha, a, transA, b, transB, beta, c, m, n, k);
 }
 
 void gemmBlocked(double alpha, const Matrix& a, bool transA, const Matrix& b,
                  bool transB, double beta, Matrix& c) {
   std::size_t m, n, k;
   checkGemmShapes(a, transA, b, transB, c, m, n, k);
-  if (m == 0 || n == 0) return;
-  const Product p{alpha, a, transA, b, transB, beta, c, k};
-#ifdef SHHPASS_GEMM_X86_DISPATCH
-  // The wide tile pays off once a product holds a few of its tiles each
-  // way; below that the 4x8 tile wastes less on zero-padded edges. Both
-  // run the same per-element FMA sequence, so the choice never changes a
-  // result.
-  if (cpu().avx512 && m >= kGemmWideMinRows && n >= kGemmWideMinCols) {
-    gemmFanOut<kGemmWideMr, kGemmWideNr>(p, microKernelAvx512, m, n);
-    return;
-  }
-  if (cpu().avx2Fma) {
-    gemmFanOut<MR, NR>(p, microKernelAvx2, m, n);
-    return;
-  }
-#endif
-  gemmFanOut<MR, NR>(p, microKernelGeneric, m, n);
+  gemmBlockedView(alpha, a, transA, b, transB, beta, c, m, n, k);
 }
 
-void gemm(double alpha, const Matrix& a, bool transA, const Matrix& b,
-          bool transB, double beta, Matrix& c) {
+void gemm(double alpha, ConstMatrixView a, bool transA, ConstMatrixView b,
+          bool transB, double beta, MatrixView c) {
   std::size_t m, n, k;
   checkGemmShapes(a, transA, b, transB, c, m, n, k);
   const std::size_t flopProducts = m * n * k;
@@ -626,10 +757,16 @@ void gemm(double alpha, const Matrix& a, bool transA, const Matrix& b,
   // kernel is also the better gemv/ger. The dispatch is performance-only:
   // both kernels implement the same contract.
   if (m < MR || n < NR || k < 4 || flopProducts < kGemmBlockedFlopFloor) {
-    gemmReference(alpha, a, transA, b, transB, beta, c);
+    gemmReferenceView(alpha, a, transA, b, transB, beta, c, m, n, k);
     return;
   }
-  gemmBlocked(alpha, a, transA, b, transB, beta, c);
+  gemmBlockedView(alpha, a, transA, b, transB, beta, c, m, n, k);
+}
+
+void gemm(double alpha, const Matrix& a, bool transA, const Matrix& b,
+          bool transB, double beta, Matrix& c) {
+  gemm(alpha, ConstMatrixView(a), transA, ConstMatrixView(b), transB, beta,
+       MatrixView(c));
 }
 
 std::size_t gemmThreads() {

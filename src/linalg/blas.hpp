@@ -18,6 +18,19 @@
 // gemmReference. These are literal thresholds: they do not depend on the
 // CPU or on the tile the blocked kernel picks.
 //
+// ## Views
+//
+// gemm() has two forms. The view form reads A and B and writes C through
+// ConstMatrixView / MatrixView — {data pointer, rows, cols, leading
+// dimension} over a row-major Matrix — so a kernel can update a block of
+// a larger matrix in place (the Hessenberg trailing update, the QR
+// window flushes) instead of copying it out with Matrix::block() and
+// back with setBlock(). The Matrix form is a one-line wrapper over it.
+// Both forms run the same dispatch, tiles, fan-out and per-element
+// sequence, so a product gives the same bits whichever form it takes and
+// whatever the operands' leading dimensions are. C must not overlap A or
+// B (A and B may overlap each other).
+//
 // ## Blocking parameters
 //
 // The blocked kernel follows the BLIS/GotoBLAS loop nest. Tile sizes are
@@ -76,11 +89,19 @@
 //     of which rows/columns a worker owns, so results are bit-identical
 //     between serial and threaded runs, for every thread count, across
 //     repeated runs;
-//   * the pool is used only inside gemm() calls that dispatch to the
-//     blocked kernel AND exceed kGemmThreadedFlopFloor, and inside
-//     dotRows() calls above kDotRowsThreadedFloor (the Hessenberg
-//     panel's A0 v and the skew tridiagonalization's at u, whose rows
-//     are independent dotQuad calls); small calls never touch the pool;
+//   * the pool is used only by three kernels, each of which splits its
+//     output into pieces whose every element is computed the same way
+//     whoever computes it:
+//       - gemm() calls that dispatch to the blocked kernel AND exceed
+//         kGemmThreadedFlopFloor;
+//       - dotRows() calls above kDotRowsThreadedFloor (the Hessenberg
+//         panel's A0 v and the skew tridiagonalization's at u, whose
+//         rows are independent dotQuad calls);
+//       - applyRowOps() calls above kRowOpsThreadedFloor (the replay of
+//         the bidiagonal QR sweep's rotations, by column blocks);
+//     small calls never touch the pool, and no other file reaches it
+//     (the kernel-pool-in-blas lint rule keeps
+//     linalg/thread_pool.hpp out of every other source file);
 //   * gemm() may be called concurrently from many threads (e.g. from
 //     runBatch workers); the kernel pool is shared, but each call waits
 //     only for its own panels and rethrows only their exceptions, and
@@ -112,6 +133,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 
 #include "linalg/matrix.hpp"
 
@@ -141,6 +164,67 @@ inline constexpr std::size_t kGemmBlockedFlopFloor = 64 * 64 * 64;
 inline constexpr std::size_t kGemmThreadedFlopFloor = 192 * 192 * 192;
 /// Minimum rows*len for which a threaded dotRows() fans out.
 inline constexpr std::size_t kDotRowsThreadedFloor = 256 * 256;
+/// Minimum ops * (columns of all targets) for which a threaded
+/// applyRowOps() fans out.
+inline constexpr std::size_t kRowOpsThreadedFloor = 256 * 256;
+/// Columns per block of applyRowOps(): a block of a 640-row target is
+/// 320 KiB, so the whole op sequence replays on it from L2.
+inline constexpr std::size_t kRowOpsBlockCols = 64;
+
+/// Read-only view of a block of a row-major matrix: element (i, j) is
+/// data[i * ld + j]. A view owns nothing and must not outlive the storage
+/// it was taken from.
+struct ConstMatrixView {
+  const double* data = nullptr;
+  std::size_t rows = 0;
+  std::size_t cols = 0;
+  std::size_t ld = 0;  ///< Leading dimension (>= cols).
+
+  ConstMatrixView(const double* d, std::size_t r, std::size_t c,
+                  std::size_t l)
+      : data(d), rows(r), cols(c), ld(l) {}
+  /// The whole matrix.
+  ConstMatrixView(const Matrix& m)  // implicit: a Matrix is a view
+      : data(m.data()), rows(m.rows()), cols(m.cols()), ld(m.cols()) {}
+
+  double operator()(std::size_t i, std::size_t j) const {
+    return data[i * ld + j];
+  }
+  /// The p x q block with top-left corner (i, j); throws
+  /// std::invalid_argument when it does not fit.
+  ConstMatrixView block(std::size_t i, std::size_t j, std::size_t p,
+                        std::size_t q) const;
+};
+
+/// Writable view of a block of a row-major matrix (see ConstMatrixView).
+struct MatrixView {
+  double* data = nullptr;
+  std::size_t rows = 0;
+  std::size_t cols = 0;
+  std::size_t ld = 0;  ///< Leading dimension (>= cols).
+
+  MatrixView(double* d, std::size_t r, std::size_t c, std::size_t l)
+      : data(d), rows(r), cols(c), ld(l) {}
+  /// The whole matrix.
+  MatrixView(Matrix& m)  // implicit: a Matrix is a view
+      : data(m.data()), rows(m.rows()), cols(m.cols()), ld(m.cols()) {}
+
+  double& operator()(std::size_t i, std::size_t j) const {
+    return data[i * ld + j];
+  }
+  /// The p x q block with top-left corner (i, j); throws
+  /// std::invalid_argument when it does not fit.
+  MatrixView block(std::size_t i, std::size_t j, std::size_t p,
+                   std::size_t q) const;
+  operator ConstMatrixView() const {
+    return {data, rows, cols, ld};
+  }
+};
+
+/// A zero-filled rows x cols view (leading dimension cols) over the
+/// storage of `ws`, which is reallocated only when it is too small: the
+/// reusable output buffer of the in-place kernels' off-block products.
+MatrixView zeroedWorkspace(Matrix& ws, std::size_t rows, std::size_t cols);
 
 /// C = alpha * op(A) * op(B) + beta * C, where op is identity or transpose.
 /// C must already have the correct shape and must not alias a or b (the
@@ -148,6 +232,11 @@ inline constexpr std::size_t kDotRowsThreadedFloor = 256 * 256;
 /// reference kernel; see the header comment for the exact contract.
 void gemm(double alpha, const Matrix& a, bool transA, const Matrix& b,
           bool transB, double beta, Matrix& c);
+
+/// gemm() on views: the same contract, bit for bit, on blocks of larger
+/// matrices. C must not overlap A or B.
+void gemm(double alpha, ConstMatrixView a, bool transA, ConstMatrixView b,
+          bool transB, double beta, MatrixView c);
 
 /// The naive i-k-j reference kernel (identical semantics to gemm).
 /// Exercised directly by the equivalence tests and the kernel benchmarks;
@@ -165,8 +254,9 @@ void gemmBlocked(double alpha, const Matrix& a, bool transA, const Matrix& b,
 /// the kernel pool has never been enabled).
 std::size_t gemmThreads();
 
-/// Enable (t > 1) or disable (t <= 1) row/column-panel threading of the
-/// blocked kernel and of dotRows(); t == 0 means std::thread::hardware_concurrency().
+/// Enable (t > 1) or disable (t <= 1) threading of the blocked kernel,
+/// of dotRows() and of applyRowOps(); t == 0 means
+/// std::thread::hardware_concurrency().
 /// t == 1 (or 0 on a single-core host) structurally bypasses the pool —
 /// no pool exists and gemm runs inline — and is bit-identical to every
 /// threaded setting (see threading contract). Safe to call concurrently
@@ -212,6 +302,39 @@ void axpy(double alpha, const double* x, std::size_t len, double* y);
 /// Exact per-element transcription of the two-line scalar update, with
 /// the same per-machine AVX2 dispatch as dotQuad.
 void planeRot(double cs, double sn, double* x, double* y, std::size_t len);
+
+/// One step of a recorded sequence of row operations on a row-major
+/// matrix (the bidiagonal QR sweep's rotations, sign flips and swaps;
+/// see applyRowOps).
+struct RowOp {
+  enum class Kind : std::uint8_t { Rotate, Negate, Swap };
+  Kind kind = Kind::Rotate;
+  std::uint8_t target = 0;  ///< Index into applyRowOps' targets.
+  std::uint32_t x = 0;      ///< First row.
+  std::uint32_t y = 0;      ///< Second row (Rotate, Swap).
+  double cs = 1.0;          ///< Rotate only.
+  double sn = 0.0;          ///< Rotate only.
+};
+
+/// Applies `ops`, in order, to the rows of targets[op.target]; per column
+/// i of the target:
+///
+///   Rotate: (x_i, y_i) <- (cs * x_i + sn * y_i, -sn * x_i + cs * y_i)
+///   Negate: x_i <- -x_i
+///   Swap:   x_i <-> y_i
+///
+/// A rotation rounds each of its four products and two sums separately —
+/// never fused, unlike planeRot's AVX2 clone — which is the arithmetic of
+/// the sweep's own row loops; the AVX2 clone of the replay is compiled
+/// without fma, so its bits do not depend on the CPU either. The columns
+/// of every target are cut into blocks of kRowOpsBlockCols, and each
+/// block replays the whole sequence while it sits in cache; above
+/// kRowOpsThreadedFloor the blocks fan out over the gemm kernel pool.
+/// Every element sees its ops in sequence order whoever replays its
+/// block, so the result is bit-identical to applying each op across
+/// whole rows at once, at every gemm width.
+void applyRowOps(std::span<const RowOp> ops,
+                 std::span<const MatrixView> targets);
 
 /// Euclidean norm of column j of A computed with overflow guarding.
 double colNorm(const Matrix& a, std::size_t j);

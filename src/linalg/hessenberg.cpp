@@ -7,6 +7,7 @@
 
 #include "linalg/blas.hpp"
 #include "linalg/householder.hpp"
+#include "obs/trace.hpp"
 
 namespace shhpass::linalg {
 namespace {
@@ -27,6 +28,16 @@ namespace {
 // panel is reduced are the trailing columns updated, with three big gemm
 // calls; Q is accumulated panel-by-panel at the end the same way. All
 // O(n^3) work outside the skinny panel products is therefore BLAS-3.
+//
+// Everything happens in place, as in dgehrd. A0 needs no copy: until the
+// trailing update, the columns of h past the one being reduced still hold
+// A0's values, so the recurrences read them from h. V and Y are stored
+// transposed (vt, yt: nb x n, row c = reflector / Y column c), so every
+// panel loop runs at unit stride; the trailing update and the Q
+// accumulation are view gemms on h and q. Each loop sums in the order of
+// the block-copying original (tests/hessenberg_oracle.hpp), and a gemm
+// gives the same bits on a view as on a copy, so H and Q are bitwise
+// those of the original.
 HessenbergResult hessenbergBlocked(const Matrix& a, bool wantQ) {
   const std::size_t n = a.rows();
   HessenbergResult res{a, wantQ ? Matrix::identity(n) : Matrix()};
@@ -34,39 +45,37 @@ HessenbergResult hessenbergBlocked(const Matrix& a, bool wantQ) {
 
   struct PanelFactors {
     std::size_t k;  // first reduced column
-    Matrix v;       // n x nb reflectors
+    Matrix vt;      // nb x n reflectors, one per row
     Matrix t;       // nb x nb compact-WY factor
   };
   std::vector<PanelFactors> panels;
 
   std::vector<double> b(n), w(kHessenbergBlock), g(kHessenbergBlock),
       yv(n), vtail(n);
+  Matrix ws1, ws2;  // nb-row products of the compact-WY updates
 
   for (std::size_t k = 0; k + 2 < n; k += kHessenbergBlock) {
     const std::size_t nb = std::min(kHessenbergBlock, n - 2 - k);
-    // Frozen panel-start matrix; the recurrences only ever read columns
-    // >= k, so only the trailing slab is copied. a0(i, c) below indexes
-    // the FULL-matrix column c as a0(i, c - k).
-    const Matrix a0 = h.block(0, k, n, n - k);
-    Matrix v(n, nb), y(n, nb), tmat(nb, nb);
-    std::vector<double> tau(nb, 0.0);
+    Matrix vt(nb, n), yt(nb, n), tmat(nb, nb);
 
     for (std::size_t t = 0; t < nb; ++t) {
       const std::size_t j = k + t;
 
       // b := column j of A_t = (I - V T^T V^T)(A0 e_j - Y (V^T e_j)).
-      for (std::size_t i = 0; i < n; ++i) b[i] = a0(i, j - k);
+      for (std::size_t i = 0; i < n; ++i) b[i] = h(i, j);
       if (t > 0) {
         // b -= Y(:, 0:t) * V(j, 0:t)^T (row j of V).
         for (std::size_t c = 0; c < t; ++c) {
-          const double vj = v(j, c);
+          const double vj = vt(c, j);
           if (vj == 0.0) continue;
-          for (std::size_t i = 0; i < n; ++i) b[i] -= y(i, c) * vj;
+          const double* yc = &yt(c, 0);
+          for (std::size_t i = 0; i < n; ++i) b[i] -= yc[i] * vj;
         }
         // b -= V * (T^T (V^T b)).
         for (std::size_t c = 0; c < t; ++c) {
+          const double* vc = &vt(c, 0);
           double s = 0.0;
-          for (std::size_t i = k + 1 + c; i < n; ++i) s += v(i, c) * b[i];
+          for (std::size_t i = k + 1 + c; i < n; ++i) s += vc[i] * b[i];
           w[c] = s;
         }
         for (std::size_t c = t; c-- > 0;) {
@@ -77,7 +86,8 @@ HessenbergResult hessenbergBlocked(const Matrix& a, bool wantQ) {
         for (std::size_t c = 0; c < t; ++c) {
           const double gc = g[c];
           if (gc == 0.0) continue;
-          for (std::size_t i = k + 1 + c; i < n; ++i) b[i] -= v(i, c) * gc;
+          const double* vc = &vt(c, 0);
+          for (std::size_t i = k + 1 + c; i < n; ++i) b[i] -= vc[i] * gc;
         }
       }
 
@@ -85,8 +95,8 @@ HessenbergResult hessenbergBlocked(const Matrix& a, bool wantQ) {
       double beta;
       const double tauT =
           makeReflector(b.data() + j + 1, n - j - 1, vtail.data(), beta);
-      tau[t] = tauT;
-      for (std::size_t i = j + 1; i < n; ++i) v(i, t) = vtail[i - j - 1];
+      double* vnew = &vt(t, 0);
+      for (std::size_t i = j + 1; i < n; ++i) vnew[i] = vtail[i - j - 1];
 
       // Column j of h is final: head from b, beta on the subdiagonal,
       // exact zeros below (later reflectors of this panel cannot touch
@@ -97,8 +107,9 @@ HessenbergResult hessenbergBlocked(const Matrix& a, bool wantQ) {
 
       // Extend T: T(0:t, t) = -tau * T * (V^T v_new); T(t, t) = tau.
       for (std::size_t c = 0; c < t; ++c) {
+        const double* vc = &vt(c, 0);
         double s = 0.0;
-        for (std::size_t i = j + 1; i < n; ++i) s += v(i, c) * v(i, t);
+        for (std::size_t i = j + 1; i < n; ++i) s += vc[i] * vnew[i];
         g[c] = s;  // g = V(:, 0:t)^T v_new, reused by the Y update
       }
       for (std::size_t i = 0; i < t; ++i) {
@@ -109,47 +120,58 @@ HessenbergResult hessenbergBlocked(const Matrix& a, bool wantQ) {
       tmat(t, t) = tauT;
 
       // Extend Y: y_new = tau * (A0 v_new - Y (V^T v_new)). The dominant
-      // dot of the whole panel: stream row i of a0 against the contiguous
-      // reflector tail (vtail holds v(j+1 : n, t)) through dotRows (one
-      // fixed-order dotQuad per row, rows spread over the kernel pool —
-      // bit-identical at every gemm width).
-      dotRows(a0.data() + (j + 1 - k), a0.cols(), n, vtail.data(),
-              n - j - 1, yv.data());
+      // dot of the whole panel: stream row i of A0 (columns j+1.. of h,
+      // untouched so far) against the contiguous reflector tail (vtail
+      // holds v(j+1 : n, t)) through dotRows (one fixed-order dotQuad per
+      // row, rows spread over the kernel pool — bit-identical at every
+      // gemm width).
+      dotRows(h.data() + j + 1, n, n, vtail.data(), n - j - 1, yv.data());
       for (std::size_t c = 0; c < t; ++c) {
         const double gc = g[c];
         if (gc == 0.0) continue;
-        for (std::size_t i = 0; i < n; ++i) yv[i] -= y(i, c) * gc;
+        const double* yc = &yt(c, 0);
+        for (std::size_t i = 0; i < n; ++i) yv[i] -= yc[i] * gc;
       }
-      for (std::size_t i = 0; i < n; ++i) y(i, t) = tauT * yv[i];
+      double* ynew = &yt(t, 0);
+      for (std::size_t i = 0; i < n; ++i) ynew[i] = tauT * yv[i];
     }
 
     // Trailing update (the BLAS-3 bulk): columns k+nb .. n-1.
     const std::size_t trail = k + nb;
     if (trail < n) {
+      const std::size_t nt = n - trail;
       // Right: H(:, trail:) -= Y * V(trail:, :)^T.
-      Matrix cblk = h.block(0, trail, n, n - trail);
-      gemm(-1.0, y, false, v.block(trail, 0, n - trail, nb), true, 1.0,
-           cblk);
-      // Left: H(k+1:, trail:) = (I - V2 T^T V2^T) * (right-updated block).
-      Matrix top = cblk.block(0, 0, k + 1, n - trail);
-      Matrix bot = cblk.block(k + 1, 0, n - k - 1, n - trail);
-      applyBlockReflectorLeft(v.block(k + 1, 0, n - k - 1, nb), tmat,
-                              /*transpose=*/true, bot);
-      h.setBlock(0, trail, top);
-      h.setBlock(k + 1, trail, bot);
+      gemm(-1.0, yt, true, ConstMatrixView(vt).block(0, trail, nb, nt), false,
+           1.0, MatrixView(h).block(0, trail, n, nt));
+      // Left: H(k+1:, trail:) = (I - V2 T^T V2^T) * (right-updated block),
+      // as W1 = V2^T H2, W2 = T^T W1, H2 -= V2 W2.
+      const ConstMatrixView v2 =
+          ConstMatrixView(vt).block(0, k + 1, nb, n - k - 1);
+      const MatrixView h2 = MatrixView(h).block(k + 1, trail, n - k - 1, nt);
+      const MatrixView w1 = zeroedWorkspace(ws1, nb, nt);
+      gemm(1.0, v2, false, h2, false, 0.0, w1);
+      const MatrixView w2 = zeroedWorkspace(ws2, nb, nt);
+      gemm(1.0, tmat, true, w1, false, 0.0, w2);
+      gemm(-1.0, v2, true, w2, false, 1.0, h2);
     }
-    panels.push_back({k, std::move(v), std::move(tmat)});
+    panels.push_back({k, std::move(vt), std::move(tmat)});
   }
 
   // Accumulate Q = (I - V_0 T_0 V_0^T)(I - V_1 T_1 V_1^T)...: each panel
-  // touches only columns k+1 .. n-1 of Q (the reflector support).
+  // touches only columns k+1 .. n-1 of Q (the reflector support), as
+  // W1 = Q2 V, W2 = W1 T, Q2 -= W2 V^T.
   if (!wantQ) return res;
   for (const PanelFactors& p : panels) {
     const std::size_t first = p.k + 1;
-    Matrix qcols = res.q.block(0, first, n, n - first);
-    applyBlockReflectorRight(p.v.block(first, 0, n - first, p.v.cols()),
-                             p.t, qcols);
-    res.q.setBlock(0, first, qcols);
+    const std::size_t nb = p.vt.rows();
+    const ConstMatrixView v =
+        ConstMatrixView(p.vt).block(0, first, nb, n - first);
+    const MatrixView q2 = MatrixView(res.q).block(0, first, n, n - first);
+    const MatrixView w1 = zeroedWorkspace(ws1, n, nb);
+    gemm(1.0, q2, false, v, true, 0.0, w1);
+    const MatrixView w2 = zeroedWorkspace(ws2, n, nb);
+    gemm(1.0, w1, false, p.t, false, 0.0, w2);
+    gemm(-1.0, w2, false, v, false, 1.0, q2);
   }
   return res;
 }
@@ -158,6 +180,8 @@ HessenbergResult hessenbergBlocked(const Matrix& a, bool wantQ) {
 
 HessenbergResult hessenberg(const Matrix& a, bool wantQ) {
   if (!a.isSquare()) throw std::invalid_argument("hessenberg: not square");
+  obs::ObsSpan span("hessenberg", "kernel", a.rows() >= 32);
+  span.arg("n", static_cast<std::int64_t>(a.rows()));
   if (a.rows() < kHessenbergCrossover) return hessenbergUnblocked(a, wantQ);
   return hessenbergBlocked(a, wantQ);
 }

@@ -11,6 +11,12 @@
 //     updates, accumulating the compact-WY factors (V, T) and the product
 //     Y = A V T; the trailing matrix and the Q accumulation are then
 //     updated with a few large gemm calls (BLAS-3, ~80% of the flops).
+//     Like dgehrd it works in place: the panel reads the panel-start
+//     matrix A0 straight from the not-yet-updated columns of H (no slab
+//     copy), V and Y are stored transposed so every panel loop runs at
+//     unit stride, and the trailing and Q updates are view gemms
+//     (blas.hpp) on H and Q themselves, through one small reusable
+//     workspace — no block()/setBlock() round trips.
 //
 // hessenberg() dispatches on kHessenbergCrossover. Both paths use the
 // same reflector sign convention (leading entry's sign is flipped), so
@@ -20,10 +26,13 @@
 // reconstruction/orthogonality bounds are enforced by
 // tests/test_blas_blocked.cpp.
 //
-// Threading: the blocked path inherits whatever gemm does — enable
-// setGemmThreads() to parallelize the trailing updates; the panel
-// reduction itself is sequential either way, and results are
-// bit-identical for every thread count (see blas.hpp).
+// Threading: enable setGemmThreads() to parallelize the blocked path.
+// The trailing updates and the Q accumulation are gemm calls, and the
+// panel's dominant gemv (A0 v, one dotQuad per row) runs through dotRows,
+// which fans its rows out over the same kernel pool; the rest of the
+// panel recurrences are sequential. Results are bit-identical for every
+// thread count (see blas.hpp), and bitwise those of the earlier
+// block-copying reduction (tests/hessenberg_oracle.hpp).
 #pragma once
 
 #include <cstddef>

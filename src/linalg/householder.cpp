@@ -69,13 +69,4 @@ void applyBlockReflectorLeft(const Matrix& v, const Matrix& t,
   gemm(-1.0, v, false, w, false, 1.0, c);
 }
 
-void applyBlockReflectorRight(const Matrix& v, const Matrix& t, Matrix& c) {
-  if (c.cols() != v.rows())
-    throw std::invalid_argument("applyBlockReflectorRight: shape mismatch");
-  if (v.cols() == 0) return;
-  // W = (C V) T; C -= W V^T.
-  Matrix w = multiply(c * v, false, t, false);
-  gemm(-1.0, w, false, v, true, 1.0, c);
-}
-
 }  // namespace shhpass::linalg

@@ -8,8 +8,11 @@
 // with V = [v_0 ... v_{k-1}] and T a k x k upper-triangular factor
 // (LAPACK dlarft, forward columnwise). Applying Q (or Q^T) to a matrix
 // then costs three gemm calls instead of k rank-1 updates — this is what
-// turns the Hessenberg reduction and QR factorization into BLAS-3
-// algorithms. Both hessenberg.cpp and qr.cpp share these kernels.
+// turns the Hessenberg reduction, the QR factorization and the SVD's
+// factor accumulation into BLAS-3 algorithms. qr.cpp, svd.cpp and
+// staircase.cpp apply their blocks through applyBlockReflectorLeft; the
+// Hessenberg reduction keeps V transposed and applies its blocks in place
+// with view gemms (hessenberg.cpp), building T itself.
 //
 // Conventions:
 //   * V is stored as a dense m x k matrix; column j is the full-length
@@ -49,9 +52,5 @@ Matrix buildCompactWyT(const Matrix& v, const std::vector<double>& tau);
 /// Q C or Q^T C — via three gemm calls. C must have v.rows() rows.
 void applyBlockReflectorLeft(const Matrix& v, const Matrix& t,
                              bool transpose, Matrix& c);
-
-/// C := C (I - V T V^T) = C Q via three gemm calls. C must have v.rows()
-/// columns.
-void applyBlockReflectorRight(const Matrix& v, const Matrix& t, Matrix& c);
 
 }  // namespace shhpass::linalg

@@ -8,6 +8,7 @@
 
 #include "linalg/lu.hpp"
 #include "linalg/schur.hpp"
+#include "obs/trace.hpp"
 
 namespace shhpass::linalg {
 namespace {
@@ -50,6 +51,10 @@ GeneralizedEigenvalues generalizedEigenvalues(const Matrix& e, const Matrix& a,
   const std::size_t n = e.rows();
   GeneralizedEigenvalues out;
   if (n == 0) return out;
+  // The shift search's LU, the shift-inverted solve and the eigensolve
+  // (its own `eigenvalues` span nests inside).
+  obs::ObsSpan span("generalized-eig", "kernel", n >= 32);
+  span.arg("n", static_cast<std::int64_t>(n));
 
   const std::optional<RegularShift> shift = findRegularShift(e, a);
   if (!shift)

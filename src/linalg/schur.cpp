@@ -77,8 +77,10 @@ RealSchurResult realSchur(const Matrix& a) {
 
 std::vector<std::complex<double>> eigenvalues(const Matrix& a) {
   if (!a.isSquare()) throw std::invalid_argument("eigenvalues: not square");
-  return schurDriver(a, a.rows() >= kSchurCrossover, /*wantQ=*/false)
-      .eigenvalues;
+  const std::size_t n = a.rows();
+  obs::ObsSpan span("eigenvalues", "kernel", n >= 32);
+  span.arg("n", static_cast<std::int64_t>(n));
+  return schurDriver(a, n >= kSchurCrossover, /*wantQ=*/false).eigenvalues;
 }
 
 std::size_t repairQuasiTriangularStructure(Matrix& t) {

@@ -388,10 +388,11 @@ void applyBulgeStep(Matrix& h, Matrix& u, long w0, long w1, long ihi,
 /// One small-bulge multishift sweep over the unreduced active block
 /// [ilo, ihi]: chase a chain of 3x3 bulges (spaced three rows apart) down
 /// the diagonal, accumulating each window pass into U and flushing the
-/// off-window rows/columns of h and the q columns as gemm calls.
+/// off-window rows/columns of h and the q columns in place as gemm calls
+/// (applyWindowTransform, through the run's workspace `ws`).
 void multishiftSweep(Matrix& h, Matrix& z, long ilo, long ihi,
-                     const std::vector<ShiftPair>& pairs, SchurReport& rep) {
-  const long n = static_cast<long>(h.rows());
+                     const std::vector<ShiftPair>& pairs, SchurReport& rep,
+                     Matrix& ws) {
   std::vector<Bulge> bulges;  // front = bottom-most (oldest)
   std::size_t nextPair = 0;
 
@@ -424,24 +425,7 @@ void multishiftSweep(Matrix& h, Matrix& z, long ilo, long ihi,
     }
 
     // Flush the accumulated window transform to the off-window parts.
-    if (w1 + 1 < n) {
-      Matrix right = h.block(w0, w1 + 1, nw, n - w1 - 1);
-      Matrix tmp(nw, n - w1 - 1);
-      gemm(1.0, u, true, right, false, 0.0, tmp);
-      h.setBlock(w0, w1 + 1, tmp);
-    }
-    if (w0 > 0) {
-      Matrix top = h.block(0, w0, w0, nw);
-      Matrix tmp(w0, nw);
-      gemm(1.0, top, false, u, false, 0.0, tmp);
-      h.setBlock(0, w0, tmp);
-    }
-    if (z.rows() > 0) {
-      Matrix zc = z.block(0, w0, z.rows(), nw);
-      Matrix tmp(z.rows(), nw);
-      gemm(1.0, zc, false, u, false, 0.0, tmp);
-      z.setBlock(0, w0, tmp);
-    }
+    applyWindowTransform(h, z, u, static_cast<std::size_t>(w0), ws);
   }
   ++rep.sweeps;
   rep.shiftsApplied += 2 * pairs.size();
@@ -462,6 +446,8 @@ void multishiftSchurHessenberg(Matrix& h, Matrix& z, SchurReport* report) {
   for (long i = 0; i < n; ++i)
     for (long j = std::max(i - 1, 0L); j < n; ++j) norm += std::abs(h(i, j));
 
+  // One workspace for every off-window flush of the run.
+  Matrix ws;
   long ihi = n - 1;
   int stagnation = 0;
   long cycles = 0;
@@ -506,25 +492,7 @@ void multishiftSchurHessenberg(Matrix& h, Matrix& z, SchurReport* report) {
         Matrix v = Matrix::identity(sz);
         francisSchurWindow(t, v, 0, sz - 1, &local);
         h.setBlock(lo, lo, t);
-        if (lo > 0) {
-          const Matrix top = h.block(0, lo, lo, sz);
-          Matrix tmp(lo, sz);
-          gemm(1.0, top, false, v, false, 0.0, tmp);
-          h.setBlock(0, lo, tmp);
-        }
-        if (ihi + 1 < n) {
-          const Matrix right =
-              h.block(lo, ihi + 1, sz, static_cast<std::size_t>(n - ihi - 1));
-          Matrix tmp(sz, static_cast<std::size_t>(n - ihi - 1));
-          gemm(1.0, v, true, right, false, 0.0, tmp);
-          h.setBlock(lo, ihi + 1, tmp);
-        }
-        if (z.rows() > 0) {
-          const Matrix zc = z.block(0, lo, z.rows(), sz);
-          Matrix tmp(z.rows(), sz);
-          gemm(1.0, zc, false, v, false, 0.0, tmp);
-          z.setBlock(0, lo, tmp);
-        }
+        applyWindowTransform(h, z, v, lo, ws);
       } else {
         francisSchurWindow(h, z, static_cast<std::size_t>(ilo),
                            static_cast<std::size_t>(ihi), &local);
@@ -540,7 +508,7 @@ void multishiftSchurHessenberg(Matrix& h, Matrix& z, SchurReport* report) {
         static_cast<std::size_t>(nh - 1));
     const AedResult aed =
         aggressiveEarlyDeflation(h, z, static_cast<std::size_t>(ilo),
-                                 static_cast<std::size_t>(ihi), nw, local);
+                                 static_cast<std::size_t>(ihi), nw, local, ws);
     if (aed.deflated > 0)
       stagnation = 0;
     else
@@ -571,7 +539,7 @@ void multishiftSchurHessenberg(Matrix& h, Matrix& z, SchurReport* report) {
     const std::size_t ns = schurShiftCount(static_cast<std::size_t>(nh));
     const std::vector<ShiftPair> pairs = pairShifts(aed.shifts, ns / 2);
     if (pairs.empty()) continue;
-    multishiftSweep(h, z, ilo, ihi, pairs, local);
+    multishiftSweep(h, z, ilo, ihi, pairs, local, ws);
   }
   if (report) report->absorb(local);
 }

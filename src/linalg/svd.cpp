@@ -136,19 +136,122 @@ void gkSvd(const Matrix& aIn, std::vector<double>& sv, Matrix& u, Matrix& v) {
 // ------------------------------------------------------------------------
 
 namespace detail {
+namespace {
+
+// Where the sweep's vector operations go. The sweep's shifts and
+// rotation coefficients only ever read s and e, never the factors, so
+// each operation on the rows of ut / vt may be applied at once
+// (ImmediateRows), recorded and replayed later (ReplayedRows), or dropped
+// (NoRows, the values-only mode): the singular values are the same bits
+// either way.
+struct NoRows {
+  void rotateU(int, int, double, double) {}
+  void rotateV(int, int, double, double) {}
+  void negateV(int) {}
+  void swapU(int) {}
+  void swapV(int) {}
+  void flush() {}
+};
+
+// The sweep's own row loops, applied as each operation is decided: the
+// body below kSvdReplayFloor, and the oracle of the replay
+// (bidiagonalQrSweepUnblocked).
+class ImmediateRows {
+ public:
+  ImmediateRows(Matrix& ut, Matrix& vt, int n)
+      : ut_(ut), vt_(vt), m_(static_cast<int>(ut.cols())), n_(n) {}
+
+  void rotateU(int x, int y, double cs, double sn) {
+    rotate(&ut_(x, 0), &ut_(y, 0), m_, cs, sn);
+  }
+  void rotateV(int x, int y, double cs, double sn) {
+    rotate(&vt_(x, 0), &vt_(y, 0), n_, cs, sn);
+  }
+  void negateV(int k) {
+    double* vk = &vt_(k, 0);
+    for (int i = 0; i < n_; ++i) vk[i] = -vk[i];
+  }
+  void swapU(int k) {
+    std::swap_ranges(&ut_(k, 0), &ut_(k, 0) + m_, &ut_(k + 1, 0));
+  }
+  void swapV(int k) {
+    std::swap_ranges(&vt_(k, 0), &vt_(k, 0) + n_, &vt_(k + 1, 0));
+  }
+  void flush() {}
+
+ private:
+  static void rotate(double* x, double* y, int len, double cs, double sn) {
+    for (int i = 0; i < len; ++i) {
+      const double t = cs * x[i] + sn * y[i];
+      y[i] = -sn * x[i] + cs * y[i];
+      x[i] = t;
+    }
+  }
+
+  Matrix& ut_;
+  Matrix& vt_;
+  int m_, n_;
+};
+
+// Records the operations in a log of at most kLogLength entries and
+// replays it with applyRowOps — over column blocks of ut and vt that stay
+// in cache, fanned out over the kernel pool — whenever it fills and at
+// the end of the sweep (Van Zee, van de Geijn and Quintana-Orti,
+// "Restructuring the tridiagonal and bidiagonal QR algorithms for
+// performance", ACM TOMS 40(3), 2014). Each element still sees its
+// operations in order with the unfused arithmetic of ImmediateRows, so
+// the factors are the same bits.
+class ReplayedRows {
+ public:
+  // 8192 ops (256 KiB) is a few QR steps of an order-640 core per replay,
+  // and bounds the log whatever the order.
+  static constexpr std::size_t kLogLength = 8192;
+
+  ReplayedRows(Matrix& ut, Matrix& vt, std::size_t n)
+      : targets_{MatrixView(ut), MatrixView(vt).block(0, 0, vt.rows(), n)} {
+    log_.reserve(kLogLength);
+  }
+
+  void rotateU(int x, int y, double cs, double sn) {
+    push({RowOp::Kind::Rotate, 0, row(x), row(y), cs, sn});
+  }
+  void rotateV(int x, int y, double cs, double sn) {
+    push({RowOp::Kind::Rotate, 1, row(x), row(y), cs, sn});
+  }
+  void negateV(int k) { push({RowOp::Kind::Negate, 1, row(k), 0, 1.0, 0.0}); }
+  void swapU(int k) {
+    push({RowOp::Kind::Swap, 0, row(k), row(k + 1), 1.0, 0.0});
+  }
+  void swapV(int k) {
+    push({RowOp::Kind::Swap, 1, row(k), row(k + 1), 1.0, 0.0});
+  }
+  void flush() {
+    applyRowOps(log_, targets_);
+    log_.clear();
+  }
+
+ private:
+  static std::uint32_t row(int i) { return static_cast<std::uint32_t>(i); }
+  void push(const RowOp& op) {
+    log_.push_back(op);
+    if (log_.size() == kLogLength) flush();
+  }
+
+  std::vector<RowOp> log_;
+  MatrixView targets_[2];
+};
 
 // The Golub-Kahan-Reinsch implicit-QR iteration (JAMA lineage) on
 // TRANSPOSED factors: row j of `ut` is column j of U, row j of `vt` is
 // column j of V. Every Givens rotation then updates two contiguous rows
-// instead of two stride-n columns, which is what keeps the O(n^3)
-// rotation stream cache-resident. Both SVD kernels and the staircase
-// skew-tridiagonal compression run their bidiagonal core through it.
-void bidiagonalQrSweepTransposed(std::vector<double>& sv,
-                                 std::vector<double>& e, Matrix& ut,
-                                 Matrix& vt, bool withVectors) {
+// instead of two stride-n columns. `rows` decides when the row
+// operations reach the factors (see NoRows / ImmediateRows /
+// ReplayedRows); `m` is the length of a U row.
+template <typename Rows>
+void bidiagonalQrSweep(std::vector<double>& sv, std::vector<double>& e,
+                       int m, Rows& rows) {
   double* s = sv.data();
   const int n = static_cast<int>(sv.size());
-  const int m = static_cast<int>(ut.cols());
   int p = n;
   const int pp = p - 1;
   int iter = 0;
@@ -193,7 +296,7 @@ void bidiagonalQrSweepTransposed(std::vector<double>& sv,
         double f = e[p - 2];
         e[p - 2] = 0.0;
         for (int j = p - 2; j >= k; --j) {
-          double t = std::hypot(s[j], f);
+          const double t = std::hypot(s[j], f);
           const double cs = s[j] / t;
           const double sn = f / t;
           s[j] = t;
@@ -201,15 +304,7 @@ void bidiagonalQrSweepTransposed(std::vector<double>& sv,
             f = -sn * e[j - 1];
             e[j - 1] = cs * e[j - 1];
           }
-          if (withVectors) {
-            double* vj = &vt(j, 0);
-            double* vq = &vt(p - 1, 0);
-            for (int i = 0; i < n; ++i) {
-              t = cs * vj[i] + sn * vq[i];
-              vq[i] = -sn * vj[i] + cs * vq[i];
-              vj[i] = t;
-            }
-          }
+          rows.rotateV(j, p - 1, cs, sn);
         }
         break;
       }
@@ -217,21 +312,13 @@ void bidiagonalQrSweepTransposed(std::vector<double>& sv,
         double f = e[k - 1];
         e[k - 1] = 0.0;
         for (int j = k; j < p; ++j) {
-          double t = std::hypot(s[j], f);
+          const double t = std::hypot(s[j], f);
           const double cs = s[j] / t;
           const double sn = f / t;
           s[j] = t;
           f = -sn * e[j];
           e[j] = cs * e[j];
-          if (withVectors) {
-            double* uj = &ut(j, 0);
-            double* uq = &ut(k - 1, 0);
-            for (int i = 0; i < m; ++i) {
-              t = cs * uj[i] + sn * uq[i];
-              uq[i] = -sn * uj[i] + cs * uq[i];
-              uj[i] = t;
-            }
-          }
+          rows.rotateU(j, k - 1, cs, sn);
         }
         break;
       }
@@ -263,15 +350,7 @@ void bidiagonalQrSweepTransposed(std::vector<double>& sv,
           e[j] = cs * e[j] - sn * s[j];
           g = sn * s[j + 1];
           s[j + 1] = cs * s[j + 1];
-          if (withVectors) {
-            double* vj = &vt(j, 0);
-            double* vq = &vt(j + 1, 0);
-            for (int i = 0; i < n; ++i) {
-              t = cs * vj[i] + sn * vq[i];
-              vq[i] = -sn * vj[i] + cs * vq[i];
-              vj[i] = t;
-            }
-          }
+          rows.rotateV(j, j + 1, cs, sn);
           t = std::hypot(f, g);
           cs = f / t;
           sn = g / t;
@@ -280,36 +359,25 @@ void bidiagonalQrSweepTransposed(std::vector<double>& sv,
           s[j + 1] = -sn * e[j] + cs * s[j + 1];
           g = sn * e[j + 1];
           e[j + 1] = cs * e[j + 1];
-          if (withVectors && j < m - 1) {
-            double* uj = &ut(j, 0);
-            double* uq = &ut(j + 1, 0);
-            for (int i = 0; i < m; ++i) {
-              t = cs * uj[i] + sn * uq[i];
-              uq[i] = -sn * uj[i] + cs * uq[i];
-              uj[i] = t;
-            }
-          }
+          if (j < m - 1) rows.rotateU(j, j + 1, cs, sn);
         }
         e[p - 2] = f;
-        if (++iter > 500)
+        if (++iter > 500) {
+          rows.flush();
           throw std::runtime_error("SVD: QR iteration failed to converge");
+        }
         break;
       }
       case 4: {  // Convergence.
         if (s[k] <= 0.0) {
           s[k] = (s[k] < 0.0 ? -s[k] : 0.0);
-          if (withVectors) {
-            double* vk = &vt(k, 0);
-            for (int i = 0; i <= pp; ++i) vk[i] = -vk[i];
-          }
+          rows.negateV(k);
         }
         while (k < pp) {
           if (s[k] >= s[k + 1]) break;
           std::swap(s[k], s[k + 1]);
-          if (withVectors && k < n - 1)
-            std::swap_ranges(&vt(k, 0), &vt(k, 0) + n, &vt(k + 1, 0));
-          if (withVectors && k < m - 1)
-            std::swap_ranges(&ut(k, 0), &ut(k, 0) + m, &ut(k + 1, 0));
+          if (k < n - 1) rows.swapV(k);
+          if (k < m - 1) rows.swapU(k);
           ++k;
         }
         iter = 0;
@@ -318,6 +386,35 @@ void bidiagonalQrSweepTransposed(std::vector<double>& sv,
       }
     }
   }
+  rows.flush();
+}
+
+}  // namespace
+
+void bidiagonalQrSweepTransposed(std::vector<double>& sv,
+                                 std::vector<double>& e, Matrix& ut,
+                                 Matrix& vt, bool withVectors) {
+  const std::size_t n = sv.size();
+  obs::ObsSpan span("bidiagonal-sweep", "kernel", n >= 32);
+  span.arg("n", static_cast<std::int64_t>(n));
+  if (!withVectors) {
+    NoRows rows;
+    bidiagonalQrSweep(sv, e, 0, rows);
+    return;
+  }
+  if (n * (n + ut.cols()) < kSvdReplayFloor) {
+    bidiagonalQrSweepUnblocked(sv, e, ut, vt);
+    return;
+  }
+  ReplayedRows rows(ut, vt, n);
+  bidiagonalQrSweep(sv, e, static_cast<int>(ut.cols()), rows);
+}
+
+void bidiagonalQrSweepUnblocked(std::vector<double>& sv,
+                                std::vector<double>& e, Matrix& ut,
+                                Matrix& vt) {
+  ImmediateRows rows(ut, vt, static_cast<int>(sv.size()));
+  bidiagonalQrSweep(sv, e, static_cast<int>(ut.cols()), rows);
 }
 
 }  // namespace detail

@@ -22,6 +22,22 @@
 // factor layouts so the Givens updates stream through cache instead of
 // striding.
 //
+// ## The rotation replay
+//
+// A q x q core's sweep applies O(q^2) rotations, sign flips and swaps to
+// the rows of the factors; applied one at a time they stream the whole
+// q x q factor matrices from L3 or memory for every QR step. At and above
+// kSvdReplayFloor (q * (q + length of a U row) elements) the sweep
+// records them in an op log of fixed maximum length (so it cannot grow
+// as q^2) and replays the log by column blocks of the factors that stay
+// in cache, through linalg::applyRowOps (blas.hpp) — the delayed-rotation
+// scheme of Van Zee, van de Geijn and Quintana-Orti, ACM TOMS 40(3),
+// 2014. Below the floor every operation is applied as it is decided
+// (detail::bidiagonalQrSweepUnblocked, which is also the replay's test
+// oracle). Each element of the factors sees the same operations in the
+// same order with the same unfused arithmetic either way, so the replay
+// is bit-identical to applying each rotation immediately.
+//
 // SVD() dispatches on kSvdCrossover (min(m, n)); below it the result is
 // bit-identical to svdUnblocked. Above it the two kernels produce equally
 // valid decompositions that agree only to backward-stable roundoff
@@ -30,7 +46,10 @@
 //
 // Threading: the blocked path inherits gemm's contract (blas.hpp) —
 // enable setGemmThreads() to parallelize the trailing updates and the
-// factor accumulation; results are bit-identical for every thread count.
+// factor accumulation — and the rotation replay fans its column blocks
+// out over the same kernel pool through applyRowOps (each block replays
+// the whole log on its own columns); results are bit-identical for every
+// thread count.
 //
 // ## The shared rank policy
 //
@@ -59,6 +78,12 @@ inline constexpr std::size_t kSvdPanel = 32;
 /// the unblocked kernel is faster AND bit-identical to the pre-blocking
 /// implementation (consistent with kHessenbergCrossover).
 inline constexpr std::size_t kSvdCrossover = 128;
+
+/// Smallest q * (q + length of a U row) for which the bidiagonal sweep
+/// replays its rotations by column blocks instead of applying each one at
+/// once (both give the same bits; below it the factors stay in cache and
+/// the log only costs time).
+inline constexpr std::size_t kSvdReplayFloor = 2 * 160 * 160;
 
 /// Kernel selector for SVD: Auto dispatches on kSvdCrossover.
 enum class SvdKernel { Auto, Unblocked, Blocked };
@@ -181,10 +206,22 @@ namespace detail {
 /// nonnegative entries. This is the rotation engine of both SVD kernels,
 /// exposed for linalg/staircase.cpp, whose skew-tridiagonal compression
 /// reduces E1 to a half-size bidiagonal core and reuses the exact same
-/// sweep (one implementation, one set of deflation criteria).
+/// sweep (one implementation, one set of deflation criteria). At and
+/// above kSvdReplayFloor the row operations are replayed by column blocks
+/// (see the header comment); the result is bitwise that of
+/// bidiagonalQrSweepUnblocked. With withVectors = false the factors are
+/// not touched and the values are the same bits.
 void bidiagonalQrSweepTransposed(std::vector<double>& sv,
                                  std::vector<double>& e, Matrix& ut,
                                  Matrix& vt, bool withVectors = true);
+
+/// The same sweep applying every row operation as soon as it is decided,
+/// at every size: the body below kSvdReplayFloor and the oracle the
+/// replay is tested against. Production code should call
+/// bidiagonalQrSweepTransposed().
+void bidiagonalQrSweepUnblocked(std::vector<double>& sv,
+                                std::vector<double>& e, Matrix& ut,
+                                Matrix& vt);
 
 }  // namespace detail
 

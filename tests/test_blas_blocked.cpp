@@ -7,7 +7,11 @@
 //   * blocked Hessenberg / QR vs their unblocked references;
 //   * bit-determinism of the threaded gemm for every thread count;
 //   * the per-element accumulation contract, bit for bit, against an
-//     oracle that replays each element's multiply-add sequence.
+//     oracle that replays each element's multiply-add sequence;
+//   * the view form of gemm (offset blocks with ld > cols inside larger
+//     matrices) against the Matrix form on copied blocks, bit for bit;
+//   * the in-place blocked Hessenberg reduction against the
+//     block-copying oracle of tests/hessenberg_oracle.hpp, bit for bit.
 //
 // Tolerance convention: blocked and reference kernels sum each element in
 // a different order, so they agree to the inner-product forward-error
@@ -16,7 +20,9 @@
 // the provable error growth for long accumulations.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -24,6 +30,7 @@
 #include "linalg/hessenberg.hpp"
 #include "linalg/householder.hpp"
 #include "linalg/qr.hpp"
+#include "hessenberg_oracle.hpp"
 #include "linalg/staircase.hpp"
 #include "test_support.hpp"
 
@@ -377,6 +384,103 @@ TEST(GemmContract, PanelGemvsBitIdenticalAcrossWidths) {
   EXPECT_TRUE(bitIdentical(c1.nullspace, c4.nullspace));
 }
 
+// --------------------------------------------------------------- views
+
+// A view of the r x c block at (pad, pad + 1) of a larger matrix whose
+// other entries are a sentinel; ld = c + 2 * pad + 3 > c.
+struct Embedded {
+  static constexpr std::size_t kPad = 3;
+  static constexpr double kSentinel = -7.25e300;
+  Matrix store;
+  std::size_t r, c;
+
+  explicit Embedded(const Matrix& inner)
+      : store(inner.rows() + 2 * kPad, inner.cols() + 2 * kPad + 3,
+              kSentinel),
+        r(inner.rows()),
+        c(inner.cols()) {
+    for (std::size_t i = 0; i < r; ++i)
+      for (std::size_t j = 0; j < c; ++j)
+        store(kPad + i, kPad + 1 + j) = inner(i, j);
+  }
+  MatrixView view() { return MatrixView(store).block(kPad, kPad + 1, r, c); }
+  Matrix block() const { return store.block(kPad, kPad + 1, r, c); }
+  // Every entry outside the block still holds the sentinel's bits.
+  bool bordersIntact() const {
+    const std::uint64_t want = std::bit_cast<std::uint64_t>(kSentinel);
+    for (std::size_t i = 0; i < store.rows(); ++i)
+      for (std::size_t j = 0; j < store.cols(); ++j) {
+        const bool inside = i >= kPad && i < kPad + r && j >= kPad + 1 &&
+                            j < kPad + 1 + c;
+        if (!inside && std::bit_cast<std::uint64_t>(store(i, j)) != want)
+          return false;
+      }
+    return true;
+  }
+};
+
+TEST(GemmViews, OffsetViewsMatchCopiedBlocksBitForBit) {
+  // Shapes on each dispatch path and tile: the reference kernel, the 4x8
+  // tile, the wide tile, and a product above the threaded floor.
+  GemmThreadsGuard guard;
+  struct Shape {
+    std::size_t m, n, k;
+  };
+  const Shape shapes[] = {{5, 9, 7}, {60, 80, 70}, {100, 120, 40},
+                          {200, 200, 200}};
+  ASSERT_FALSE(takesBlockedPath(5, 9, 7));
+  ASSERT_TRUE(takesBlockedPath(60, 80, 70));
+  ASSERT_LT(std::size_t{80}, kGemmWideMinCols);
+  ASSERT_TRUE(takesBlockedPath(100, 120, 40));
+  ASSERT_GE(std::size_t{100}, kGemmWideMinRows);
+  ASSERT_GE(std::size_t{120}, kGemmWideMinCols);
+  ASSERT_GE(std::size_t{200} * 200 * 200, kGemmThreadedFlopFloor);
+  Xorshift rng(0x71e3);
+  for (const Shape& sh : shapes)
+    for (int c = 0; c < 24; ++c) {
+      const bool ta = (c & 1) != 0, tb = (c & 2) != 0;
+      const double alpha = (c & 4) != 0 ? -0.75 : 1.0;
+      const double beta = c / 8 == 0 ? 0.0 : (c / 8 == 1 ? 1.0 : -0.5);
+      const Matrix a = ta ? xorshiftMatrix(sh.k, sh.m, rng)
+                          : xorshiftMatrix(sh.m, sh.k, rng);
+      const Matrix b = tb ? xorshiftMatrix(sh.n, sh.k, rng)
+                          : xorshiftMatrix(sh.k, sh.n, rng);
+      const Matrix c0 = xorshiftMatrix(sh.m, sh.n, rng);
+      Embedded ea(a), eb(b);
+      for (std::size_t width : {1u, 2u, 3u, 4u}) {
+        setGemmThreads(width);
+        Matrix want = c0;
+        gemm(alpha, a, ta, b, tb, beta, want);
+        Embedded ec(c0);
+        gemm(alpha, ea.view(), ta, eb.view(), tb, beta, ec.view());
+        EXPECT_TRUE(bitIdentical(ec.block(), want))
+            << "m=" << sh.m << " n=" << sh.n << " k=" << sh.k << " ta=" << ta
+            << " tb=" << tb << " alpha=" << alpha << " beta=" << beta
+            << " width=" << width;
+        EXPECT_TRUE(ec.bordersIntact()) << "C border written, case " << c;
+      }
+      EXPECT_TRUE(ea.bordersIntact() && eb.bordersIntact());
+    }
+}
+
+TEST(GemmViews, BlockOfABlockAddressesTheParent) {
+  Matrix m(6, 7);
+  for (std::size_t i = 0; i < 6; ++i)
+    for (std::size_t j = 0; j < 7; ++j) m(i, j) = 10.0 * i + j;
+  const ConstMatrixView v = ConstMatrixView(m).block(1, 2, 4, 4).block(2, 1,
+                                                                       2, 3);
+  EXPECT_EQ(v.rows, 2u);
+  EXPECT_EQ(v.cols, 3u);
+  EXPECT_EQ(v.ld, 7u);
+  EXPECT_EQ(v(0, 0), 33.0);
+  EXPECT_EQ(v(1, 2), 45.0);
+  EXPECT_THROW((void)ConstMatrixView(m).block(5, 0, 2, 1),
+               std::invalid_argument);
+  EXPECT_THROW((void)MatrixView(m).block(0, 6, 1, 2), std::invalid_argument);
+  Matrix empty;
+  EXPECT_EQ(MatrixView(empty).block(0, 0, 0, 0).rows, 0u);
+}
+
 // --------------------------------------------------------- compact-WY
 
 // Per-reflector application oracle: C := H_{k-1} ... H_0 C (transpose) or
@@ -443,7 +547,7 @@ TEST(CompactWy, BlockRightApplicationMatchesPerReflector) {
   const Matrix t = buildCompactWyT(v, tau);
   const Matrix c0 = xorshiftMatrix(9, 110, rng);
   Matrix blocked = c0;
-  applyBlockReflectorRight(v, t, blocked);
+  oracle::applyBlockReflectorRight(v, t, blocked);
   // C Q = (Q^T C^T)^T with Q^T the transposed-left application.
   const Matrix oracle =
       applyReflectorsOneByOne(v, tau, true, c0.transposed()).transposed();
@@ -503,6 +607,28 @@ TEST(HessenbergBlocked, DispatchBelowCrossoverIsBitIdenticalToReference) {
   const HessenbergResult reference = hessenbergUnblocked(a);
   EXPECT_TRUE(bitIdentical(viaDispatch.h, reference.h));
   EXPECT_TRUE(bitIdentical(viaDispatch.q, reference.q));
+}
+
+TEST(HessenbergBlocked, InPlaceMatchesBlockCopyingOracleBitForBit) {
+  // Orders at and past the crossover, on and off the panel width, with
+  // and without a partial last panel; widths 1, 2 and 4 put the trailing
+  // gemms and the panel dotRows on the kernel pool.
+  GemmThreadsGuard guard;
+  Xorshift rng(0x4e55);
+  for (std::size_t n : {128u, 129u, 160u, 300u, 517u}) {
+    const Matrix a = xorshiftMatrix(n, n, rng);
+    setGemmThreads(1);
+    const HessenbergResult want = oracle::hessenbergBlockCopying(a);
+    for (std::size_t width : {1u, 2u, 4u}) {
+      setGemmThreads(width);
+      const HessenbergResult got = hessenberg(a);
+      EXPECT_TRUE(bitIdentical(got.h, want.h)) << "n=" << n << " w=" << width;
+      EXPECT_TRUE(bitIdentical(got.q, want.q)) << "n=" << n << " w=" << width;
+      const HessenbergResult noQ = hessenberg(a, /*wantQ=*/false);
+      EXPECT_TRUE(bitIdentical(noQ.h, want.h)) << "n=" << n << " w=" << width;
+      EXPECT_TRUE(noQ.q.empty());
+    }
+  }
 }
 
 TEST(QrBlocked, BlockedFactorizationReconstructs) {

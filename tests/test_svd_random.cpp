@@ -19,7 +19,12 @@
 //     oracle to backward-stable roundoff;
 //   * thread-pool bit-determinism: the blocked kernel's gemm calls
 //     inherit the blas.hpp contract, so the whole decomposition is
-//     bit-identical for every setGemmThreads() setting.
+//     bit-identical for every setGemmThreads() setting;
+//   * the bidiagonal sweep's rotation replay: s, ut and vt are bitwise
+//     those of detail::bidiagonalQrSweepUnblocked (every rotation applied
+//     at once) on both sides of kSvdReplayFloor and across the column
+//     blocks of applyRowOps, at gemm widths 1-4, and SVD() / compress()
+//     of exactly skew matrices are bit-identical across widths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +34,7 @@
 
 #include "linalg/blas.hpp"
 #include "linalg/qr.hpp"
+#include "linalg/staircase.hpp"
 #include "linalg/svd.hpp"
 #include "test_support.hpp"
 
@@ -332,6 +338,107 @@ TEST(SvdRandom, BlockedBitDeterministicUnderThreadPool) {
     EXPECT_TRUE(bitIdentical(run1.v(), serial.v())) << threads << " threads";
     EXPECT_TRUE(bitIdentical(run1.u(), run2.u())) << threads << " rerun";
     EXPECT_TRUE(bitIdentical(run1.v(), run2.v())) << threads << " rerun";
+  }
+}
+
+// One seeded bidiagonal core (q values, sentinel e[q-1] = 0) with random
+// factor rows of length m (ut) and q (vt). Zeros planted in d force the
+// sweep's split (case 2) and bottom-deflation (case 1) branches; random
+// signs give the sign flips, and the final sort gives the swaps.
+struct SweepCase {
+  std::vector<double> d, e;
+  Matrix ut, vt;
+};
+
+SweepCase makeSweepCase(std::size_t q, std::size_t m, Xorshift& rng) {
+  SweepCase c{std::vector<double>(q), std::vector<double>(q, 0.0),
+              xorshiftMatrix(q, m, rng), xorshiftMatrix(q, q, rng)};
+  for (std::size_t i = 0; i < q; ++i) c.d[i] = rng.uniform(-1.0, 1.0);
+  for (std::size_t i = 0; i + 1 < q; ++i) c.e[i] = rng.uniform(-1.0, 1.0);
+  if (q > 8) {
+    c.d[q / 3] = 0.0;
+    c.d[q - 1] = 0.0;
+  }
+  return c;
+}
+
+TEST(SweepReplay, BitIdenticalToImmediateRotationsAtEveryWidth) {
+  // (q, U row length): square cores just below, at and above the replay
+  // floor; cores whose factor widths end one short of, on, and one past
+  // a column block; and wide U factors (a tall SVD's thin U). Every one
+  // above the floor fills the op log several times.
+  GemmThreadsGuard guard;
+  struct Shape {
+    std::size_t q, m;
+  };
+  const std::size_t b = kRowOpsBlockCols;
+  const Shape shapes[] = {{159, 159},
+                          {160, 160},
+                          {161, 161},
+                          {3 * b - 1, 3 * b - 1},
+                          {3 * b, 3 * b},
+                          {3 * b + 1, 3 * b + 1},
+                          {130, 5 * b + 1},
+                          {40, 1500},
+                          {300, 700}};
+  ASSERT_LT(std::size_t{159} * (159 + 159), kSvdReplayFloor);
+  ASSERT_GE(std::size_t{160} * (160 + 160), kSvdReplayFloor);
+  Xorshift rng(0x5eed5eedull);
+  for (const Shape& sh : shapes) {
+    const SweepCase c = makeSweepCase(sh.q, sh.m, rng);
+    std::vector<double> sWant = c.d, eWant = c.e;
+    Matrix utWant = c.ut, vtWant = c.vt;
+    setGemmThreads(1);
+    detail::bidiagonalQrSweepUnblocked(sWant, eWant, utWant, vtWant);
+    for (std::size_t width : {1u, 2u, 3u, 4u}) {
+      setGemmThreads(width);
+      std::vector<double> s = c.d, e = c.e;
+      Matrix ut = c.ut, vt = c.vt;
+      detail::bidiagonalQrSweepTransposed(s, e, ut, vt);
+      EXPECT_EQ(s, sWant) << "q=" << sh.q << " m=" << sh.m << " w=" << width;
+      EXPECT_TRUE(bitIdentical(ut, utWant))
+          << "q=" << sh.q << " m=" << sh.m << " w=" << width;
+      EXPECT_TRUE(bitIdentical(vt, vtWant))
+          << "q=" << sh.q << " m=" << sh.m << " w=" << width;
+      // Values only: the factors are untouched and s is the same bits.
+      std::vector<double> s0 = c.d, e0 = c.e;
+      Matrix none0, none1;
+      detail::bidiagonalQrSweepTransposed(s0, e0, none0, none1, false);
+      EXPECT_EQ(s0, sWant) << "values only, q=" << sh.q;
+    }
+  }
+}
+
+TEST(SweepReplay, SvdAndSkewCompressionBitIdenticalAcrossWidths) {
+  // End to end through the two callers of the sweep: a full SVD whose
+  // core is above the replay floor, and the skew-tridiagonal compression
+  // of an exactly skew matrix (a half-size core of order 260).
+  GemmThreadsGuard guard;
+  Xorshift rng(0x5ce1ull);
+  const Matrix a = xorshiftMatrix(300, 220, rng);
+  Matrix skew = xorshiftMatrix(521, 521, rng);
+  skewSymmetrize(skew);
+  CompressionOptions opts;
+  opts.wantRange = opts.wantCorange = true;
+  opts.wantNullspace = opts.wantLeftNullspace = true;
+  setGemmThreads(1);
+  const SVD svd1(a);
+  const Compression c1 = compress(skew, opts);
+  ASSERT_EQ(c1.kernelUsed, CompressionKernel::SkewTridiagonal);
+  expectValidSvd(a, svd1, "replayed core");
+  for (std::size_t width : {2u, 3u, 4u}) {
+    setGemmThreads(width);
+    const SVD svd(a);
+    EXPECT_EQ(svd.singularValues(), svd1.singularValues()) << width;
+    EXPECT_TRUE(bitIdentical(svd.u(), svd1.u())) << width;
+    EXPECT_TRUE(bitIdentical(svd.v(), svd1.v())) << width;
+    const Compression c = compress(skew, opts);
+    EXPECT_EQ(c.sigma, c1.sigma) << width;
+    EXPECT_EQ(c.rank, c1.rank) << width;
+    EXPECT_TRUE(bitIdentical(c.range, c1.range)) << width;
+    EXPECT_TRUE(bitIdentical(c.corange, c1.corange)) << width;
+    EXPECT_TRUE(bitIdentical(c.nullspace, c1.nullspace)) << width;
+    EXPECT_TRUE(bitIdentical(c.leftNullspace, c1.leftNullspace)) << width;
   }
 }
 

@@ -115,6 +115,19 @@ isa-dispatch-in-blas
     blas.hpp states and tests/test_blas_blocked.cpp checks bit for bit.
     Waivable with `lint-ok: isa-dispatch-in-blas`.
 
+kernel-pool-in-blas
+    `#include "linalg/thread_pool.hpp"` may appear only in
+    src/linalg/blas.cpp and src/linalg/thread_pool.cpp, in any C++ file
+    of the tree except tests/ (src/, baselines/, bench/, examples/,
+    perfbench/). Every parallel kernel — gemm, dotRows, the bidiagonal
+    sweep's rotation replay — reaches the kernel pool through a blas.cpp
+    entry point that splits its output into pieces whose every element
+    is computed the same way whoever computes it: the bit-determinism
+    contract blas.hpp states for every gemm width. A second file with its
+    own fan-out would be a second, unchecked contract. Tests include the
+    pool directly to stress it. Waivable with
+    `lint-ok: kernel-pool-in-blas`.
+
 Waivers: append `lint-ok: <rule-id>` in a comment on the offending line
 to waive a line-based rule (use sparingly; the waiver itself is visible
 in review).
@@ -149,6 +162,7 @@ RULE_IDS = (
     "one-fig1-chain",
     "kernel-layering",
     "isa-dispatch-in-blas",
+    "kernel-pool-in-blas",
 )
 
 
@@ -287,6 +301,9 @@ ISA_DISPATCH_RE = re.compile(
     r"|\bgnu\s*::\s*target\s*\("
     r"|\b__builtin_cpu_supports\b")
 ISA_DISPATCH_HOME = "src/linalg/blas.cpp"
+KERNEL_POOL_INCLUDE_RE = re.compile(
+    r'^\s*#\s*include\s*["<]linalg/thread_pool\.hpp[">]')
+KERNEL_POOL_HOMES = ("src/linalg/blas.cpp", "src/linalg/thread_pool.cpp")
 KERNEL_DECL_RE = re.compile(
     r"^[A-Za-z_][\w:<>,&*\s]*?\b([A-Za-z_]\w*?)(Blocked|Unblocked|Reference)"
     r"\s*\(",
@@ -402,6 +419,28 @@ def check_isa_dispatch_in_blas(root: str) -> List[Finding]:
     return findings
 
 
+def check_kernel_pool_in_blas(root: str) -> List[Finding]:
+    findings = []
+    for path in _cpp_files(root, LIBRARY_DIRS + ("bench", "examples",
+                                                 "perfbench")):
+        rel = _rel(root, path)
+        if rel in KERNEL_POOL_HOMES:
+            continue
+        # Raw lines: the include's quoted path is a string literal to the
+        # comment/string stripper; a commented-out include does not match
+        # the anchored pattern.
+        for lineno, line in enumerate(_read(path).splitlines(), start=1):
+            if (KERNEL_POOL_INCLUDE_RE.match(line)
+                    and not _waived(line, "kernel-pool-in-blas")):
+                findings.append(Finding(
+                    "kernel-pool-in-blas", rel, lineno,
+                    "linalg/thread_pool.hpp included outside "
+                    "src/linalg/blas.cpp: parallel kernels reach the pool "
+                    "only through a blas.cpp entry point, which carries "
+                    "the bit-determinism contract of every gemm width"))
+    return findings
+
+
 def check_rank_tol_literal(root: str) -> List[Finding]:
     findings = []
     for path in _cpp_files(root, LIBRARY_DIRS):
@@ -503,6 +542,7 @@ CHECKS = (
     check_one_fig1_chain,
     check_kernel_layering,
     check_isa_dispatch_in_blas,
+    check_kernel_pool_in_blas,
 )
 
 

@@ -186,8 +186,26 @@ __attribute__((target("avx512f"))) void kernel();
 """), 5)
     write(root, "src/linalg/blas.cpp", """
 #include <immintrin.h>
+#include "linalg/thread_pool.hpp"
 __attribute__((target("avx2,fma"))) void kernel();
 bool f() { return __builtin_cpu_supports("avx2"); }
+""")
+
+    # kernel-pool-in-blas: a kernel file other than blas.cpp including the
+    # pool fires; the pool's own .cpp, blas.cpp (above), a test, a
+    # comment, a string and a waived line stay clean.
+    planted["kernel-pool-in-blas"] = (write(
+        root, "src/linalg/bad_pool.cpp", """
+// #include "linalg/thread_pool.hpp" in a comment is fine
+const char* kDoc = "#include \\"linalg/thread_pool.hpp\\"";
+#include "linalg/thread_pool.hpp"  // lint-ok: kernel-pool-in-blas
+#include "linalg/thread_pool.hpp"
+"""), 5)
+    write(root, "src/linalg/thread_pool.cpp", """
+#include "linalg/thread_pool.hpp"
+""")
+    write(root, "tests/test_pool.cpp", """
+#include "linalg/thread_pool.hpp"
 """)
 
     return planted
@@ -298,6 +316,24 @@ def test_isa_dispatch_scans_every_tree():
     print("PASS: isa-dispatch-in-blas scans every C++ tree")
 
 
+def test_kernel_pool_scans_every_tree():
+    """kernel-pool-in-blas fires in baselines/, bench/, examples/ and
+    perfbench/ too, for both include spellings; tests/ stays exempt."""
+    with tempfile.TemporaryDirectory() as root:
+        inc = '#include "linalg/thread_pool.hpp"\n'
+        paths = [write(root, "baselines/pool.cpp", inc),
+                 write(root, "bench/bench_pool.cpp", inc),
+                 write(root, "examples/pool.cpp",
+                       "#  include <linalg/thread_pool.hpp>\n"),
+                 write(root, "perfbench/pool.cpp", inc)]
+        write(root, "tests/test_pool.cpp", inc)
+        findings = lint_invariants.run(root)
+        got = sorted((f.rule, f.path, f.line) for f in findings)
+        want = sorted(("kernel-pool-in-blas", path, 1) for path in paths)
+        assert got == want, f"expected {want}, got {got}"
+    print("PASS: kernel-pool-in-blas scans every tree but tests/")
+
+
 def test_stripper():
     strip = lint_invariants.strip_comments_and_strings
     assert "throw" not in strip("// may throw\nint x;")
@@ -325,6 +361,7 @@ def main():
     test_fig1_chain_scans_bench_and_examples()
     test_rank_tol_literal_flags_lu_pivot_cutoffs()
     test_isa_dispatch_scans_every_tree()
+    test_kernel_pool_scans_every_tree()
     test_clean_tree_has_no_findings()
     print("lint_invariants self-test: OK")
     return 0
