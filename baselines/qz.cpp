@@ -1,4 +1,4 @@
-#include "linalg/qz.hpp"
+#include "baselines/qz.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -8,7 +8,6 @@
 
 #include "linalg/lu.hpp"
 #include "linalg/schur.hpp"
-#include "obs/trace.hpp"
 
 namespace shhpass::linalg {
 namespace {
@@ -36,7 +35,7 @@ std::optional<RegularShift> findRegularShift(const Matrix& e,
                                              const Matrix& a) {
   for (double sigma : trialShifts(e, a)) {
     LU lu(a - sigma * e);
-    // lint-ok: rank-tol-literal  ROADMAP item 1 step 2
+    // lint-ok: rank-tol-literal  the baseline's own shift cutoff
     if (!lu.isSingular(1e-10)) return RegularShift{sigma, std::move(lu)};
   }
   return std::nullopt;
@@ -51,11 +50,6 @@ GeneralizedEigenvalues generalizedEigenvalues(const Matrix& e, const Matrix& a,
   const std::size_t n = e.rows();
   GeneralizedEigenvalues out;
   if (n == 0) return out;
-  // The shift search's LU, the shift-inverted solve and the eigensolve
-  // (its own `eigenvalues` span nests inside).
-  obs::ObsSpan span("generalized-eig", "kernel", n >= 32);
-  span.arg("n", static_cast<std::int64_t>(n));
-
   const std::optional<RegularShift> shift = findRegularShift(e, a);
   if (!shift)
     throw std::runtime_error(
@@ -78,12 +72,6 @@ GeneralizedEigenvalues generalizedEigenvalues(const Matrix& e, const Matrix& a,
     if (std::abs(lam.imag()) < 1e-10 * std::max(1.0, std::abs(lam.real())))
       lam = {lam.real(), 0.0};
   return out;
-}
-
-bool isRegularPencil(const Matrix& e, const Matrix& a) {
-  if (!e.isSquare() || !a.isSquare() || e.rows() != a.rows()) return false;
-  if (e.rows() == 0) return true;
-  return findRegularShift(e, a).has_value();
 }
 
 }  // namespace shhpass::linalg

@@ -1,12 +1,16 @@
 // Generalized eigenvalues of a matrix pencil (E, A): the values lambda
-// (possibly infinite) with det(A - lambda E) = 0.
+// (possibly infinite) with det(A - lambda E) = 0. The Weierstrass
+// baseline's own screen, independent of the library's structural one
+// (ds::finiteSpectrum reads the finite part off the Wong record).
 //
 // Implementation note: computed by shift-and-invert onto an ordinary real
 // Schur problem, M = (A - sigma E)^{-1} E with a pencil-adapted shift sigma,
 // mapping eigenvalues mu of M to lambda = sigma + 1/mu (mu = 0 <-> lambda =
-// infinity). This is an O(n^3) substitution for a full QZ iteration (see
-// docs/ARCHITECTURE.md, "Descriptor-system front end"); the shift is retried over a deterministic candidate list so a
-// singular (A - sigma E) is never used.
+// infinity). This is an O(n^3) substitution for a full QZ iteration; the
+// shift is retried over a deterministic candidate list so a singular
+// (A - sigma E) is never used. The relative cut `infTol` on |mu| decides
+// which eigenvalues are infinite, so a pole faster than 1/infTol times
+// the slowest one is counted as infinite.
 #pragma once
 
 #include <complex>
@@ -34,8 +38,5 @@ struct GeneralizedEigenvalues {
 /// (det(A - s E) == 0 for all trial shifts).
 GeneralizedEigenvalues generalizedEigenvalues(const Matrix& e, const Matrix& a,
                                               double infTol = 1e-6);
-
-/// True if the pencil (E, A) is regular: det(A - s E) != 0 for some s.
-bool isRegularPencil(const Matrix& e, const Matrix& a);
 
 }  // namespace shhpass::linalg

@@ -6,13 +6,13 @@
 #include <limits>
 #include <stdexcept>
 
+#include "baselines/qz.hpp"
 #include "control/pr_test.hpp"
 #include "control/sylvester.hpp"
 #include "core/markov.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/lu.hpp"
-#include "linalg/qz.hpp"
 #include "linalg/schur.hpp"
 #include "linalg/schur_reorder.hpp"
 #include "linalg/svd.hpp"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 
 #include "api/json.hpp"
 #include "control/pr_test.hpp"
@@ -23,8 +24,9 @@ Status verdict(core::FailureStage stage) {
 }
 
 // Stage 0 of Fig. 1: tolerance and shape validation, squareness, pencil
-// balancing, and (unless skipped) the regularity and finite-stability
-// screens.
+// balancing, the one compression of the balanced E and the
+// impulsive-structure record built on it, and (unless skipped) the
+// regularity and finite-stability screens, both read off the record.
 Status prerequisites(PipelineState& s) {
   // An infinite or NaN cutoff silently decides every rank and every
   // imaginary-axis test one way; a negative rankTol is the shared-policy
@@ -42,10 +44,19 @@ Status prerequisites(PipelineState& s) {
   // r.s.e. operations under which passivity is invariant.
   s.balanced = s.options.balance ? ds::balanceDescriptor(*s.input)
                                  : ds::BalancedSystem{*s.input, 1.0};
+  const ds::DescriptorSystem& g = s.balanced.sys;
+  s.eCompression = linalg::compress(
+      g.e, linalg::CompressionOptions::allBases(o.rankTol),
+      &s.report.rankPolicy, &s.report.staircase);
+  s.structure = ds::impulsiveStructure(g, o.rankTol, &s.eCompression,
+                                       &s.report.rankPolicy,
+                                       &s.report.staircase);
   if (!s.options.skipPrerequisites) {
-    if (!ds::isRegular(s.balanced.sys))
-      return verdict(core::FailureStage::SingularPencil);
-    if (!ds::hasStableFiniteModes(s.balanced.sys))
+    const ds::FiniteSpectrum spectrum =
+        ds::finiteSpectrum(g, s.structure, s.eCompression, o.rankTol,
+                           &s.report.rankPolicy, &s.report.staircase);
+    if (!spectrum.regular) return verdict(core::FailureStage::SingularPencil);
+    if (!spectrum.stable())
       return verdict(core::FailureStage::UnstableFiniteModes);
   }
   return Status::okStatus();
@@ -59,12 +70,13 @@ Status buildPhi(PipelineState& s) {
 
 // Stage 2: deflate impulse-unobservable/-uncontrollable modes (Eqs. 11-17).
 Status impulseDeflation(PipelineState& s) {
-  s.deflation = core::deflateImpulseModes(s.phi, s.options.rankTol,
-                                          &s.report.rankPolicy,
-                                          &s.report.staircase);
-  // Last reader of Phi; no stage reads the deflation's bases.
+  s.deflation = core::deflateImpulseModes(
+      s.phi, s.options.rankTol, &s.report.rankPolicy, &s.report.staircase,
+      &s.eCompression);
+  // Last reader of Phi and of E's compression; no stage reads the
+  // deflation's basis.
   s.phi = shh::ShhRealization{};
-  s.deflation.vKeep = linalg::Matrix();
+  s.eCompression = linalg::Compression{};
   s.deflation.impulseUnobservable = linalg::Matrix();
   s.report.removedImpulsive = s.deflation.removed;
   return Status::okStatus();
@@ -84,18 +96,10 @@ Status nondynamicRemoval(PipelineState& s) {
 
 // Stage 4: impulsive-part admissibility of G itself — grade >= 3 screen
 // plus M1 extraction and the M1 >= 0 check (Eqs. 24-25), both readings of
-// one impulsive-structure record. Reads only the prerequisites' balanced
-// system and the impulse-deflation outputs.
+// the prerequisites' impulsive-structure record.
 Status m1Extraction(PipelineState& s) {
-  // The impulse-deflation stage's compression of the balanced E (the
-  // half-size block of Phi's diag(E, E^T)) serves this whole stage too.
-  const ds::ImpulsiveStructure structure = ds::impulsiveStructure(
-      s.balanced.sys, s.options.rankTol,
-      s.deflation.hasHalfECompression ? &s.deflation.halfECompression
-                                      : nullptr,
-      &s.report.rankPolicy, &s.report.staircase);
-  s.deflation.halfECompression = linalg::Compression{};  // last reader
-  s.deflation.hasHalfECompression = false;
+  // Last reader of the record.
+  const ds::ImpulsiveStructure structure = std::exchange(s.structure, {});
   // Skew-symmetric Mk cancel inside Phi, so the grade >= 3 screen only
   // applies when the stage-2 deflation was non-trivial.
   if (s.deflation.removed > 0 && structure.index() >= 3)

@@ -33,6 +33,7 @@
 #include "core/passivity_test.hpp"
 #include "core/proper_part.hpp"
 #include "ds/balance.hpp"
+#include "ds/impulse_tests.hpp"
 #include "linalg/schur_multishift.hpp"
 #include "linalg/schur_reorder.hpp"
 #include "linalg/staircase.hpp"
@@ -84,17 +85,19 @@ struct AnalysisReport {
   /// when the run never reached the proper-part stage). Serialized
   /// under diagnostics.schur.
   linalg::SchurReport schur;
-  /// Health of the shared-policy SVD rank decisions behind every
-  /// deflation step and the proper-part normalizer (decision count +
-  /// worst kept/dropped margins, linalg/svd.hpp; empty when the run
-  /// stopped before the deflation stages). Each stage passes this record
+  /// Health of the shared-policy SVD rank decisions behind the
+  /// impulsive-structure record, the regularity screen, every deflation
+  /// step and the proper-part normalizer (decision count + worst
+  /// kept/dropped margins, linalg/svd.hpp; empty when the run stopped
+  /// before prerequisites compressed E). Each stage passes this record
   /// down and every decision writes into it. Serialized under
   /// diagnostics.rankPolicy.
   linalg::RankReport rankPolicy;
-  /// Health of the one-pass staircase deflation chain (kernel mix,
-  /// compression reuse, chain truncation — linalg/staircase.hpp), written
-  /// by the impulse-deflation, nondynamic-removal, and m1-extraction
-  /// stages. Serialized under diagnostics.staircase.
+  /// Health of the one-pass staircase chain (kernel mix, compression
+  /// reuse, chain truncation — linalg/staircase.hpp), written by the
+  /// prerequisites (E's compression, the record and the regularity
+  /// screen), impulse-deflation and nondynamic-removal stages. Serialized
+  /// under diagnostics.staircase.
   linalg::StaircaseReport staircase;
   /// Non-fatal diagnostic flags (e.g. Warning::ReorderSwapRejected).
   std::vector<Warning> warnings;
@@ -138,12 +141,18 @@ struct PipelineState {
   /// it, and callers read it to evaluate the proper part in balanced
   /// coordinates).
   ds::BalancedSystem balanced;
+  /// The one compression of the balanced E (all four bases), set by
+  /// prerequisites; impulse-deflation reuses it for Phi's half-size E
+  /// block and releases it.
+  linalg::Compression eCompression;
+  /// The impulsive-structure record of the balanced system, built once by
+  /// prerequisites on `eCompression` (its screens read it); m1-extraction
+  /// reads and releases it.
+  ds::ImpulsiveStructure structure;
   /// Set by build-phi; released by impulse-deflation.
   shh::ShhRealization phi;
-  /// Set by impulse-deflation, which releases `vKeep` and
-  /// `impulseUnobservable` (no stage reads them); nondynamic-removal
-  /// releases `reduced`; m1-extraction reads and then releases
-  /// `halfECompression`.
+  /// Set by impulse-deflation, which releases `impulseUnobservable` (no
+  /// stage reads it); nondynamic-removal releases `reduced`.
   core::ImpulseDeflationResult deflation;
   /// Set by nondynamic-removal; proper-part releases `shh`.
   core::NondynamicRemovalResult nondynamic;

@@ -47,10 +47,10 @@ Matrix blockDiagPhiMultiply(const Matrix& mHalf, const Matrix& v,
 
 }  // namespace
 
-ImpulseDeflationResult deflateImpulseModes(const shh::ShhRealization& phi,
-                                           double rankTol,
-                                           linalg::RankReport* rankReport,
-                                           linalg::StaircaseReport* stair) {
+ImpulseDeflationResult deflateImpulseModes(
+    const shh::ShhRealization& phi, double rankTol,
+    linalg::RankReport* rankReport, linalg::StaircaseReport* stair,
+    const linalg::Compression* eCompression) {
   ImpulseDeflationResult out;
   linalg::StaircaseReport discarded;
   linalg::StaircaseReport& sr = stair != nullptr ? *stair : discarded;
@@ -71,17 +71,20 @@ ImpulseDeflationResult deflateImpulseModes(const shh::ShhRealization& phi,
   //   Ker diag(E, E^T) = diag(Ker E, Ker E^T),
   //   Im  diag(E, E^T) = diag(Im E,  Im E^T) = diag(range, corange).
   Matrix kerE, rangeE;
-  linalg::CompressionOptions full;
-  full.rankTol = rankTol;
-  full.wantRange = full.wantCorange = true;
-  full.wantNullspace = full.wantLeftNullspace = true;
-  if (hasPhiBlockStructure(phi.e)) {
+  const auto full = linalg::CompressionOptions::allBases(rankTol);
+  const bool halfBlocks = hasPhiBlockStructure(phi.e);
+  if (halfBlocks) {
     const std::size_t n = n2 / 2;
-    out.halfECompression = linalg::compress(
-        phi.e.block(0, 0, n, n), full, rankReport, &sr);
-    out.hasHalfECompression = true;
+    if (eCompression != nullptr) {
+      ++sr.reusedCompressions;
+    } else {
+      out.halfECompression = linalg::compress(
+          phi.e.block(0, 0, n, n), full, rankReport, &sr);
+      out.hasHalfECompression = true;
+      eCompression = &out.halfECompression;
+    }
     ++sr.reusedCompressions;  // one compression served both blocks
-    const linalg::Compression& ce = out.halfECompression;
+    const linalg::Compression& ce = *eCompression;
     kerE = Matrix(n2, ce.nullspace.cols() + ce.leftNullspace.cols());
     kerE.setBlock(0, 0, ce.nullspace);
     kerE.setBlock(n, ce.nullspace.cols(), ce.leftNullspace);
@@ -120,7 +123,6 @@ ImpulseDeflationResult deflateImpulseModes(const shh::ShhRealization& phi,
   if (vo.cols() == 0) {
     ++sr.truncatedSteps;
     out.removed = 0;
-    out.vKeep = Matrix::identity(n2);
     out.reduced.e = shh::applyJ(phi.e);
     out.reduced.a = shh::applyJ(phi.a);
     out.reduced.c = phi.c;
@@ -147,11 +149,10 @@ ImpulseDeflationResult deflateImpulseModes(const shh::ShhRealization& phi,
   ++sr.chainLength;
   out.removed = cspan.rank;
 
-  Matrix v = std::move(cspan.leftNullspace);
-  out.vKeep = v;
+  const Matrix v = std::move(cspan.leftNullspace);
   Matrix w = -1.0 * shh::applyJ(v);
 
-  Matrix ev = out.hasHalfECompression
+  Matrix ev = halfBlocks
                   ? blockDiagPhiMultiply(phi.e.block(0, 0, n2 / 2, n2 / 2), v)
                   : phi.e * v;
   out.reduced.e = linalg::atb(w, ev);

@@ -14,9 +14,10 @@
 // The stage runs as a one-pass staircase reduction (linalg/staircase.hpp):
 // it compresses Phi's E once — exploiting its exact diag(E, E^T) block
 // structure when present, so ONE half-size compression serves both
-// blocks — then derives every kernel/range basis of the chain from that
-// compression plus two tall QR-compressions, and truncates the chain as
-// soon as the deflation subspace is empty.
+// blocks, and that one is the caller's compression of G's own E when
+// handed in — then derives every kernel/range basis of the chain from
+// that compression plus two tall QR-compressions, and truncates the chain
+// as soon as the deflation subspace is empty.
 #pragma once
 
 #include "linalg/staircase.hpp"
@@ -31,12 +32,10 @@ struct ImpulseDeflationResult {
   std::size_t removed = 0;          ///< dim V_o = number of deflated
                                     ///< unobservable (= uncontrollable)
                                     ///< impulsive directions.
-  linalg::Matrix vKeep;             ///< Right projection basis used.
   linalg::Matrix impulseUnobservable;  ///< Orthonormal basis of V_o.
-  /// When the stage detected Phi's exact diag(E, E^T) block structure,
-  /// the compression of the half-size E block (a compression of the
-  /// balanced system's own E) is kept here so the m1-extraction stage
-  /// can reuse it instead of recompressing E.
+  /// When the stage detected Phi's exact diag(E, E^T) block structure and
+  /// compressed the half-size E block itself (no `eCompression` handed
+  /// in), that compression of G's own E is kept here for reuse.
   bool hasHalfECompression = false;
   linalg::Compression halfECompression;
 };
@@ -44,10 +43,15 @@ struct ImpulseDeflationResult {
 /// One pass of the deflation (sufficient for minimal passive G, which has
 /// generalized eigenvectors of grade at most 2). Every rank decision is
 /// recorded into `rankReport` and the staircase-chain health (kernel mix,
-/// fallbacks, truncation) into `stair`, when non-null.
+/// fallbacks, truncation) into `stair`, when non-null. A non-null
+/// `eCompression` must be a compression of G's E with all four bases
+/// (linalg::CompressionOptions::allBases, under the same rankTol); it
+/// serves as the half-size block's compression instead of recompressing
+/// it: the block is the same matrix, so the bits are too.
 ImpulseDeflationResult deflateImpulseModes(
     const shh::ShhRealization& phi, double rankTol = -1.0,
     linalg::RankReport* rankReport = nullptr,
-    linalg::StaircaseReport* stair = nullptr);
+    linalg::StaircaseReport* stair = nullptr,
+    const linalg::Compression* eCompression = nullptr);
 
 }  // namespace shhpass::core

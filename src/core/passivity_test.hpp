@@ -44,8 +44,10 @@ struct PassivityOptions {
                            ///< default, linalg/svd.hpp).
   double imagTol = 1e-8;   ///< Imaginary-axis tolerance for spectra;
                            ///< must be finite and >= 0.
-  bool skipPrerequisites = false;  ///< Skip regularity/stability screens
-                                   ///< (when the caller already knows).
+  bool skipPrerequisites = false;  ///< Skip the regularity/stability
+                                   ///< screens (when the caller already
+                                   ///< knows); E's compression and the
+                                   ///< structure record are still built.
   bool balance = true;     ///< Balance the pencil first (frequency scaling
                            ///< + equilibration); strongly recommended for
                            ///< physical-unit models.

@@ -7,7 +7,6 @@
 
 #include "linalg/blas.hpp"
 #include "linalg/lu.hpp"
-#include "linalg/qz.hpp"
 #include "linalg/symmetric_eig.hpp"
 
 namespace shhpass::ds {
@@ -96,18 +95,6 @@ DescriptorSystem add(const DescriptorSystem& g1, const DescriptorSystem& g2) {
   s.c = linalg::hcat(g1.c, g2.c);
   s.d = g1.d + g2.d;
   return s;
-}
-
-bool isRegular(const DescriptorSystem& sys) {
-  return linalg::isRegularPencil(sys.e, sys.a);
-}
-
-bool hasStableFiniteModes(const DescriptorSystem& sys) {
-  linalg::GeneralizedEigenvalues ge =
-      linalg::generalizedEigenvalues(sys.e, sys.a);
-  for (const auto& l : ge.finite)
-    if (l.real() >= 0.0) return false;
-  return true;
 }
 
 double popovMinEigenvalueDs(const DescriptorSystem& sys, double omega) {

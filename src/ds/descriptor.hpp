@@ -50,11 +50,15 @@ DescriptorSystem adjoint(const DescriptorSystem& sys);
 /// Requires matching input/output counts.
 DescriptorSystem add(const DescriptorSystem& g1, const DescriptorSystem& g2);
 
-/// True if the pencil (E, A) is regular (det(A - sE) not identically zero).
+/// True if the pencil (E, A) is regular (det(A - sE) not identically
+/// zero). A reading of the impulsive-structure record (ds/impulse_tests.hpp):
+/// A is injective on W*.
 bool isRegular(const DescriptorSystem& sys);
 
 /// True if all finite dynamic modes have Re(lambda) < 0 ("stable" in the
-/// paper's sense; says nothing about impulsive modes).
+/// paper's sense; says nothing about impulsive modes). The eigenvalues are
+/// those of the finite part split off the record (ds::finiteSpectrum).
+/// Throws std::runtime_error on a singular pencil.
 bool hasStableFiniteModes(const DescriptorSystem& sys);
 
 /// lambda_min of the Hermitian matrix G(jw) + G(jw)^* at frequency w; the

@@ -1,8 +1,14 @@
 #include "ds/impulse_tests.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 
 #include "linalg/blas.hpp"
+#include "linalg/lu.hpp"
+#include "linalg/qr.hpp"
+#include "linalg/schur.hpp"
+#include "obs/trace.hpp"
 
 namespace shhpass::ds {
 
@@ -38,6 +44,7 @@ ImpulsiveStructure impulsiveStructure(const DescriptorSystem& sys,
   const std::size_t n = sys.order();
   ImpulsiveStructure out;
   out.order = n;
+  out.infiniteBasis = Matrix(n, 0);
 
   // ONE compression of E serves every step: Ker E / Im E for the right
   // chains, Ker E^T / Im E^T for the left ones, and E^+ / (E^T)^+ for the
@@ -51,11 +58,8 @@ ImpulsiveStructure impulsiveStructure(const DescriptorSystem& sys,
       ce->leftNullspace.cols() == n - ce->rank) {
     ++sr.reusedCompressions;
   } else {
-    linalg::CompressionOptions full;
-    full.rankTol = rankTol;
-    full.wantRange = full.wantCorange = true;
-    full.wantNullspace = full.wantLeftNullspace = true;
-    local = linalg::compress(sys.e, full, rankReport, &sr);
+    local = linalg::compress(
+        sys.e, linalg::CompressionOptions::allBases(rankTol), rankReport, &sr);
     ce = &local;
   }
   ++sr.chainLength;
@@ -100,31 +104,87 @@ ImpulsiveStructure impulsiveStructure(const DescriptorSystem& sys,
   out.wongDims.push_back(k);
   Matrix image = out.partners;  // E^+ (A W_j ∩ Im E)
   std::size_t grown = out.heads.cols();
-  std::size_t xDim = 0;
-  while (grown > xDim) {
+  Matrix x(n, 0);
+  while (grown > x.cols()) {
     linalg::CompressionOptions rangeOnly;
     rangeOnly.rankTol = rankTol;
     rangeOnly.wantRange = true;
-    Matrix x = linalg::compress(image, rangeOnly, rankReport, &sr).range;
-    if (x.cols() <= xDim) break;
-    xDim = x.cols();
-    out.wongDims.push_back(k + xDim);
+    Matrix next = linalg::compress(image, rangeOnly, rankReport, &sr).range;
+    if (next.cols() <= x.cols()) break;
+    x = std::move(next);
+    out.wongDims.push_back(k + x.cols());
     const linalg::Compression level = linalg::compress(
         linalg::hcat(out.projAK, linalg::projectOutTwice(ce->range, a * x)),
         nullspaceOnly(rankTol), rankReport, &sr);
     ++sr.chainLength;
     grown = level.nullity();
-    if (grown > xDim)
+    if (grown > x.cols())
       image = ce->applyPinv(a * (linalg::hcat(out.kerE, x) * level.nullspace));
   }
+  out.infiniteBasis = linalg::hcat(out.kerE, x);
   return out;
+}
+
+bool FiniteSpectrum::stable() const {
+  return std::all_of(eigenvalues.begin(), eigenvalues.end(),
+                     [](std::complex<double> l) { return l.real() < 0.0; });
+}
+
+FiniteSpectrum finiteSpectrum(const DescriptorSystem& sys,
+                              const ImpulsiveStructure& s,
+                              const linalg::Compression& eCompression,
+                              double rankTol, linalg::RankReport* rankReport,
+                              linalg::StaircaseReport* stair) {
+  const std::size_t n = s.order, k = n - s.rankE;
+  obs::ObsSpan span("stability-screen", "kernel", n >= 32);
+  span.arg("n", static_cast<std::int64_t>(n));
+  FiniteSpectrum out;
+  out.regular = true;
+  Matrix ef = sys.e, af = sys.a;  // E nonsingular: all of (E, A) is finite
+  if (s.infiniteDim() > 0) {
+    // Regular iff A W* has full column rank; Z⊥ is its left nullspace.
+    linalg::CompressionOptions o;
+    o.rankTol = rankTol;
+    o.wantLeftNullspace = true;
+    const linalg::Compression aw = linalg::compress(
+        sys.a * s.infiniteBasis, o, rankReport, stair);
+    out.regular = aw.nullity() == 0;
+    if (!out.regular) return out;
+    // W⊥ lies in Im E^T: E's corange less the last Wong level X.
+    const Matrix& q = eCompression.corange;
+    const Matrix x = s.infiniteBasis.block(0, k, n, s.infiniteDim() - k);
+    const Matrix wPerp =
+        x.cols() == 0
+            ? q
+            : q * linalg::orthonormalComplement(linalg::atb(q, x));
+    ef = linalg::atb(aw.leftNullspace, sys.e * wPerp);
+    af = linalg::atb(aw.leftNullspace, sys.a * wPerp);
+  }
+  if (ef.rows() > 0)
+    out.eigenvalues = linalg::eigenvalues(linalg::LU(ef).solve(af));
+  return out;
+}
+
+bool isRegular(const DescriptorSystem& sys) {
+  const ImpulsiveStructure s = impulsiveStructure(sys);
+  return hasFullColumnRank(sys.a * s.infiniteBasis, -1.0);
+}
+
+bool hasStableFiniteModes(const DescriptorSystem& sys) {
+  sys.validate();
+  const linalg::Compression ce =
+      linalg::compress(sys.e, linalg::CompressionOptions::allBases(-1.0));
+  const FiniteSpectrum fs =
+      finiteSpectrum(sys, impulsiveStructure(sys, -1.0, &ce), ce);
+  if (!fs.regular)
+    throw std::runtime_error("hasStableFiniteModes: pencil is singular");
+  return fs.stable();
 }
 
 ModeCensus censusModes(const DescriptorSystem& sys, double rankTol) {
   const ImpulsiveStructure s = impulsiveStructure(sys, rankTol);
-  if (!isRegular(sys))
-    throw std::runtime_error(
-        "censusModes: pencil is singular (no regular shift found)");
+  if (!hasFullColumnRank(sys.a * s.infiniteBasis, rankTol))
+    throw std::runtime_error("censusModes: pencil is singular");
   ModeCensus mc;
   mc.order = s.order;
   mc.rankE = s.rankE;

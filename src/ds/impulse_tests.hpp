@@ -6,12 +6,13 @@
 // matrix pencils", SIMAX 33(2), 2012; P. Van Dooren, LAA 27, 1979), plus
 // the right and left grade-2 chain heads and partners of Sec. 3.4
 // (Eqs. 24-25). The mode census, the pencil index, the Sec.-2.5 impulse
-// tests and the pipeline's m1-extraction stage (core/markov.hpp) are all
-// readings of this record. It is built from one compression of E
-// (linalg/staircase.hpp), and every rank decision goes through the shared
-// policy (linalg/svd.hpp).
+// tests, the regularity and finite-stability screens and the pipeline's
+// m1-extraction stage (core/markov.hpp) are all readings of this record.
+// It is built from one compression of E (linalg/staircase.hpp), and every
+// rank decision goes through the shared policy (linalg/svd.hpp).
 #pragma once
 
+#include <complex>
 #include <cstddef>
 #include <vector>
 
@@ -38,6 +39,9 @@ struct ImpulsiveStructure {
   linalg::Matrix heads, partners;
   /// Left heads W1 = K_l Ker(projAtKl) and partners W2 = (E^T)^+ A^T W1.
   linalg::Matrix leftHeads, leftPartners;
+  /// Orthonormal basis [K, X] of W*, n x dim W*, with X inside Im E^T
+  /// (the last Wong level's basis).
+  linalg::Matrix infiniteBasis;
 
   /// The pencil index: the number of Wong levels.
   std::size_t index() const { return wongDims.size(); }
@@ -48,8 +52,8 @@ struct ImpulsiveStructure {
 };
 
 /// Build the record. A non-null `eCompression` (a compression of sys.e
-/// with range/corange/nullspace/leftNullspace bases, e.g. the half-E
-/// compression of the impulse-deflation stage) is reused instead of
+/// with all four bases, linalg::CompressionOptions::allBases, e.g. the
+/// one the pipeline's prerequisites stage makes) is reused instead of
 /// recompressing E. Rank decisions are recorded into `rankReport` and the
 /// staircase health into `stair`, when non-null.
 ImpulsiveStructure impulsiveStructure(
@@ -57,6 +61,36 @@ ImpulsiveStructure impulsiveStructure(
     const linalg::Compression* eCompression = nullptr,
     linalg::RankReport* rankReport = nullptr,
     linalg::StaircaseReport* stair = nullptr);
+
+/// The finite spectrum of (E, A), read off the record. With W* = Im
+/// infiniteBasis, the pencil is regular iff A is injective on W*
+/// (rank(A W*) = dim W*, one shared-policy compression): a singular block
+/// puts a polynomial kernel inside W* that A maps to zero. A regular
+/// pencil is then block triangular in the orthogonal bases [W⊥, W*] and
+/// [Z⊥, A W*], with Z⊥ the left nullspace of A W* and
+/// W⊥ = corange(E) * complement(corange(E)^T X), so its finite
+/// eigenvalues are those of the order-q finite part
+/// (Z⊥^T E W⊥, Z⊥^T A W⊥), q = n - dim W*. A fast pole is a large
+/// eigenvalue there, not an eigenvalue lost to an "infinite" cutoff.
+struct FiniteSpectrum {
+  bool regular = false;
+  /// The q finite eigenvalues (empty for a singular pencil).
+  std::vector<std::complex<double>> eigenvalues;
+
+  /// Re lambda < 0 for every finite eigenvalue.
+  bool stable() const;
+};
+
+/// The finite spectrum of a system from its record `s` and the
+/// compression `eCompression` of sys.e the record was built on. The
+/// A W* rank decision is recorded into `rankReport` and its compression
+/// into `stair`, when non-null. Runs in a "stability-screen" kernel span.
+FiniteSpectrum finiteSpectrum(const DescriptorSystem& sys,
+                              const ImpulsiveStructure& s,
+                              const linalg::Compression& eCompression,
+                              double rankTol = -1.0,
+                              linalg::RankReport* rankReport = nullptr,
+                              linalg::StaircaseReport* stair = nullptr);
 
 /// Mode-structure census of a regular pencil (E, A):
 /// n = q finite dynamic + (n - r) nondynamic + (r - q) impulsive.

@@ -15,10 +15,13 @@
 //                       assembly.
 //   * QrSvd           — tall (or, transposed internally, wide) M:
 //                       blocked non-pivoted QR, then a full SVD of the
-//                       small R factor. sigma(R) == sigma(M) exactly
-//                       (orthogonal invariance), so the certificate is as
-//                       strong as a full SVD at a fraction of the cost;
-//                       range/left-null bases come from applyQ.
+//                       small R factor (its singular values alone, the
+//                       same bits, when at most a full-rank left
+//                       nullspace is wanted). sigma(R) == sigma(M)
+//                       exactly (orthogonal invariance), so the
+//                       certificate is as strong as a full SVD at a
+//                       fraction of the cost; range/left-null bases come
+//                       from applyQ.
 //   * SkewTridiagonal — M square and exactly skew-symmetric (E1 after
 //                       skewSymmetrize): a dsytrd-style blocked skew
 //                       tridiagonalization M = Q T Q^T (skewTridiagonalize;
@@ -97,6 +100,16 @@ struct CompressionOptions {
   bool wantCorange = false;        ///< Basis of Im(M^T), n x r.
   bool wantNullspace = false;      ///< Basis of Ker(M), n x (n - r).
   bool wantLeftNullspace = false;  ///< Basis of Ker(M^T), m x (m - r).
+
+  /// All four bases: the compression of a descriptor E that the
+  /// impulsive-structure record and the impulse deflation read.
+  static CompressionOptions allBases(double rankTol) {
+    CompressionOptions o;
+    o.rankTol = rankTol;
+    o.wantRange = o.wantCorange = true;
+    o.wantNullspace = o.wantLeftNullspace = true;
+    return o;
+  }
 };
 
 /// A certified rank-revealing compression of one matrix. Bases that were

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "api/shhpass.hpp"
+#include "core/phi_builder.hpp"
 #include "linalg/schur_multishift.hpp"
 #include "test_support.hpp"
 
@@ -656,6 +657,36 @@ TEST(ApiPipeline, AnalyzerReportIsThePipelineReport) {
   EXPECT_EQ(r->m1.rows(), 1u);
 }
 
+TEST(ApiPipeline, CompressesEAndBuildsTheRecordOncePerAnalysis) {
+  // report.staircase and report.rankPolicy equal the stage chain run by
+  // hand with ONE compression of the balanced E and ONE impulsive-structure
+  // record: the screens read the record, impulse-deflation reuses the
+  // compression, m1-extraction reuses the record. A second compression or
+  // record would add its compressions, decisions and chain steps.
+  const ds::DescriptorSystem g = circuits::makeBenchmarkModel(40, true);
+  const AnalysisReport report = testing::pipelineReport(g);
+  ASSERT_TRUE(report.passive);
+
+  const core::PassivityOptions o;
+  const ds::DescriptorSystem bal = ds::balanceDescriptor(g).sys;
+  linalg::RankReport rank;
+  linalg::StaircaseReport stair;
+  const linalg::Compression ce = linalg::compress(
+      bal.e, linalg::CompressionOptions::allBases(o.rankTol), &rank, &stair);
+  EXPECT_EQ(stair.compressions, 1u);
+  const ds::ImpulsiveStructure record =
+      ds::impulsiveStructure(bal, o.rankTol, &ce, &rank, &stair);
+  ds::finiteSpectrum(bal, record, ce, o.rankTol, &rank, &stair);
+  const core::ImpulseDeflationResult d = core::deflateImpulseModes(
+      core::buildPhi(bal), o.rankTol, &rank, &stair, &ce);
+  EXPECT_FALSE(d.hasHalfECompression);
+  const core::NondynamicRemovalResult nd =
+      core::removeNondynamicModes(d.reduced, o.rankTol, &rank, &stair);
+  core::extractProperPart(nd.shh, o.imagTol, o.rankTol, &rank);
+  EXPECT_EQ(report.staircase, stair);
+  EXPECT_EQ(report.rankPolicy, rank);
+}
+
 TEST(ApiPipeline, PassingRunReleasesIntermediateSlots) {
   // Impulsive, so impulse deflation removes modes and every slot is used.
   ds::DescriptorSystem g = circuits::makeBenchmarkModel(40, true);
@@ -671,9 +702,12 @@ TEST(ApiPipeline, PassingRunReleasesIntermediateSlots) {
   EXPECT_TRUE(state.phi.e.empty());
   EXPECT_TRUE(state.deflation.reduced.a.empty());
   EXPECT_TRUE(state.deflation.reduced.e.empty());
-  EXPECT_TRUE(state.deflation.vKeep.empty());
   EXPECT_TRUE(state.deflation.impulseUnobservable.empty());
   EXPECT_FALSE(state.deflation.hasHalfECompression);
+  EXPECT_TRUE(state.eCompression.range.empty());
+  EXPECT_TRUE(state.eCompression.nullspace.empty());
+  EXPECT_TRUE(state.structure.heads.empty());
+  EXPECT_TRUE(state.structure.infiniteBasis.empty());
   EXPECT_TRUE(state.nondynamic.shh.a.empty());
   EXPECT_TRUE(state.nondynamic.shh.e.empty());
 

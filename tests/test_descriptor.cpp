@@ -12,6 +12,7 @@ namespace {
 
 using linalg::Matrix;
 using testing::expectMatrixNear;
+using testing::pencilSystem;
 using testing::randomMatrix;
 
 // G(s) = 1/(s+1) as a (regular-E) descriptor system.
@@ -140,6 +141,25 @@ TEST(Descriptor, RegularityQueries) {
   sing.e = Matrix{{0.0}};
   sing.a = Matrix{{0.0}};
   EXPECT_FALSE(isRegular(sing));
+}
+
+TEST(Descriptor, RegularityDetection) {
+  const Matrix e = Matrix::diag({1.0, 0.0});
+  EXPECT_TRUE(isRegular(pencilSystem(e, Matrix::identity(2))));
+  // Shared kernel direction makes the pencil singular.
+  EXPECT_FALSE(isRegular(pencilSystem(e, Matrix::diag({1.0, 0.0}))));
+  const Matrix zero = Matrix::zeros(2, 2);
+  EXPECT_FALSE(isRegular(pencilSystem(zero, zero)));
+}
+
+TEST(Descriptor, RegularWithSingularA) {
+  // A = diag(0, -1) is singular, yet det(A - sE) = s (s + 1) is not
+  // identically zero: the screen reads structure, not a shifted LU.
+  const DescriptorSystem g =
+      pencilSystem(Matrix::identity(2), Matrix::diag({0.0, -1.0}));
+  EXPECT_TRUE(isRegular(g));
+  // The eigenvalue 0 is not strictly stable.
+  EXPECT_FALSE(hasStableFiniteModes(g));
 }
 
 TEST(Descriptor, StableFiniteModes) {

@@ -1,10 +1,15 @@
 // Tests for the impulsive-structure record (ds::impulsiveStructure) and
-// its readers: the mode census, the pencil index and the impulse
-// controllability/observability characterizations (Sec. 2.5 of the
-// paper), plus regressions pinning the shared rank policy
-// (linalg/svd.hpp) at the deflation tolerance boundary.
+// its readers: the mode census, the pencil index, the regularity and
+// finite-spectrum screens and the impulse controllability/observability
+// characterizations (Sec. 2.5 of the paper), plus regressions pinning the
+// shared rank policy (linalg/svd.hpp) at the deflation tolerance boundary.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <complex>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "circuits/generators.hpp"
@@ -18,6 +23,7 @@ namespace shhpass::ds {
 namespace {
 
 using linalg::Matrix;
+using testing::pencilSystem;
 
 // Index-1 system: E = diag(1, 0), A22 = -1 nonsingular.
 DescriptorSystem index1() {
@@ -39,6 +45,13 @@ DescriptorSystem index2() {
   s.c = Matrix{{-1.0, 0.0}};
   s.d = Matrix{{0.0}};
   return s;
+}
+
+// The finite spectrum on a compression of E and a record of g's own.
+FiniteSpectrum spectrum(const DescriptorSystem& g) {
+  const linalg::Compression ce =
+      linalg::compress(g.e, linalg::CompressionOptions::allBases(-1.0));
+  return finiteSpectrum(g, impulsiveStructure(g, -1.0, &ce), ce);
 }
 
 TEST(ModeCensusTest, RegularEAllFinite) {
@@ -304,6 +317,80 @@ TEST(RankPolicyBoundary, ImpulseTestsStableAcrossPolicyWobble) {
     EXPECT_TRUE(isImpulseControllable(sys, tol * wobble));
     EXPECT_TRUE(isImpulseObservable(sys, tol * wobble));
     EXPECT_EQ(pencilIndex(sys, tol * wobble), 2u);
+  }
+}
+
+TEST(FiniteSpectrumTest, CountMatchesTheCensusOnTheScaledGrid) {
+  // The screen takes the eigenvalues of the order-q finite part, so its
+  // count is the structure's, whatever the pole speeds.
+  for (const testing::GridLadder& g : testing::scaledLadderGrid()) {
+    SCOPED_TRACE(g.id);
+    const DescriptorSystem bal = balanceDescriptor(g.system).sys;
+    const FiniteSpectrum fs = spectrum(bal);
+    EXPECT_TRUE(fs.regular);
+    EXPECT_TRUE(fs.stable());
+    EXPECT_EQ(fs.eigenvalues.size(), censusModes(bal).finite);
+  }
+  // 3 sections, 1 pH, 1 kOhm, no port capacitor: three shunt capacitors
+  // and two inductors off the port's inductor cutset (a relative cut on
+  // shift-inverted eigenvalues counts 3 for C >= 1 pF).
+  circuits::LadderOptions opt;
+  opt.sections = 3;
+  opt.r = 1e3;
+  opt.l = 1e-12;
+  for (double c : {1e-15, 1e-12, 1e-9, 1e-6}) {
+    opt.c = c;
+    const DescriptorSystem g = circuits::makeRlcLadder(opt);
+    EXPECT_EQ(spectrum(balanceDescriptor(g).sys).eigenvalues.size(), 5u)
+        << c;
+  }
+}
+
+TEST(FiniteSpectrumTest, FastUnstablePoleIsFinite) {
+  // A grade-2 chain (E = [0 1; 0 0], A = I) next to the poles -1 and p:
+  // W* has a Wong level beyond Ker E, and p is a large finite eigenvalue
+  // of the finite part, not an infinite one.
+  for (int k = 3; k <= 12; ++k) {
+    const double p = std::pow(10.0, k);
+    Matrix e = Matrix::identity(4);
+    e(0, 0) = 0.0;
+    e(1, 1) = 0.0;
+    e(0, 1) = 1.0;
+    const Matrix a = Matrix::diag({1.0, 1.0, -1.0, p});
+    const FiniteSpectrum fs = spectrum(pencilSystem(e, a));
+    ASSERT_TRUE(fs.regular) << p;
+    ASSERT_EQ(fs.eigenvalues.size(), 2u) << p;
+    std::vector<double> re;
+    for (std::complex<double> l : fs.eigenvalues) re.push_back(l.real());
+    std::sort(re.begin(), re.end());
+    EXPECT_NEAR(re[0], -1.0, 1e-6) << p;
+    EXPECT_NEAR(re[1], p, 1e-6 * p) << p;
+    EXPECT_FALSE(fs.stable()) << p;
+  }
+}
+
+TEST(FiniteSpectrumTest, PolynomialKernelIsNotRegular) {
+  // det(sE - A) vanishes identically when a kernel polynomial x(s) with
+  // (sE - A) x(s) = 0 exists: a zero column (E = A = 0), the block
+  // L_1 + L_0^T (E = [1 0; 0 0], A = [0 1; 0 0], x = [1; s]), and
+  // L_2 + L_1^T (x = [1; s; s^2; 0]).
+  Matrix e2 = Matrix::zeros(2, 2), a2 = Matrix::zeros(2, 2);
+  e2(0, 0) = 1.0;
+  a2(0, 1) = 1.0;
+  Matrix e4 = Matrix::zeros(4, 4), a4 = Matrix::zeros(4, 4);
+  e4(0, 0) = e4(1, 1) = e4(2, 3) = 1.0;
+  a4(0, 1) = a4(1, 2) = a4(3, 3) = 1.0;
+  const std::vector<std::pair<const char*, DescriptorSystem>> singular = {
+      {"zero", pencilSystem(Matrix::zeros(2, 2), Matrix::zeros(2, 2))},
+      {"L1", pencilSystem(e2, a2)},
+      {"L2", pencilSystem(e4, a4)},
+  };
+  for (const auto& [name, g] : singular) {
+    SCOPED_TRACE(name);
+    EXPECT_FALSE(isRegular(g));
+    EXPECT_FALSE(spectrum(g).regular);
+    EXPECT_THROW(censusModes(g), std::runtime_error);
+    EXPECT_THROW(hasStableFiniteModes(g), std::runtime_error);
   }
 }
 

@@ -14,19 +14,29 @@
 //   * the unit-valued ladders that end in NUMERICAL_FAILURE:
 //     makeBenchmarkModel(5, true) and the one-section default ladder
 //     without a port capacitor, one- and two-port (passive by physics);
-//   * a 2-state system with a fast unstable pole, E = I,
-//     A = diag(-1, 1e7), B = [1; 1], C = [1, 1e-3], D = 10, whose Popov
-//     function is positive everywhere: not passive, and called PASSIVE.
+//   * 2-state systems with a fast unstable pole p in {1e3, ..., 1e12},
+//     E = I, A = diag(-1, p), B = [1; 1], C = [1, 1e-3], D = 10, whose
+//     Popov function is positive everywhere (not passive);
+//   * the fast-parasitic circuits (not passive): a 3-section ladder
+//     (1 mH, 1 uF) plus a node with Cp || Rneg to ground, coupled to the
+//     port node through Rc, for Rc in {1 kOhm, 1 MOhm, 1 GOhm},
+//     Cp in {1 uF, 1 nF, 1 pF, 1 fF} and Rneg in {-1 Ohm, -1 kOhm};
+//   * the non-passive mutants: negative shunt resistor and negative
+//     feedthrough at 1-16 sections, indefinite M1, grade-3 chain.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/analyzer.hpp"
 #include "api/status.hpp"
 #include "circuits/generators.hpp"
+#include "circuits/mna.hpp"
+#include "test_support.hpp"
 
 namespace shhpass {
 namespace {
@@ -101,7 +111,6 @@ const std::map<std::string, std::string> kKnownDefects = {
     {"bench5-impulsive", "NUMERICAL_FAILURE"},
     {"ladder1-oneport", "NUMERICAL_FAILURE"},
     {"ladder1-twoport", "NUMERICAL_FAILURE"},
-    {"fast-unstable-toy", "OK"},
 };
 
 struct Case {
@@ -110,24 +119,27 @@ struct Case {
   bool passive;
 };
 
+// The default 3-section ladder (1 mH, 1 uF) with a parasitic node:
+// Cp || Rneg to ground, coupled to the port node through Rc.
+ds::DescriptorSystem fastParasitic(double rc, double cp, double rneg) {
+  circuits::LadderOptions opt;
+  opt.sections = 3;
+  const circuits::Netlist ladder = circuits::makeRlcLadderNetlist(opt);
+  const int node = ladder.numNodes() + 1;
+  circuits::Netlist net(node);
+  for (const circuits::Component& comp : ladder.components())
+    net.addComponent(comp);
+  for (int port : ladder.ports()) net.addPort(port);
+  net.addResistor(ladder.ports().front(), node, rc);
+  net.addCapacitor(node, 0, cp);
+  net.addResistor(node, 0, rneg);
+  return circuits::stampMna(net);
+}
+
 std::vector<Case> corpus() {
   std::vector<Case> cases;
-  for (std::size_t sections : {3u, 10u})
-    for (bool capAtPort : {false, true})
-      for (double r : {1e-3, 1.0, 1e3})
-        for (double l : {1e-12, 1e-9, 1e-6, 1e-3})
-          for (double c : {1e-15, 1e-12, 1e-9, 1e-6}) {
-            circuits::LadderOptions opt;
-            opt.sections = sections;
-            opt.capAtPort = capAtPort;
-            opt.r = r;
-            opt.l = l;
-            opt.c = c;
-            char id[64];
-            std::snprintf(id, sizeof id, "s%zu-%s-R%g-L%g-C%g", sections,
-                          capAtPort ? "cap" : "nocap", r, l, c);
-            cases.push_back({id, circuits::makeRlcLadder(opt), true});
-          }
+  for (testing::GridLadder& g : testing::scaledLadderGrid())
+    cases.push_back({std::move(g.id), std::move(g.system), true});
   cases.push_back(
       {"bench5-impulsive", circuits::makeBenchmarkModel(5, true), true});
   for (bool twoPort : {false, true}) {
@@ -137,13 +149,35 @@ std::vector<Case> corpus() {
     cases.push_back({twoPort ? "ladder1-twoport" : "ladder1-oneport",
                      circuits::makeRlcLadder(opt), true});
   }
-  ds::DescriptorSystem toy;
-  toy.e = linalg::Matrix::identity(2);
-  toy.a = linalg::Matrix{{-1.0, 0.0}, {0.0, 1e7}};
-  toy.b = linalg::Matrix{{1.0}, {1.0}};
-  toy.c = linalg::Matrix{{1.0, 1e-3}};
-  toy.d = linalg::Matrix{{10.0}};
-  cases.push_back({"fast-unstable-toy", toy, false});
+  for (int k = 3; k <= 12; ++k) {
+    ds::DescriptorSystem toy;
+    toy.e = linalg::Matrix::identity(2);
+    toy.a = linalg::Matrix{{-1.0, 0.0}, {0.0, std::pow(10.0, k)}};
+    toy.b = linalg::Matrix{{1.0}, {1.0}};
+    toy.c = linalg::Matrix{{1.0, 1e-3}};
+    toy.d = linalg::Matrix{{10.0}};
+    cases.push_back({"toy-pole1e" + std::to_string(k), toy, false});
+  }
+  for (double rc : {1e3, 1e6, 1e9})
+    for (double cp : {1e-6, 1e-9, 1e-12, 1e-15})
+      for (double rneg : {-1.0, -1e3}) {
+        char id[64];
+        std::snprintf(id, sizeof id, "parasitic-Rc%g-Cp%g-Rneg%g", rc, cp,
+                      rneg);
+        cases.push_back({id, fastParasitic(rc, cp, rneg), false});
+      }
+  for (std::size_t sections = 1; sections <= 16; ++sections) {
+    cases.push_back({"negR-s" + std::to_string(sections),
+                     circuits::makeNonPassiveNegativeResistor(sections),
+                     false});
+    cases.push_back({"negD-s" + std::to_string(sections),
+                     circuits::makeNonPassiveNegativeFeedthrough(sections),
+                     false});
+  }
+  cases.push_back(
+      {"indefinite-m1", circuits::makeNonPassiveIndefiniteM1(), false});
+  cases.push_back(
+      {"grade3", circuits::makeNonPassiveHigherOrderImpulse(), false});
   return cases;
 }
 

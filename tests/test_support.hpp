@@ -6,10 +6,14 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "api/pipeline.hpp"
+#include "circuits/generators.hpp"
 #include "circuits/netlist.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/matrix.hpp"
@@ -132,6 +136,51 @@ inline api::AnalysisReport pipelineReport(
   EXPECT_TRUE(status.ok() || api::isVerdictCode(status.code()))
       << status.toString();
   return std::move(state.report);
+}
+
+/// The pencil (E, A) as a system with one input and one output on the
+/// first state.
+inline ds::DescriptorSystem pencilSystem(const Matrix& e, const Matrix& a) {
+  ds::DescriptorSystem s;
+  s.e = e;
+  s.a = a;
+  s.b = Matrix(e.rows(), 1);
+  s.b(0, 0) = 1.0;
+  s.c = s.b.transposed();
+  s.d = Matrix{{0.0}};
+  return s;
+}
+
+/// One ladder of the scaled-ladder grid, with its id
+/// "s<sections>-<cap|nocap>-R<r>-L<l>-C<c>".
+struct GridLadder {
+  std::string id;
+  ds::DescriptorSystem system;
+};
+
+/// The scaled-ladder grid: 192 series-L / shunt-R||C ladders
+/// (circuits::makeRlcLadder), passive by physics: {3, 10} sections x port
+/// capacitor or not x R in {1 mOhm, 1 Ohm, 1 kOhm} x
+/// L in {1 pH, 1 nH, 1 uH, 1 mH} x C in {1 fF, 1 pF, 1 nF, 1 uF}.
+inline std::vector<GridLadder> scaledLadderGrid() {
+  std::vector<GridLadder> grid;
+  for (std::size_t sections : {3u, 10u})
+    for (bool capAtPort : {false, true})
+      for (double r : {1e-3, 1.0, 1e3})
+        for (double l : {1e-12, 1e-9, 1e-6, 1e-3})
+          for (double c : {1e-15, 1e-12, 1e-9, 1e-6}) {
+            circuits::LadderOptions opt;
+            opt.sections = sections;
+            opt.capAtPort = capAtPort;
+            opt.r = r;
+            opt.l = l;
+            opt.c = c;
+            char id[64];
+            std::snprintf(id, sizeof id, "s%zu-%s-R%g-L%g-C%g", sections,
+                          capAtPort ? "cap" : "nocap", r, l, c);
+            grid.push_back({id, circuits::makeRlcLadder(opt)});
+          }
+  return grid;
 }
 
 /// Deterministic random connected RLC netlist for the ingestion / sweep

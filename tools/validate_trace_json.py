@@ -15,6 +15,11 @@ Usage: validate_trace_json.py PATH [--require-stages] [--min-events N]
   --require-stages  require every canonical Fig.-1 stage name to appear
                     among cat == "stage" spans (use on workloads known
                     to reach the PR test, e.g. passive golden ladders)
+  --require-kernel NAME
+                    require a cat == "kernel" span named NAME nested in
+                    a "prerequisites" stage span (repeatable; kernel
+                    spans are sampled only at n >= 32, so run a workload
+                    with an item of at least that order)
   --min-events N    require at least N trace events (default 1)
   --min-margin-spans N
                     require at least N "margin" stage spans (analyses
@@ -75,12 +80,21 @@ def check_nesting(tid, events):
         stack.append((end, e["name"]))
 
 
+def nested_in_stage(span, stages):
+    """True when `span` lies inside one of `stages` on its own thread."""
+    start, end = span["ts"], span["ts"] + span["dur"]
+    return any(s["tid"] == span["tid"] and s["ts"] - EPS <= start
+               and end <= s["ts"] + s["dur"] + EPS for s in stages)
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("path")
     parser.add_argument("--require-stages", action="store_true")
     parser.add_argument("--min-events", type=int, default=1)
     parser.add_argument("--min-margin-spans", type=int, default=0)
+    parser.add_argument("--require-kernel", action="append", default=[],
+                        metavar="NAME")
     args = parser.parse_args()
 
     with open(args.path, encoding="utf-8") as f:
@@ -133,6 +147,12 @@ def main():
         missing = [s for s in PIPELINE_STAGES if s not in stage_names]
         require(not missing,
                 f"canonical stages missing from the trace: {missing}")
+    prerequisites = [e for e in events
+                     if e["cat"] == "stage" and e["name"] == "prerequisites"]
+    for name in args.require_kernel:
+        require(any(e["cat"] == "kernel" and e["name"] == name
+                    and nested_in_stage(e, prerequisites) for e in events),
+                f"no '{name}' kernel span inside a prerequisites stage span")
     require(margin_spans >= args.min_margin_spans,
             f"only {margin_spans} margin stage spans, expected >= "
             f"{args.min_margin_spans}")
